@@ -231,36 +231,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def matvec(a: Tensor, x: Tensor) -> Tensor:
-    if a.values.ndim != 2 or x.values.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec: incompatible shapes {a.shape} and {x.shape}")
-    out, tape = _begin(a.values @ x.values, a, x)
-    if tape:
-        av, xv = a.values.copy(), x.values.copy()
-        def backward():
-            if a.tracked:
-                a.grad += np.outer(out.grad, xv)
-            if x.tracked:
-                x.grad += av.T @ out.grad
-        tape.record(backward)
-    return out
-
-
-def vecmat(x: Tensor, a: Tensor) -> Tensor:
-    if a.values.ndim != 2 or x.values.ndim != 1 or x.shape[0] != a.shape[0]:
-        raise ShapeError(f"vecmat: incompatible shapes {x.shape} and {a.shape}")
-    out, tape = _begin(x.values @ a.values, x, a)
-    if tape:
-        av, xv = a.values.copy(), x.values.copy()
-        def backward():
-            if x.tracked:
-                x.grad += av @ out.grad
-            if a.tracked:
-                a.grad += np.outer(xv, out.grad)
-        tape.record(backward)
-    return out
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row-batched affine map: (n, d_in) @ (d_out, d_in)^T + (d_out,)."""
     if x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[1]:
@@ -333,34 +303,6 @@ def lstm_step(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h: Tensor,
 # structural ops
 
 
-def concat(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat: empty part list")
-    for p in parts:
-        if p.values.ndim != 1:
-            raise ShapeError(f"concat: expected vectors, got shape {p.shape}")
-    out, tape = _begin(np.concatenate([p.values for p in parts]), *parts)
-    if tape:
-        offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-        def backward():
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if p.tracked:
-                    p.grad += out.grad[lo:hi]
-        tape.record(backward)
-    return out
-
-
-def vslice(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.values.ndim != 1:
-        raise ShapeError(f"vslice: expected a vector, got shape {x.shape}")
-    out, tape = _begin(x.values[start:stop].copy(), x)
-    if tape:
-        def backward():
-            x.grad[start:stop] += out.grad
-        tape.record(backward)
-    return out
-
-
 def stack_rows(rows: list[Tensor]) -> Tensor:
     if not rows:
         raise ShapeError("stack_rows: empty row list")
@@ -374,43 +316,42 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
     return out
 
 
-def hconcat(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"hconcat: incompatible shapes {a.shape} and {b.shape}")
-    out, tape = _begin(np.concatenate([a.values, b.values], axis=1), a, b)
-    if tape:
-        split = a.shape[1]
-        def backward():
-            if a.tracked:
-                a.grad += out.grad[:, :split]
-            if b.tracked:
-                b.grad += out.grad[:, split:]
-        tape.record(backward)
-    return out
+def unstack_rows(x: Tensor) -> list[Tensor]:
+    """The rows of a matrix as vectors, recorded as one tape node.
+
+    The rows' gradient buffers are views into one matrix, which the
+    backward adds to ``x.grad`` at once.
+    """
+    if x.values.ndim != 2:
+        raise ShapeError(f"unstack_rows: expected a matrix, got shape {x.shape}")
+    rows = [Tensor(r) for r in x.values.copy()]
+    tape = active_tape()
+    if tape is None or not x.tracked:
+        return rows
+    x.ensure_grad()
+    grads = np.zeros_like(x.values)
+    for r, g in zip(rows, grads):
+        r.tracked, r.grad = True, g
+    def backward():
+        x.grad += grads
+    tape.record(backward)
+    return rows
 
 
-def vconcat(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"vconcat: incompatible shapes {a.shape} and {b.shape}")
-    out, tape = _begin(np.concatenate([a.values, b.values], axis=0), a, b)
-    if tape:
-        split = a.shape[0]
-        def backward():
-            if a.tracked:
-                a.grad += out.grad[:split]
-            if b.tracked:
-                b.grad += out.grad[split:]
-        tape.record(backward)
-    return out
-
-
-def lookup(table: Tensor, index: int) -> Tensor:
-    """Embedding row fetch; gradient scatters back into the table row."""
-    out, tape = _begin(table.values[index].copy(), table)
+def hconcat(*parts: Tensor) -> Tensor:
+    """Matrices with equal row counts, side by side."""
+    if not parts or any(p.values.ndim != 2 or p.shape[0] != parts[0].shape[0]
+                        for p in parts):
+        raise ShapeError(f"hconcat: incompatible shapes {[p.shape for p in parts]}")
+    out, tape = _begin(np.concatenate([p.values for p in parts], axis=1), *parts)
     if tape:
         def backward():
-            table.grad[index] += out.grad
-            table.touched_rows.add(int(index))
+            lo = 0
+            for p in parts:
+                hi = lo + p.shape[1]
+                if p.tracked:
+                    p.grad += out.grad[:, lo:hi]
+                lo = hi
         tape.record(backward)
     return out
 
@@ -422,29 +363,13 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     if tape:
         def backward():
             np.add.at(table.grad, idx, out.grad)
-            table.touched_rows.update(int(i) for i in idx)
+            table.touched_rows.update(idx.tolist())
         tape.record(backward)
     return out
 
 
 # ---------------------------------------------------------------------------
-# softmax family
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stable softmax of a vector (max subtraction)."""
-    if x.values.ndim != 1 or x.shape[0] == 0:
-        raise ShapeError(f"softmax: expected a nonempty vector, got shape {x.shape}")
-    shifted = x.values - x.values.max()
-    e = np.exp(shifted)
-    out, tape = _begin(e / e.sum(), x)
-    if tape:
-        p = out.values
-        def backward():
-            g = out.grad
-            x.grad += p * (g - np.dot(p, g))
-        tape.record(backward)
-    return out
+# softmax family and attention
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -460,6 +385,88 @@ def softmax_rows(x: Tensor) -> Tensor:
             x.grad += p * (g - (p * g).sum(axis=1, keepdims=True))
         tape.record(backward)
     return out
+
+
+def _segment_sum(values: np.ndarray, starts: np.ndarray, ids: np.ndarray,
+                 out: np.ndarray):
+    """Add the sums of the runs of ``values`` that begin at ``starts`` to
+    the rows ``ids`` of ``out``."""
+    if len(starts):
+        out[ids] += np.add.reduceat(values, starts, axis=0)
+
+
+def memory_attention(f: Tensor, w_attn: Tensor, memory: Tensor, row_span: np.ndarray,
+                     null_rows: Tensor, null_mask: np.ndarray
+                     ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+    """Scaled bilinear attention of every span over its own memory, one tape node.
+
+    Span ``s`` (row ``s`` of ``f``) attends over its real rows, the rows of
+    ``memory`` whose entry in the sorted ``row_span`` is ``s``, and over the
+    rows of ``null_rows`` that ``null_mask[s]`` selects. A row ``r`` scores
+    ``r . (f_s W) / sqrt(d_m)``; the context is the softmax-weighted sum of
+    the rows. Returns the context matrix (n_spans x d_m) and the weights:
+    one per real row, and an n_spans x n_null matrix that is zero outside
+    ``null_mask``.
+    """
+    row_span = np.asarray(row_span, dtype=np.intp)
+    null_mask = np.asarray(null_mask, dtype=bool)
+    n = f.shape[0] if f.values.ndim == 2 else -1
+    d_m = w_attn.shape[1] if w_attn.values.ndim == 2 else -1
+    if (n < 0 or d_m < 0 or w_attn.shape[0] != f.shape[1]
+            or memory.shape != (len(row_span), d_m) or null_rows.values.ndim != 2
+            or null_rows.shape[1] != d_m or null_mask.shape != (n, null_rows.shape[0])):
+        raise ShapeError(f"memory_attention: incompatible shapes f {f.shape}, "
+                         f"w_attn {w_attn.shape}, memory {memory.shape}, "
+                         f"{len(row_span)} row spans, null_rows {null_rows.shape}, "
+                         f"null_mask {null_mask.shape}")
+    if len(row_span) and (row_span[0] < 0 or row_span[-1] >= n
+                          or np.any(row_span[1:] < row_span[:-1])):
+        raise ShapeError("memory_attention: row span ids must be sorted and in range")
+    if np.any(np.bincount(row_span, minlength=n) + null_mask.sum(axis=1) == 0):
+        raise ShapeError("memory_attention: a span has no memory row")
+    starts = np.flatnonzero(np.diff(row_span, prepend=-1))
+    ids = row_span[starts]
+    inv = 1.0 / math.sqrt(d_m)
+    mem, nul = memory.values, null_rows.values
+    q = f.values @ w_attn.values
+    q_row = q[row_span]
+    s_real = np.einsum("rd,rd->r", mem, q_row) * inv
+    s_null = np.where(null_mask, (q @ nul.T) * inv, -np.inf)
+    top = s_null.max(axis=1)
+    if len(starts):
+        top[ids] = np.maximum(top[ids], np.maximum.reduceat(s_real, starts))
+    e_real = np.exp(s_real - top[row_span])
+    e_null = np.exp(s_null - top[:, None])
+    z = e_null.sum(axis=1)
+    _segment_sum(e_real, starts, ids, z)
+    p_real = e_real / z[row_span]
+    p_null = e_null / z[:, None]
+    ctx = p_null @ nul
+    _segment_sum(p_real[:, None] * mem, starts, ids, ctx)
+    out, tape = _begin(ctx, f, w_attn, memory, null_rows)
+    if tape:
+        fv, wv, mem, nul = f.values.copy(), w_attn.values.copy(), mem.copy(), nul.copy()
+        def backward():
+            g = out.grad
+            g_row = g[row_span]
+            dp_real = np.einsum("rd,rd->r", mem, g_row)
+            dp_null = g @ nul.T
+            dot = (p_null * dp_null).sum(axis=1)
+            _segment_sum(p_real * dp_real, starts, ids, dot)
+            ds_real = p_real * (dp_real - dot[row_span]) * inv
+            ds_null = p_null * (dp_null - dot[:, None]) * inv
+            dq = ds_null @ nul
+            _segment_sum(ds_real[:, None] * mem, starts, ids, dq)
+            if f.tracked:
+                f.grad += dq @ wv.T
+            if w_attn.tracked:
+                w_attn.grad += fv.T @ dq
+            if memory.tracked:
+                memory.grad += p_real[:, None] * g_row + ds_real[:, None] * q_row
+            if null_rows.tracked:
+                null_rows.grad += p_null.T @ g + ds_null.T @ q
+        tape.record(backward)
+    return out, (p_real, p_null)
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +536,3 @@ def focal_loss_rows(probs: Tensor, targets: np.ndarray, alpha: Tensor,
                 np.add.at(alpha.grad, tgt, g * (-pow_g * logpt))
         tape.record(backward)
     return out
-
-
-def focal_loss(probs: Tensor, true_class: int, alpha: Tensor, gamma: float) -> Tensor:
-    """Focal loss of a single probability vector against ``true_class``."""
-    if probs.values.ndim != 1:
-        raise ShapeError(f"focal_loss: expected a probability vector, got {probs.shape}")
-    if not 0 <= true_class < probs.shape[0]:
-        raise ValueError(f"focal_loss: class {true_class} out of range for {probs.shape[0]}")
-    return focal_loss_rows(stack_rows([probs]), np.array([true_class]), alpha, gamma)

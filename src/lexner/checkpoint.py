@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import ConfigError, parameter
 from .corpus import SymbolTable, Vocab
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, param_shapes, vocab_sizes
 
 MAGIC = b"lexner-checkpoint v1\n"
 
@@ -45,28 +45,55 @@ def save(path: str, model: Model, extra: dict | None = None):
 
 
 def load(path: str) -> tuple[Model, dict]:
+    """Read a checkpoint. Every defect of the file, from a bad header to a
+    tensor manifest that does not fit the stored config, is a ConfigError."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != MAGIC:
             raise ConfigError(f"{path}: not a recognized checkpoint file")
-        header = json.loads(fh.readline().decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        vocab = Vocab()
-        vocab.chars = SymbolTable(header["vocab"]["chars"])
-        vocab.segs = SymbolTable(header["vocab"]["segs"])
-        vocab.pos = SymbolTable(header["vocab"]["pos"])
-        vocab.types = SymbolTable(header["vocab"]["types"])
-        vocab.lex = SymbolTable(header["vocab"]["lex"])
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            config = ModelConfig(**header["config"])
+            vocab = Vocab()
+            for table in ("chars", "segs", "pos", "types", "lex"):
+                setattr(vocab, table, SymbolTable(header["vocab"][table]))
+            manifest = [(entry["name"], tuple(int(d) for d in entry["shape"]))
+                        for entry in header["tensors"]]
+            extra = header["extra"]
+            config.validate()
+            _check_manifest(path, config, vocab, manifest)
+        except ConfigError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: malformed checkpoint header: {exc!r}") from None
         params = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
+        for name, shape in manifest:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
-                raise ConfigError(f"{path}: truncated tensor {entry['name']}")
-            params[entry["name"]] = parameter(
-                np.frombuffer(raw, dtype="<f8").reshape(shape))
-    return Model(config, vocab, params), header["extra"]
+                raise ConfigError(f"{path}: truncated tensor {name}")
+            params[name] = parameter(np.frombuffer(raw, dtype="<f8").reshape(shape))
+        if fh.read(1):
+            raise ConfigError(f"{path}: trailing bytes after the last tensor")
+    return Model(config, vocab, params), extra
+
+
+def _check_manifest(path: str, config: ModelConfig, vocab: Vocab,
+                    manifest: list[tuple[str, tuple[int, ...]]]):
+    """The stored vocabulary must fit the stored config, and the tensors
+    must be those ``Model.build`` makes for that config, in that order."""
+    for name, size in vocab_sizes(vocab).items():
+        if getattr(config, name) != size:
+            raise ConfigError(f"{path}: config has {name}={getattr(config, name)} "
+                              f"but the vocabulary has {size} entries")
+    want = param_shapes(config)
+    if manifest != list(want.items()):
+        got = dict(manifest)
+        missing = [n for n in want if n not in got]
+        wrong = [f"{n} {s} (want {want.get(n)})" for n, s in manifest if want.get(n) != s]
+        raise ConfigError(f"{path}: tensor manifest does not fit the config: "
+                          f"missing {missing or '-'}, unexpected or mis-shaped "
+                          f"{wrong or '-'}")
 
 
 def check_structure(config: ModelConfig, loaded: ModelConfig,

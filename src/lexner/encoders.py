@@ -1,9 +1,10 @@
 """Character-level context encoders and fixed-size fragment encoders.
 
 Every candidate span of length at most ``m`` gets one fixed-size vector.
-The three fragment encoders (bag-of-words mean, forgetting encoding,
-bidirectional LSTM) all enumerate spans incrementally, reusing the state
-of shorter spans to build longer ones.
+Bag-of-words mean and forgetting encoding are linear in the character
+vectors, so each is one product of a span coefficient matrix with the
+character matrix. The span-local bidirectional LSTM enumerates spans
+incrementally, reusing the state of shorter spans to build longer ones.
 """
 from __future__ import annotations
 
@@ -36,15 +37,13 @@ def char_feature_vectors(char_ids, seg_ids, pos_ids, emb_char: Tensor,
                          emb_seg: Tensor, emb_pos: Tensor,
                          dropout_rate: float = 0.0,
                          rng: np.random.Generator | None = None,
-                         training: bool = False) -> list[Tensor]:
-    """Per-character vector: char ++ soft-word ++ POS embeddings, with
-    dropout applied at this embedding layer during training."""
-    out = []
-    for c, s, p in zip(char_ids, seg_ids, pos_ids):
-        w = ad.concat([ad.lookup(emb_char, c), ad.lookup(emb_seg, s),
-                       ad.lookup(emb_pos, p)])
-        out.append(ad.dropout(w, dropout_rate, rng, training))
-    return out
+                         training: bool = False) -> Tensor:
+    """Per-character vectors as the rows of an n x d_w matrix: char ++
+    soft-word ++ POS embeddings, with dropout applied at this embedding
+    layer during training."""
+    w = ad.hconcat(ad.gather_rows(emb_char, char_ids), ad.gather_rows(emb_seg, seg_ids),
+                   ad.gather_rows(emb_pos, pos_ids))
+    return ad.dropout(w, dropout_rate, rng, training)
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +91,12 @@ def lstm_run(xs: list[Tensor], cell: LSTMCell, reverse: bool = False) -> list[Te
 # character encoders
 
 
-def encode_characters(w: list[Tensor], mode: str,
+def encode_characters(w: Tensor, mode: str,
                       layers: list[tuple[LSTMCell, LSTMCell]] | None = None
-                      ) -> list[Tensor]:
-    """Context-aware character vectors.
+                      ) -> Tensor:
+    """Context-aware character vectors, one row per character.
 
-    ``baseline`` returns the embedding vectors unchanged. ``birnn`` stacks
+    ``baseline`` returns the embedding matrix unchanged. ``birnn`` stacks
     bidirectional LSTM layers (forward cell, backward cell per layer) and
     concatenates the two top-layer states per position.
     """
@@ -107,63 +106,67 @@ def encode_characters(w: list[Tensor], mode: str,
         raise ConfigError(f"unknown character encoder {mode!r}")
     if not layers:
         raise ConfigError("birnn character encoder requires LSTM layers")
-    xs = w
+    x = w
     for fwd, bwd in layers:
-        f_states = lstm_run(xs, fwd)
-        b_states = lstm_run(xs, bwd, reverse=True)
-        xs = [ad.concat([f, b]) for f, b in zip(f_states, b_states)]
-    return xs
+        xs = ad.unstack_rows(x)
+        x = ad.hconcat(ad.stack_rows(lstm_run(xs, fwd)),
+                       ad.stack_rows(lstm_run(xs, bwd, reverse=True)))
+    return x
 
 
 # ---------------------------------------------------------------------------
 # fragment encoders
+#
+# Each takes the character vectors ``t``, as an n x d matrix or as its n
+# rows, and returns the span vectors as the rows of a matrix, in the order
+# of ``spans``.
 
 
-def encode_fragments_bow(t: list[Tensor], spans: list[Span]) -> dict[Span, Tensor]:
-    """Mean of the span's character vectors via shared running prefix sums."""
-    n = len(t)
-    prefix: list[Tensor] = [None] * (n + 1)
-    prefix[0] = ad.constant(np.zeros(t[0].shape[0]))
-    for k in range(n):
-        prefix[k + 1] = ad.add(prefix[k], t[k])
-    out = {}
-    for i, j in spans:
-        length = j - i + 1
-        if length == 1:
-            out[(i, j)] = t[i]
-        else:
-            out[(i, j)] = ad.scale(ad.sub(prefix[j + 1], prefix[i]), 1.0 / length)
-    return out
+def _span_cells(spans: list[Span]):
+    """(span index, character index, span end, span length) of every
+    character of every span, as parallel arrays."""
+    starts = np.array([i for i, _ in spans], dtype=np.intp)
+    ends = np.array([j for _, j in spans], dtype=np.intp)
+    lengths = ends - starts + 1
+    rows = np.repeat(np.arange(len(spans)), lengths)
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    cols = np.arange(len(rows)) - first + starts[rows]
+    return rows, cols, ends[rows], lengths[rows]
 
 
-def encode_fragments_fofe(t: list[Tensor], spans: list[Span],
-                          alpha: float) -> dict[Span, Tensor]:
-    """Forgetting encoding z_k = alpha * z_{k-1} + t_k; the span (i, j)
-    reuses the chain state built for (i, j-1)."""
+def _combine(t: Tensor | list[Tensor], spans: list[Span], coefficient) -> Tensor:
+    """``C @ T`` for the span coefficient matrix ``C[s, k]`` =
+    ``coefficient(end of s, k, length of s)`` over the characters k of s."""
+    matrix = t if isinstance(t, Tensor) else ad.stack_rows(t)
+    n = matrix.shape[0]
+    rows, cols, ends, lengths = _span_cells(spans)
+    c = np.zeros((len(spans), n))
+    c[rows, cols] = coefficient(ends, cols, lengths)
+    return ad.matmul(ad.constant(c), matrix)
+
+
+def encode_fragments_bow(t: Tensor | list[Tensor], spans: list[Span]) -> Tensor:
+    """Mean of the span's character vectors."""
+    return _combine(t, spans, lambda ends, k, lengths: 1.0 / lengths)
+
+
+def encode_fragments_fofe(t: Tensor | list[Tensor], spans: list[Span],
+                          alpha: float) -> Tensor:
+    """Forgetting encoding z_k = alpha * z_{k-1} + t_k, in its closed form:
+    span (i, j) is the sum of alpha^(j-k) t_k over i <= k <= j."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"forgetting factor must lie in (0, 1), got {alpha}")
-    n = len(t)
-    max_end: dict[int, int] = {}
-    for i, j in spans:
-        max_end[i] = max(max_end.get(i, i), j)
-    chains: dict[int, list[Tensor]] = {}
-    for i, far in max_end.items():
-        z = t[i]
-        chain = [z]
-        for k in range(i + 1, far + 1):
-            z = ad.add(ad.scale(z, alpha), t[k])
-            chain.append(z)
-        chains[i] = chain
-    return {(i, j): chains[i][j - i] for i, j in spans}
+    return _combine(t, spans, lambda ends, k, lengths: alpha ** (ends - k))
 
 
-def encode_fragments_birnn(t: list[Tensor], spans: list[Span], fwd: LSTMCell,
-                           bwd: LSTMCell) -> dict[Span, Tensor]:
+def encode_fragments_birnn(t: Tensor | list[Tensor], spans: list[Span],
+                           fwd: LSTMCell, bwd: LSTMCell) -> Tensor:
     """Final forward state ++ final backward state of a span-local BiLSTM.
 
     Forward chains are shared across spans with a common start; backward
     chains across spans with a common end.
     """
+    rows = ad.unstack_rows(t) if isinstance(t, Tensor) else t
     starts: dict[int, int] = {}
     ends: dict[int, int] = {}
     for i, j in spans:
@@ -175,7 +178,7 @@ def encode_fragments_birnn(t: list[Tensor], spans: list[Span], fwd: LSTMCell,
         h, c = zeros, zeros
         states = []
         for k in range(i, far + 1):
-            h, c = fwd.step(t[k], h, c)
+            h, c = fwd.step(rows[k], h, c)
             states.append(h)
         fchain[i] = states
     bzeros = ad.constant(np.zeros(bwd.hidden))
@@ -184,8 +187,8 @@ def encode_fragments_birnn(t: list[Tensor], spans: list[Span], fwd: LSTMCell,
         h, c = bzeros, bzeros
         states = []
         for k in range(j, near - 1, -1):
-            h, c = bwd.step(t[k], h, c)
+            h, c = bwd.step(rows[k], h, c)
             states.append(h)
         bchain[j] = states
-    return {(i, j): ad.concat([fchain[i][j - i], bchain[j][j - i]])
-            for i, j in spans}
+    return ad.hconcat(ad.stack_rows([fchain[i][j - i] for i, j in spans]),
+                      ad.stack_rows([bchain[j][j - i] for i, j in spans]))

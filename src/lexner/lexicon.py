@@ -1,4 +1,4 @@
-"""Word-list storage, the four fragment matching modes, and memory assembly.
+"""Word-list storage, the four fragment matching modes, and memory layouts.
 
 A fragment is matched against the word list in four mutually exclusive
 modes: exact (the fragment is a word), k-prefix (a word equals the first
@@ -11,7 +11,9 @@ Matches are grouped into buckets with cutoff K: one exact bucket, one
 bucket per k <= K for prefixes and suffixes, one residual prefix bucket
 (k > K), one residual suffix bucket, and one infix bucket; 2K+4 buckets
 in total. Mode ids are tied to bucket ids, so the mode embedding table has
-2K+4 rows. An empty bucket is represented by a learned null row.
+2K+4 rows. An empty bucket is represented by a learned null row. The
+layouts of a sentence's spans are joined into one ragged layout, which the
+model's memory attention reads in one step.
 """
 from __future__ import annotations
 
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import ConfigError, Tensor
+from .autodiff import ConfigError
 
 EXACT, PREFIX, SUFFIX, INFIX = "exact", "prefix", "suffix", "infix"
 _MODE_RANK = {EXACT: 0, PREFIX: 1, SUFFIX: 2, INFIX: 3}
@@ -153,7 +154,7 @@ def match_fragment(lex: Lexicon, fragment: str) -> list[Match]:
 
 
 # ---------------------------------------------------------------------------
-# bucketing and memory assembly
+# bucketing and memory layout
 
 
 def bucket_count(k_cut: int) -> int:
@@ -245,17 +246,44 @@ def bucketize(matches: list[Match], k_cut: int, lex: Lexicon,
     )
 
 
-def assemble_memory(layout: MemoryLayout, emb_lex: Tensor, emb_mod: Tensor,
-                    null_rows: Tensor) -> Tensor:
-    """Memory matrix (n_m x d_m): word embedding ++ mode embedding per real
-    row, learned null rows for empty buckets."""
-    parts = []
-    if len(layout.lex_ids):
-        real = ad.hconcat(ad.gather_rows(emb_lex, layout.lex_ids),
-                          ad.gather_rows(emb_mod, layout.mode_ids))
-        parts.append(real)
-    if len(layout.null_buckets):
-        parts.append(ad.gather_rows(null_rows, layout.null_buckets))
-    if len(parts) == 2:
-        return ad.vconcat(parts[0], parts[1])
-    return parts[0]
+@dataclass
+class SentenceLayout:
+    """Ragged memory layout of every span of a sentence, built once.
+
+    The real rows of all spans, span by span in each span's row order,
+    form one list: ``lex_ids`` and ``mode_ids`` index the embedding tables
+    and ``row_span`` (sorted) names the span of each row. ``null_mask[s, b]``
+    is set when bucket ``b`` of span ``s`` is empty and the span attends
+    over null row ``b``. ``per_span`` keeps the span layouts for the row
+    labels of the attention dump.
+    """
+
+    lex_ids: np.ndarray
+    mode_ids: np.ndarray
+    row_span: np.ndarray
+    null_mask: np.ndarray
+    per_span: list[MemoryLayout]
+
+    @classmethod
+    def of(cls, layouts: list[MemoryLayout], k_cut: int) -> "SentenceLayout":
+        n = len(layouts)
+        null_mask = np.zeros((n, bucket_count(k_cut)), dtype=bool)
+        for s, layout in enumerate(layouts):
+            null_mask[s, layout.null_buckets] = True
+        return cls(
+            lex_ids=np.concatenate([l.lex_ids for l in layouts]),
+            mode_ids=np.concatenate([l.mode_ids for l in layouts]),
+            row_span=np.repeat(np.arange(n), [len(l.lex_ids) for l in layouts]),
+            null_mask=null_mask,
+            per_span=layouts,
+        )
+
+    def attention_rows(self, p_real: np.ndarray, p_null: np.ndarray, k_cut: int
+                       ) -> list[tuple[np.ndarray, list[str]]]:
+        """Per span, its attention weights and row labels in memory row
+        order: real rows by bucket, then null rows by bucket."""
+        bounds = np.searchsorted(self.row_span, np.arange(len(self.per_span) + 1))
+        return [(np.concatenate([p_real[lo:hi], p_null[s, layout.null_buckets]]),
+                 layout.row_labels(k_cut))
+                for s, (layout, lo, hi) in enumerate(
+                    zip(self.per_span, bounds[:-1], bounds[1:]))]

@@ -2,13 +2,13 @@
 
 Each candidate span is encoded, attends over its lexicon memory with a
 scaled bilinear score, and the concatenated representation goes through a
-feed-forward head to a distribution over entity types plus NONE. Training
-minimizes focal loss with a per-class positive weight vector, optionally
-learned (stored as exponentials of free parameters).
+feed-forward head to a distribution over entity types plus NONE. A
+sentence's spans move through these stages together, as the rows of
+matrices. Training minimizes focal loss with a per-class positive weight
+vector, optionally learned (stored as exponentials of free parameters).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -84,16 +84,48 @@ class ModelConfig:
         return lx.bucket_count(self.k_cut)
 
 
-def attend(f: Tensor, memory: Tensor, w_attn: Tensor) -> tuple[Tensor, Tensor]:
-    """Scaled bilinear attention of a fragment vector over its memory.
+def vocab_sizes(vocab: Vocab) -> dict[str, int]:
+    """The ``ModelConfig`` vocabulary-size fields a vocabulary fixes."""
+    return {"n_chars": len(vocab.chars), "n_seg": len(vocab.segs),
+            "n_pos": len(vocab.pos), "n_types": len(vocab.types),
+            "n_lex": len(vocab.lex)}
 
-    Returns the attended context vector and the weight vector (a tape node;
-    its values sum to 1).
-    """
-    d_m = memory.shape[1]
-    scores = ad.scale(ad.matvec(memory, ad.vecmat(f, w_attn)), 1.0 / math.sqrt(d_m))
-    weights = ad.softmax(scores)
-    return ad.vecmat(weights, memory), weights
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of a model, in creation order."""
+    shapes = {
+        "emb_char": (config.n_chars, config.d_char),
+        "emb_seg": (config.n_seg, config.d_seg),
+        "emb_pos": (config.n_pos, config.d_pos),
+        "emb_lex": (config.n_lex, config.d_lex),
+        "emb_mod": (config.n_mod, config.d_mod),
+        "null_rows": (config.n_mod, config.d_m),
+    }
+
+    def cell(prefix, d_in, hidden):
+        shapes[f"{prefix}_wx"] = (4 * hidden, d_in)
+        shapes[f"{prefix}_wh"] = (4 * hidden, hidden)
+        shapes[f"{prefix}_b"] = (4 * hidden,)
+
+    if config.char_encoder == "birnn":
+        d_in = config.d_w
+        for layer in range(config.char_layers):
+            cell(f"char_l{layer}_f", d_in, config.char_hidden)
+            cell(f"char_l{layer}_b", d_in, config.char_hidden)
+            d_in = 2 * config.char_hidden
+    if config.fragment_encoder == "birnn":
+        cell("frag_f", config.d_t, config.frag_hidden)
+        cell("frag_b", config.d_t, config.frag_hidden)
+    shapes["attn_w"] = (config.d_f, config.d_m)
+    d_in = config.d_f + config.d_m
+    for layer in range(config.head_layers):
+        shapes[f"head_w{layer}"] = (config.head_hidden, d_in)
+        shapes[f"head_b{layer}"] = (config.head_hidden,)
+        d_in = config.head_hidden
+    shapes["head_out_w"] = (config.n_types, d_in)
+    shapes["head_out_b"] = (config.n_types,)
+    shapes["alpha_log"] = (config.n_types,)
+    return shapes
 
 
 class Model:
@@ -117,53 +149,27 @@ class Model:
     def build(cls, config: ModelConfig, vocab: Vocab, rng: np.random.Generator,
               lex_embeddings: np.ndarray | None = None,
               char_embeddings: np.ndarray | None = None) -> "Model":
-        config.n_chars = len(vocab.chars)
-        config.n_seg = len(vocab.segs)
-        config.n_pos = len(vocab.pos)
-        config.n_types = len(vocab.types)
-        config.n_lex = len(vocab.lex)
+        for name, size in vocab_sizes(vocab).items():
+            setattr(config, name, size)
         config.validate()
+        presets = {"emb_char": char_embeddings, "emb_lex": lex_embeddings}
         p: dict[str, Tensor] = {}
-
-        def table(name, rows, dim, preset=None):
-            if preset is not None:
-                if preset.shape != (rows, dim):
+        for name, shape in param_shapes(config).items():
+            if name in p:   # an LSTM cell's wh and b, made with its wx
+                continue
+            if presets.get(name) is not None:
+                if presets[name].shape != shape:
                     raise ConfigError(
-                        f"{name}: pretrained shape {preset.shape} != ({rows}, {dim})")
-                p[name] = ad.parameter(preset)
+                        f"{name}: pretrained shape {presets[name].shape} != {shape}")
+                p[name] = ad.parameter(presets[name])
+            elif name.endswith("_wx"):
+                prefix = name[:-len("_wx")]
+                cell = encoders.lstm_init(shape[1], shape[0] // 4, rng)
+                p[f"{prefix}_wx"], p[f"{prefix}_wh"], p[f"{prefix}_b"] = cell.wx, cell.wh, cell.b
+            elif len(shape) == 1:
+                p[name] = ad.parameter(np.zeros(shape))
             else:
-                p[name] = ad.parameter(rng.uniform(-0.1, 0.1, (rows, dim)))
-
-        table("emb_char", config.n_chars, config.d_char, char_embeddings)
-        table("emb_seg", config.n_seg, config.d_seg)
-        table("emb_pos", config.n_pos, config.d_pos)
-        table("emb_lex", config.n_lex, config.d_lex, lex_embeddings)
-        table("emb_mod", config.n_mod, config.d_mod)
-        table("null_rows", config.n_mod, config.d_m)
-
-        def register_cell(prefix, d_in, hidden):
-            cell = encoders.lstm_init(d_in, hidden, rng)
-            p[f"{prefix}_wx"], p[f"{prefix}_wh"], p[f"{prefix}_b"] = cell.wx, cell.wh, cell.b
-
-        if config.char_encoder == "birnn":
-            d_in = config.d_w
-            for layer in range(config.char_layers):
-                register_cell(f"char_l{layer}_f", d_in, config.char_hidden)
-                register_cell(f"char_l{layer}_b", d_in, config.char_hidden)
-                d_in = 2 * config.char_hidden
-        if config.fragment_encoder == "birnn":
-            register_cell("frag_f", config.d_t, config.frag_hidden)
-            register_cell("frag_b", config.d_t, config.frag_hidden)
-
-        table("attn_w", config.d_f, config.d_m)
-        d_in = config.d_f + config.d_m
-        for layer in range(config.head_layers):
-            table(f"head_w{layer}", config.head_hidden, d_in)
-            p[f"head_b{layer}"] = ad.parameter(np.zeros(config.head_hidden))
-            d_in = config.head_hidden
-        table("head_out_w", config.n_types, d_in)
-        p["head_out_b"] = ad.parameter(np.zeros(config.n_types))
-        p["alpha_log"] = ad.parameter(np.zeros(config.n_types))
+                p[name] = ad.parameter(rng.uniform(-0.1, 0.1, shape))
         return cls(config, vocab, p)
 
     def _bind_cells(self):
@@ -196,8 +202,8 @@ class Model:
     # -- forward -----------------------------------------------------------
 
     def memory_layouts(self, sent: Sentence, lex: lx.Lexicon | None,
-                       spans: list[tuple[int, int]]) -> list[lx.MemoryLayout]:
-        """Per-span match layouts; with no lexicon every bucket is null."""
+                       spans: list[tuple[int, int]]) -> lx.SentenceLayout:
+        """The sentence's memory layout; with no lexicon every bucket is null."""
         cfg = self.config
         unk = self.vocab.lex.id("<unk>")
         layouts = []
@@ -207,9 +213,9 @@ class Model:
             layouts.append(lx.bucketize(
                 matches, cfg.k_cut, lex if lex is not None else _EMPTY_LEX,
                 lambda w: self.vocab.lex.id(w, unk), cap=cfg.bucket_cap))
-        return layouts
+        return lx.SentenceLayout.of(layouts, cfg.k_cut)
 
-    def score_spans(self, sent: Sentence, layouts: list[lx.MemoryLayout],
+    def score_spans(self, sent: Sentence, layout: lx.SentenceLayout,
                     spans: list[tuple[int, int]],
                     dropout_rate: float = 0.0,
                     rng: np.random.Generator | None = None,
@@ -233,16 +239,14 @@ class Model:
             frags = encoders.encode_fragments_fofe(t, spans, cfg.fofe_alpha)
         else:
             frags = encoders.encode_fragments_birnn(t, spans, *self._frag_cells)
-        rows = []
-        attn_dump = []
-        for span, layout in zip(spans, layouts):
-            memory = lx.assemble_memory(layout, p["emb_lex"], p["emb_mod"],
-                                        p["null_rows"])
-            ctx, weights = attend(frags[span], memory, p["attn_w"])
-            rows.append(ad.concat([frags[span], ctx]))
-            attn_dump.append((weights.values.copy(), layout.row_labels(cfg.k_cut))
-                             if want_attention else None)
-        r = ad.stack_rows(rows)
+        memory = ad.hconcat(ad.gather_rows(p["emb_lex"], layout.lex_ids),
+                            ad.gather_rows(p["emb_mod"], layout.mode_ids))
+        ctx, (p_real, p_null) = ad.memory_attention(
+            frags, p["attn_w"], memory, layout.row_span, p["null_rows"],
+            layout.null_mask)
+        attn_dump = (layout.attention_rows(p_real, p_null, cfg.k_cut)
+                     if want_attention else [None] * len(spans))
+        r = ad.hconcat(frags, ctx)
         for layer in range(cfg.head_layers):
             r = ad.tanh(ad.linear(r, p[f"head_w{layer}"], p[f"head_b{layer}"]))
         logits = ad.linear(r, p["head_out_w"], p["head_out_b"])
@@ -255,18 +259,6 @@ class _NoLexicon:
 
 
 _EMPTY_LEX = _NoLexicon()
-
-
-def classify(model: Model, f: Tensor, memory: Tensor) -> Tensor:
-    """Single-fragment head: f ++ attention context -> type distribution."""
-    ctx, _ = attend(f, memory, model.params["attn_w"])
-    h = ad.concat([f, ctx])
-    for layer in range(model.config.head_layers):
-        h = ad.tanh(ad.add(ad.matvec(model.params[f"head_w{layer}"], h),
-                           model.params[f"head_b{layer}"]))
-    logits = ad.add(ad.matvec(model.params["head_out_w"], h),
-                    model.params["head_out_b"])
-    return ad.softmax(logits)
 
 
 def span_labels(sent: Sentence, spans: list[tuple[int, int]],
@@ -339,9 +331,9 @@ def train_model(model: Model, train_sents: list[Sentence],
             with ad.Tape() as tape:
                 alpha = model.alpha()
                 total, n_frags = None, 0
-                for sent, spans, layouts, targets in batch:
+                for sent, spans, layout, targets in batch:
                     probs, _ = model.score_spans(
-                        sent, layouts, spans, dropout_rate=settings.dropout,
+                        sent, layout, spans, dropout_rate=settings.dropout,
                         rng=rng, training=True)
                     loss_s = ad.focal_loss_rows(probs, targets, alpha, cfg.gamma)
                     total = loss_s if total is None else ad.add(total, loss_s)
@@ -389,17 +381,17 @@ def _prepare(model: Model, sent: Sentence, lex):
     if sent.char_ids is None:
         model.vocab.encode(sent)
     spans = encoders.enumerate_fragments(len(sent), model.config.max_entity_len)
-    layouts = model.memory_layouts(sent, lex, spans)
+    layout = model.memory_layouts(sent, lex, spans)
     targets = span_labels(sent, spans, model.vocab)
-    return sent, spans, layouts, targets
+    return sent, spans, layout, targets
 
 
 def _score(model: Model, prepared, want_attention: bool = False):
     """Inference pass producing decode-ready scored spans."""
     from .decode import ScoredSpan
 
-    sent, spans, layouts, _ = prepared
-    probs, attn = model.score_spans(sent, layouts, spans,
+    sent, spans, layout, _ = prepared
+    probs, attn = model.score_spans(sent, layout, spans,
                                     want_attention=want_attention)
     none = model.vocab.none_id
     scored = []

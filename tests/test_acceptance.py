@@ -122,17 +122,17 @@ def test_3_incremental_encoder_equivalence(capsys):
         with Tape():
             fofe = encode_fragments_fofe(t, spans, alpha)
             birnn = encode_fragments_birnn(t, spans, fwd, bwd)
-            for i, j in spans:
+            for s, (i, j) in enumerate(spans):
                 z = np.zeros(3)
                 for k in range(i, j + 1):
                     z = alpha * z + t[k].values
                 worst_fofe = max(worst_fofe,
-                                 float(np.abs(fofe[(i, j)].values - z).max()))
+                                 float(np.abs(fofe.values[s] - z).max()))
                 f = lstm_run(t[i:j + 1], fwd)[-1].values
                 b = lstm_run(t[i:j + 1], bwd, reverse=True)[0].values
                 direct = np.concatenate([f, b])
                 worst_birnn = max(worst_birnn,
-                                  float(np.abs(birnn[(i, j)].values - direct).max()))
+                                  float(np.abs(birnn.values[s] - direct).max()))
     elapsed = time.perf_counter() - t0
     ok = worst_fofe < 1e-10 and worst_birnn < 1e-8 and elapsed < 30.0
     report(capsys, 3, "incremental-encoder equivalence", ok,

@@ -5,6 +5,8 @@ import pytest
 
 from lexner import autodiff as ad
 
+import span_reference as ref
+
 
 def fd_grad(fn, x, h=1e-5):
     """Central finite differences of a scalar function of an array."""
@@ -68,56 +70,66 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = ad.softmax(ad.constant([0.0, 0.0, 0.0]))
-        assert np.allclose(out.values, [1 / 3] * 3, atol=1e-15)
+        out = ad.softmax_rows(ad.constant([[0.0, 0.0, 0.0]]))
+        assert np.allclose(out.values, [[1 / 3] * 3], atol=1e-15)
 
     def test_closed_form(self):
-        out = ad.softmax(ad.constant([math.log(1), math.log(3)]))
-        assert np.allclose(out.values, [0.25, 0.75], atol=1e-12)
+        out = ad.softmax_rows(ad.constant([[math.log(1), math.log(3)]]))
+        assert np.allclose(out.values, [[0.25, 0.75]], atol=1e-12)
 
     def test_overflow_stability(self):
-        out = ad.softmax(ad.constant([1000.0, 0.0]))
+        out = ad.softmax_rows(ad.constant([[1000.0, 0.0], [0.0, -1000.0]]))
         assert np.all(np.isfinite(out.values))
-        assert out.values[0] == pytest.approx(1.0)
+        assert out.values[0, 0] == pytest.approx(1.0)
+        assert out.values[1, 0] == pytest.approx(1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ad.ShapeError):
-            ad.softmax(ad.constant([]))
+            ad.softmax_rows(ad.constant(np.zeros((2, 0))))
+        with pytest.raises(ad.ShapeError):
+            ad.softmax_rows(ad.constant([1.0, 2.0]))
 
     def test_sums_to_one_and_permutation_equivariant(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            x = rng.normal(scale=5, size=rng.integers(1, 12))
-            p = ad.softmax(ad.constant(x)).values
-            assert abs(p.sum() - 1.0) < 1e-12
-            perm = rng.permutation(len(x))
-            assert np.allclose(ad.softmax(ad.constant(x[perm])).values, p[perm])
+            x = rng.normal(scale=5, size=(int(rng.integers(1, 4)), int(rng.integers(1, 12))))
+            p = ad.softmax_rows(ad.constant(x)).values
+            assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-12)
+            perm = rng.permutation(x.shape[1])
+            assert np.allclose(ad.softmax_rows(ad.constant(x[:, perm])).values, p[:, perm])
+            # each row equals the per-vector softmax of the per-span reference
+            for row, want in zip(x, p):
+                assert np.allclose(ref.softmax(ad.constant(row)).values, want,
+                                   rtol=0, atol=1e-15)
 
 
 class TestConcat:
     def test_default_widths(self):
-        parts = [ad.constant(np.zeros(50)), ad.constant(np.zeros(25)),
-                 ad.constant(np.zeros(25))]
-        assert ad.concat(parts).shape == (100,)
+        parts = [ad.constant(np.zeros((3, 50))), ad.constant(np.zeros((3, 25))),
+                 ad.constant(np.zeros((3, 25)))]
+        assert ad.hconcat(*parts).shape == (3, 100)
 
     def test_single_part_identity(self):
-        x = ad.constant([1.0, 2.0])
-        assert np.array_equal(ad.concat([x]).values, x.values)
+        x = ad.constant([[1.0, 2.0]])
+        assert np.array_equal(ad.hconcat(x).values, x.values)
 
     def test_empty_rejected(self):
         with pytest.raises(ad.ShapeError):
-            ad.concat([])
+            ad.hconcat()
+        with pytest.raises(ad.ShapeError):
+            ad.hconcat(ad.constant(np.zeros((2, 1))), ad.constant(np.zeros((3, 1))))
 
     def test_slice_sum_backward(self):
-        a = ad.parameter([1.0, 2.0])
-        b = ad.parameter([3.0, 4.0, 5.0])
+        a = ad.parameter([[1.0, 2.0]])
+        b = ad.parameter([[3.0, 4.0, 5.0]])
+        pick = ad.constant([[0.0, 0.0, 1.0, 1.0, 1.0]])
         with ad.Tape() as tape:
-            out = ad.sum_all(ad.vslice(ad.concat([a, b]), 2, 5))
+            out = ad.sum_all(ad.mul(ad.hconcat(a, b), pick))
             tape.backward(out)
-        assert np.array_equal(a.grad, [0.0, 0.0])
-        assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
+        assert np.array_equal(a.grad, [[0.0, 0.0]])
+        assert np.array_equal(b.grad, [[1.0, 1.0, 1.0]])
         a.zero_grad(), b.zero_grad()
-        check_grad(lambda: ad.sum_all(ad.vslice(ad.concat([a, b]), 2, 5)), [a, b])
+        check_grad(lambda: ad.sum_all(ad.mul(ad.hconcat(a, b), pick)), [a, b])
 
 
 class TestElementwise:
@@ -184,6 +196,29 @@ class TestGradients:
             x_in = ad.parameter(rng.normal(size=m))
             c = ad.parameter(rng.normal(size=n))
             zeros = ad.constant(np.zeros(n))
+            # memory attention of 3 spans over 4 null rows: in ``no_real``
+            # span 0 has no real row (none has one at every third seed), in
+            # ``no_null`` span 2 has no null row
+            d_m = int(rng.integers(1, 4))
+            counts = [0, 0, 0] if seed % 3 == 0 else [0, 2, int(rng.integers(1, 4))]
+            no_real = np.repeat(np.arange(3), counts)
+            no_real_mask = rng.random((3, 4)) < 0.5
+            no_real_mask[:, 0] = True
+            no_null = np.repeat(np.arange(3), [1, 2, 3])
+            no_null_mask = rng.random((3, 4)) < 0.5
+            no_null_mask[2] = False
+            f_att = ad.parameter(rng.normal(size=(3, m)))
+            f_const = ad.constant(rng.normal(size=(3, m)))
+            w_att = ad.parameter(rng.normal(size=(m, d_m)))
+            mem_a = ad.parameter(rng.normal(size=(len(no_real), d_m)))
+            mem_b = ad.parameter(rng.normal(size=(len(no_null), d_m)))
+            nul = ad.parameter(rng.normal(size=(4, d_m)))
+            probe = ad.constant(rng.normal(size=(3, d_m)))
+
+            def attention(f, mem, rows, mask):
+                ctx, _ = ad.memory_attention(f, w_att, mem, rows, nul, mask)
+                return ad.sum_all(ad.mul(ctx, probe))
+
             cases = [
                 (lambda: ad.sum_all(ad.add(x, y)), [x, y]),
                 (lambda: ad.sum_all(ad.sub(x, y)), [x, y]),
@@ -194,17 +229,28 @@ class TestGradients:
                 (lambda: ad.sum_all(ad.exp(ad.scale(x, 0.3))), [x]),
                 (lambda: ad.sum_all(ad.log(ad.exp(x))), [x]),
                 (lambda: ad.sum_all(ad.tanh(ad.matmul(a, b))), [a, b]),
-                (lambda: ad.sum_all(ad.tanh(ad.matvec(a, ad.vecmat(x, a)))), [a, x]),
-                (lambda: ad.sum_all(ad.softmax(ad.mul(x, y))), [x, y]),
+                (lambda: ad.sum_all(ad.tanh(ref.matvec(a, ref.vecmat(x, a)))), [a, x]),
+                (lambda: ad.sum_all(ref.softmax(ad.mul(x, y))), [x, y]),
                 (lambda: ad.sum_all(ad.tanh(ad.linear(
                     a, b_lin, bias))), [a, b_lin, bias]),
-                (lambda: ad.sum_all(ad.concat([x, y])), [x, y]),
+                (lambda: ad.sum_all(ref.concat([x, y])), [x, y]),
+                (lambda: ad.sum_all(ad.tanh(ref.vslice(ref.concat([x, y]), 1, n + 1))),
+                 [x, y]),
                 (lambda: ad.sum_all(ad.stack_rows([x, y])), [x, y]),
+                (lambda: ad.sum_all(ad.tanh(ad.stack_rows(ad.unstack_rows(a)[::-1]))),
+                 [a]),
                 (lambda: ad.sum_all(ad.hconcat(a, a)), [a]),
-                (lambda: ad.sum_all(ad.vconcat(a, a)), [a]),
+                (lambda: ad.sum_all(ad.tanh(ad.hconcat(a, ad.scale(a, 0.5), a))), [a]),
+                (lambda: ad.sum_all(ref.vconcat(a, a)), [a]),
                 (lambda: ad.sum_all(ad.softmax_rows(a)), [a]),
                 (lambda: ad.sum_all(ad.gather_rows(a, idx)), [a]),
-                (lambda: ad.sum_all(ad.lookup(a, 1)), [a]),
+                (lambda: ad.sum_all(ref.lookup(a, 1)), [a]),
+                (lambda: attention(f_att, mem_a, no_real, no_real_mask),
+                 [f_att, w_att, nul] + ([mem_a] if len(no_real) else [])),
+                (lambda: attention(f_att, mem_b, no_null, no_null_mask),
+                 [f_att, w_att, mem_b, nul]),
+                (lambda: attention(f_const, mem_a, no_real, no_real_mask),
+                 [w_att, nul] + ([mem_a] if len(no_real) else [])),
                 (lambda: ad.sum_all(ad.mul(*ad.lstm_step(
                     wx, wh, b_gate, x_in, x, c))), [wx, wh, b_gate, x_in, x, c]),
                 # chain start: untracked zero state
@@ -215,6 +261,7 @@ class TestGradients:
                 check_grad(build, params)
                 count += 1
             assert zeros.grad is None
+            assert f_const.grad is None
         assert count >= 100
 
     def test_lstm_step_backward_reads_operand_copies(self):
@@ -235,6 +282,41 @@ class TestGradients:
         for a, b in zip(grads(False), grads(True)):
             assert np.array_equal(a, b)
 
+    def test_memory_attention_backward_reads_operand_copies(self):
+        row_span = np.array([0, 0, 1, 2, 2, 2])
+        null_mask = np.array([[True, False, True], [False, True, True],
+                              [False, False, False]])
+
+        def grads(mutate):
+            rng = np.random.default_rng(6)
+            ops = [ad.parameter(rng.normal(size=s))
+                   for s in ((3, 4), (4, 2), (6, 2), (3, 2))]
+            probe = ad.constant(rng.normal(size=(3, 2)))
+            f, w, mem, nul = ops
+            with ad.Tape() as tape:
+                ctx, _ = ad.memory_attention(f, w, mem, row_span, nul, null_mask)
+                out = ad.sum_all(ad.mul(ctx, probe))
+                if mutate:
+                    for t in ops:
+                        t.values += 1.0
+                tape.backward(out)
+            return [t.grad for t in ops]
+
+        for a, b in zip(grads(False), grads(True)):
+            assert np.array_equal(a, b)
+
+    def test_memory_attention_rejects_bad_layouts(self):
+        f, w = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 2)))
+        mem, nul = ad.constant(np.ones((2, 2))), ad.constant(np.ones((4, 2)))
+        mask = np.ones((2, 4), dtype=bool)
+        with pytest.raises(ad.ShapeError, match="sorted"):
+            ad.memory_attention(f, w, mem, np.array([1, 0]), nul, mask)
+        with pytest.raises(ad.ShapeError, match="no memory row"):
+            ad.memory_attention(f, w, mem, np.array([0, 0]), nul,
+                                np.array([[True] * 4, [False] * 4]))
+        with pytest.raises(ad.ShapeError, match="incompatible"):
+            ad.memory_attention(f, w, mem, np.array([0]), nul, mask)
+
     def test_focal_loss_grad(self):
         rng = np.random.default_rng(3)
         for gamma in (0.0, 0.5, 1.0, 2.0):
@@ -251,11 +333,11 @@ class TestDeterminism:
     def test_bit_identical_replay(self):
         def run():
             rng = np.random.default_rng(7)
-            x = ad.parameter(rng.normal(size=6))
+            x = ad.parameter(rng.normal(size=(6, 3)))
             w = ad.parameter(rng.normal(size=(6, 6)))
             with ad.Tape() as tape:
                 out = ad.sum_all(
-                    ad.softmax(ad.matvec(w, ad.dropout(
+                    ad.softmax_rows(ad.matmul(w, ad.dropout(
                         ad.tanh(x), 0.3, np.random.default_rng(1), True))))
                 tape.backward(out)
             return out.values.copy(), x.grad.copy(), w.grad.copy()

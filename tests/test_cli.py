@@ -97,6 +97,16 @@ class TestEval:
                      "--dev", str(workdir / "dev.txt"), "--split", "dev"])
         assert code == 2
 
+    def test_malformed_checkpoint_header(self, workdir, capsys):
+        from lexner.checkpoint import MAGIC
+        path = workdir / "bad.ckpt"
+        path.write_bytes(MAGIC + b'{"config": \n')
+        for cmd in (["eval", "--dev", str(workdir / "dev.txt"), "--split", "dev"],
+                    ["predict", "--input", str(workdir / "dev.txt"),
+                     "--output-file", str(workdir / "bad.tsv")]):
+            assert main(cmd + ["--checkpoint", str(path)]) == 2
+            assert "malformed checkpoint header" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_annotated_input_metrics_line(self, trained):

@@ -8,20 +8,25 @@ from lexner.encoders import (LSTMCell, char_feature_vectors,
                              encode_fragments_bow, encode_fragments_fofe,
                              enumerate_fragments, fragment_count, lstm_init,
                              lstm_run)
+from span_reference import matvec, vslice
 
 
 def rand_vecs(rng, n, d):
     return [Tensor(rng.normal(size=d)) for _ in range(n)]
 
 
+def rand_matrix(rng, n, d):
+    return Tensor(rng.normal(size=(n, d)))
+
+
 def reference_step(cell, x, h, c):
     """Per-op LSTM step: the reference the fused ``ad.lstm_step`` must match."""
     hid = cell.hidden
-    pre = ad.add(ad.add(ad.matvec(cell.wx, x), ad.matvec(cell.wh, h)), cell.b)
-    i = ad.sigmoid(ad.vslice(pre, 0, hid))
-    f = ad.sigmoid(ad.vslice(pre, hid, 2 * hid))
-    g = ad.tanh(ad.vslice(pre, 2 * hid, 3 * hid))
-    o = ad.sigmoid(ad.vslice(pre, 3 * hid, 4 * hid))
+    pre = ad.add(ad.add(matvec(cell.wx, x), matvec(cell.wh, h)), cell.b)
+    i = ad.sigmoid(vslice(pre, 0, hid))
+    f = ad.sigmoid(vslice(pre, hid, 2 * hid))
+    g = ad.tanh(vslice(pre, 2 * hid, 3 * hid))
+    o = ad.sigmoid(vslice(pre, 3 * hid, 4 * hid))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
     h_new = ad.mul(o, ad.tanh(c_new))
     return h_new, c_new
@@ -54,12 +59,11 @@ class TestCharFeatures:
         es = Tensor(rng.normal(size=(4, 25)))
         ep = Tensor(rng.normal(size=(3, 25)))
         with Tape():
-            vecs = char_feature_vectors([0, 1], [0, 1], [0, 1], ec, es, ep)
-        assert len(vecs) == 2
-        assert vecs[0].shape == (100,)
-        assert np.array_equal(vecs[1].values[:50], ec.values[1])
-        assert np.array_equal(vecs[1].values[50:75], es.values[1])
-        assert np.array_equal(vecs[1].values[75:], ep.values[1])
+            w = char_feature_vectors([0, 1], [0, 1], [0, 1], ec, es, ep)
+        assert w.shape == (2, 100)
+        assert np.array_equal(w.values[1, :50], ec.values[1])
+        assert np.array_equal(w.values[1, 50:75], es.values[1])
+        assert np.array_equal(w.values[1, 75:], ep.values[1])
 
     def test_dropout_off_at_inference(self):
         rng = np.random.default_rng(0)
@@ -70,7 +74,7 @@ class TestCharFeatures:
             a = char_feature_vectors([0], [0], [0], ec, es, ep,
                                      dropout_rate=0.5, rng=rng, training=False)
         expected = np.concatenate([ec.values[0], es.values[0], ep.values[0]])
-        assert np.array_equal(a[0].values, expected)
+        assert np.array_equal(a.values[0], expected)
 
 
 class TestLSTM:
@@ -161,18 +165,24 @@ class TestLSTM:
 
 class TestEncodeCharacters:
     def test_baseline_identity(self):
-        xs = rand_vecs(np.random.default_rng(0), 3, 4)
-        assert encode_characters(xs, "baseline") is xs
+        w = rand_matrix(np.random.default_rng(0), 3, 4)
+        assert encode_characters(w, "baseline") is w
 
     def test_birnn_dims(self):
         rng = np.random.default_rng(1)
         layers = [(lstm_init(4, 3, rng), lstm_init(4, 3, rng)),
                   (lstm_init(6, 3, rng), lstm_init(6, 3, rng))]
-        xs = rand_vecs(rng, 5, 4)
+        w = rand_matrix(rng, 5, 4)
         with Tape():
-            out = encode_characters(xs, "birnn", layers)
-        assert len(out) == 5
-        assert all(v.shape == (6,) for v in out)
+            out = encode_characters(w, "birnn", layers)
+        assert out.shape == (5, 6)
+        # the top layer's forward and backward states, side by side
+        with Tape():
+            xs = [Tensor(r) for r in w.values]
+            for fwd, bwd in layers:
+                xs = [Tensor(np.concatenate([f.values, b.values])) for f, b in
+                      zip(lstm_run(xs, fwd), lstm_run(xs, bwd, reverse=True))]
+        assert np.array_equal(out.values, np.stack([x.values for x in xs]))
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -186,19 +196,19 @@ class TestEncodeCharacters:
 class TestBOW:
     def test_matches_direct_mean(self):
         rng = np.random.default_rng(4)
-        t = rand_vecs(rng, 7, 5)
+        t = rand_matrix(rng, 7, 5)
         spans = enumerate_fragments(7, 4)
         with Tape():
             enc = encode_fragments_bow(t, spans)
-        for i, j in spans:
-            direct = np.mean([t[k].values for k in range(i, j + 1)], axis=0)
-            assert np.allclose(enc[(i, j)].values, direct, atol=1e-12)
+        assert enc.shape == (len(spans), 5)
+        for row, (i, j) in zip(enc.values, spans):
+            assert np.allclose(row, t.values[i:j + 1].mean(axis=0), atol=1e-12)
 
     def test_length_one_is_the_vector(self):
-        t = rand_vecs(np.random.default_rng(5), 3, 2)
+        t = rand_matrix(np.random.default_rng(5), 3, 2)
         with Tape():
-            enc = encode_fragments_bow(t, [(1, 1)])
-        assert enc[(1, 1)] is t[1]
+            enc = encode_fragments_bow(t, [(0, 2), (1, 1)])
+        assert np.array_equal(enc.values[1], t.values[1])
 
     def test_order_insensitive(self):
         # the mean cannot distinguish a span from its reversal
@@ -206,51 +216,51 @@ class TestBOW:
         t = rand_vecs(rng, 4, 3)
         rev = t[::-1]
         with Tape():
-            a = encode_fragments_bow(t, [(0, 3)])[(0, 3)]
-            b = encode_fragments_bow(rev, [(0, 3)])[(0, 3)]
+            a = encode_fragments_bow(t, [(0, 3)])
+            b = encode_fragments_bow(rev, [(0, 3)])
         assert np.allclose(a.values, b.values)
 
 
 class TestFOFE:
     def direct(self, t, i, j, alpha):
-        z = np.zeros_like(t[0].values)
+        z = np.zeros(t.shape[1])
         for k in range(i, j + 1):
-            z = alpha * z + t[k].values
+            z = alpha * z + t.values[k]
         return z
 
     def test_matches_direct_recurrence(self):
         rng = np.random.default_rng(7)
-        t = rand_vecs(rng, 8, 4)
+        t = rand_matrix(rng, 8, 4)
         spans = enumerate_fragments(8, 5)
         with Tape():
             enc = encode_fragments_fofe(t, spans, 0.5)
-        for i, j in spans:
-            assert np.allclose(enc[(i, j)].values, self.direct(t, i, j, 0.5),
-                               atol=1e-10)
+        for row, (i, j) in zip(enc.values, spans):
+            assert np.allclose(row, self.direct(t, i, j, 0.5), atol=1e-10)
+            if i == j:
+                assert np.array_equal(row, t.values[i])
 
     def test_many_seeds_incremental_equals_direct(self):
         for seed in range(50):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 10))
-            t = rand_vecs(rng, n, 3)
+            t = rand_matrix(rng, n, 3)
             alpha = float(rng.uniform(0.05, 0.95))
             spans = enumerate_fragments(n, n)
             with Tape():
                 enc = encode_fragments_fofe(t, spans, alpha)
-            for i, j in spans:
-                assert np.allclose(enc[(i, j)].values,
-                                   self.direct(t, i, j, alpha), atol=1e-10)
+            for row, (i, j) in zip(enc.values, spans):
+                assert np.allclose(row, self.direct(t, i, j, alpha), atol=1e-10)
 
     def test_encodes_order(self):
         t = [Tensor(np.array([1.0])), Tensor(np.array([2.0]))]
         with Tape():
-            ab = encode_fragments_fofe(t, [(0, 1)], 0.5)[(0, 1)]
-            ba = encode_fragments_fofe(t[::-1], [(0, 1)], 0.5)[(0, 1)]
-        assert ab.values[0] == 2.5
-        assert ba.values[0] == 2.0
+            ab = encode_fragments_fofe(t, [(0, 1)], 0.5)
+            ba = encode_fragments_fofe(t[::-1], [(0, 1)], 0.5)
+        assert ab.values[0, 0] == 2.5
+        assert ba.values[0, 0] == 2.0
 
     def test_alpha_range_checked(self):
-        t = rand_vecs(np.random.default_rng(0), 2, 2)
+        t = rand_matrix(np.random.default_rng(0), 2, 2)
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ConfigError):
                 encode_fragments_fofe(t, [(0, 1)], bad)
@@ -270,9 +280,10 @@ class TestFragmentBiRNN:
         spans = enumerate_fragments(6, 4)
         with Tape():
             enc = encode_fragments_birnn(t, spans, fwd, bwd)
-        for i, j in spans:
-            assert np.allclose(enc[(i, j)].values,
-                               self.direct(t, i, j, fwd, bwd), atol=1e-10)
+            from_matrix = encode_fragments_birnn(ad.stack_rows(t), spans, fwd, bwd)
+        assert np.array_equal(enc.values, from_matrix.values)
+        for row, (i, j) in zip(enc.values, spans):
+            assert np.allclose(row, self.direct(t, i, j, fwd, bwd), atol=1e-10)
 
     def test_many_seeds(self):
         for seed in range(20):
@@ -283,23 +294,22 @@ class TestFragmentBiRNN:
             spans = enumerate_fragments(n, n)
             with Tape():
                 enc = encode_fragments_birnn(t, spans, fwd, bwd)
-            for i, j in spans:
-                assert np.allclose(enc[(i, j)].values,
-                                   self.direct(t, i, j, fwd, bwd), atol=1e-10)
+            for row, (i, j) in zip(enc.values, spans):
+                assert np.allclose(row, self.direct(t, i, j, fwd, bwd), atol=1e-10)
 
     def test_distinguishes_order(self):
         rng = np.random.default_rng(9)
         fwd, bwd = lstm_init(2, 3, rng), lstm_init(2, 3, rng)
         t = rand_vecs(rng, 2, 2)
         with Tape():
-            ab = encode_fragments_birnn(t, [(0, 1)], fwd, bwd)[(0, 1)]
-            ba = encode_fragments_birnn(t[::-1], [(0, 1)], fwd, bwd)[(0, 1)]
+            ab = encode_fragments_birnn(t, [(0, 1)], fwd, bwd)
+            ba = encode_fragments_birnn(t[::-1], [(0, 1)], fwd, bwd)
         assert not np.allclose(ab.values, ba.values)
 
     def test_output_dim(self):
         rng = np.random.default_rng(10)
         fwd, bwd = lstm_init(5, 7, rng), lstm_init(5, 7, rng)
-        t = rand_vecs(rng, 3, 5)
+        t = rand_matrix(rng, 3, 5)
         with Tape():
             enc = encode_fragments_birnn(t, [(0, 2)], fwd, bwd)
-        assert enc[(0, 2)].shape == (14,)
+        assert enc.shape == (1, 14)

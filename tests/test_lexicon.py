@@ -5,9 +5,8 @@ import pytest
 
 import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, Tape, Tensor
-from lexner.lexicon import (Lexicon, Match, Trie, assemble_memory,
-                            bucket_count, bucket_name, bucket_of, bucketize,
-                            match_fragment)
+from lexner.lexicon import (Lexicon, Match, SentenceLayout, Trie, bucket_count,
+                            bucket_name, bucket_of, bucketize, match_fragment)
 
 
 def brute_force_matches(frag, words):
@@ -207,48 +206,80 @@ class TestBucketing:
             bucketize([], -1, lex, vocab_lex_id=lambda w: 0)
 
 
+def attend_layout(layout, emb_lex, emb_mod, null_rows, d_f=2):
+    """The model's memory step over a sentence layout, with a zero
+    bilinear map: every span weighs its rows equally."""
+    n = len(layout.per_span)
+    memory = ad.hconcat(ad.gather_rows(emb_lex, layout.lex_ids),
+                        ad.gather_rows(emb_mod, layout.mode_ids))
+    ctx, weights = ad.memory_attention(
+        Tensor(np.ones((n, d_f))), Tensor(np.zeros((d_f, memory.shape[1]))), memory,
+        layout.row_span, null_rows, layout.null_mask)
+    return memory, ctx, weights
+
+
 class TestAssemble:
     def test_one_real_row_plus_nulls(self):
         lex = Lexicon(["希尔顿"])
         matches = match_fragment(lex, "希尔顿")
         assert len(matches) == 1
-        layout = bucketize(matches, 2, lex, vocab_lex_id=lambda w: 2)
+        layout = SentenceLayout.of(
+            [bucketize(matches, 2, lex, vocab_lex_id=lambda w: 2),
+             bucketize([], 2, lex, vocab_lex_id=lambda w: 2)], 2)
+        assert layout.lex_ids.tolist() == [2]
+        assert layout.mode_ids.tolist() == [0]
+        assert layout.row_span.tolist() == [0]
+        assert layout.null_mask.tolist() == [[False] + [True] * 7, [True] * 8]
         emb_lex = Tensor(np.arange(15.0).reshape(3, 5))
         emb_mod = Tensor(np.arange(24.0).reshape(8, 3) * 0.1)
         null_rows = Tensor(np.full((8, 8), -1.0))
         with Tape():
-            mem = assemble_memory(layout, emb_lex, emb_mod, null_rows)
-        assert mem.values.shape == (8, 8)
+            memory, ctx, (p_real, p_null) = attend_layout(layout, emb_lex, emb_mod,
+                                                          null_rows)
+        # the real row is word embedding ++ mode embedding
+        assert np.array_equal(memory.values[0, :5], emb_lex.values[2])
+        assert np.array_equal(memory.values[0, 5:], emb_mod.values[0])
+        assert np.allclose(ctx.values[0], (memory.values[0] - 7.0) / 8)
+        assert np.allclose(ctx.values[1], -1.0)
         # real rows come first, then the null rows by bucket
-        assert np.array_equal(mem.values[0, :5], emb_lex.values[2])
-        assert np.array_equal(mem.values[0, 5:], emb_mod.values[0])
-        assert np.all(mem.values[1:] == -1.0)
+        weights, labels = layout.attention_rows(p_real, p_null, 2)[0]
+        assert labels == ["希尔顿[exact]"] + [f"-[{bucket_name(b, 2)}]"
+                                            for b in range(1, 8)]
+        assert np.allclose(weights, 1 / 8)
 
     def test_gradient_reaches_null_rows(self):
         lex = Lexicon(["xy"])
-        layout = bucketize([], 2, lex, vocab_lex_id=lambda w: 0)
-        emb_lex = Tensor(np.zeros((1, 4)))
-        emb_mod = Tensor(np.zeros((8, 2)))
+        layout = SentenceLayout.of([bucketize([], 2, lex, vocab_lex_id=lambda w: 0)], 2)
+        assert len(layout.lex_ids) == 0
+        emb_lex = Tensor(np.zeros((1, 4)), tracked=True)
+        emb_mod = Tensor(np.zeros((8, 2)), tracked=True)
         null_rows = Tensor(np.random.default_rng(0).normal(size=(8, 6)),
                            tracked=True)
         with Tape() as tape:
-            mem = assemble_memory(layout, emb_lex, emb_mod, null_rows)
-            loss = ad.sum_all(ad.mul(mem, mem))
-            tape.backward(loss)
-        assert np.allclose(null_rows.grad, 2 * null_rows.values)
+            _, ctx, _ = attend_layout(layout, emb_lex, emb_mod, null_rows)
+            tape.backward(ad.sum_all(ad.mul(ctx, ctx)))
+        # ctx is the mean of the null rows
+        mean = null_rows.values.mean(axis=0)
+        assert np.allclose(null_rows.grad, np.tile(2 * mean / 8, (8, 1)))
+        assert not emb_lex.grad.any() and not emb_mod.grad.any()
+        assert not emb_lex.touched_rows and not emb_mod.touched_rows
 
     def test_gradient_reaches_embeddings(self):
         lex = Lexicon(["ab", "a"])
-        layout = bucketize(match_fragment(lex, "ab"), 0, lex,
-                           vocab_lex_id=lambda w: lex.word_id[w])
+        layouts = [bucketize(match_fragment(lex, frag), 0, lex,
+                             vocab_lex_id=lambda w: lex.word_id[w]) for frag in ("ab", "a")]
+        layout = SentenceLayout.of(layouts, 0)
         emb_lex = Tensor(np.zeros((2, 3)), tracked=True)
         emb_mod = Tensor(np.zeros((4, 2)), tracked=True)
         null_rows = Tensor(np.zeros((4, 5)), tracked=True)
         with Tape() as tape:
-            mem = assemble_memory(layout, emb_lex, emb_mod, null_rows)
-            tape.backward(ad.sum_all(mem))
-        assert np.sum(emb_lex.grad) == len(layout.lex_ids) * 3
-        assert np.sum(emb_mod.grad) == len(layout.mode_ids) * 2
+            memory, ctx, _ = attend_layout(layout, emb_lex, emb_mod, null_rows)
+            tape.backward(ad.sum_all(ctx))
+        # each real row carries its span's weight, 1 / 4 with 4 buckets
+        assert np.sum(emb_lex.grad) == len(layout.lex_ids) * 3 / 4
+        assert np.sum(emb_mod.grad) == len(layout.mode_ids) * 2 / 4
+        assert emb_lex.touched_rows == set(layout.lex_ids.tolist())
+        assert emb_mod.touched_rows == set(layout.mode_ids.tolist())
 
 
 class TestPerformance:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,15 @@ import lexner.autodiff as ad
 from lexner import checkpoint
 from lexner.autodiff import ConfigError, Tape, Tensor
 from lexner.corpus import Sentence, Vocab
-from lexner.lexicon import Lexicon
+from lexner.encoders import enumerate_fragments
+from lexner.lexicon import (EXACT, INFIX, PREFIX, SUFFIX, Lexicon, Match,
+                            SentenceLayout, bucket_count, bucket_of, bucketize)
 from lexner.model import (Model, ModelConfig, SPARSE_TABLES, TrainSettings,
-                          attend, classify, span_labels, train_model)
+                          _prepare, param_shapes, span_labels, train_model)
 from lexner.optim import Adam
 from lexner.synth import make_corpus
+
+import span_reference as ref
 
 SMALL = dict(d_char=8, d_seg=4, d_pos=4, d_lex=10, d_mod=6, k_cut=1,
              max_entity_len=4, char_encoder="baseline",
@@ -50,49 +56,62 @@ class TestModelConfig:
         assert ModelConfig(char_encoder="baseline").d_t == 100
 
 
+def attention(f, w, mem, row_span, null_rows, null_mask):
+    with Tape():
+        ctx, weights = ad.memory_attention(Tensor(f), Tensor(w), Tensor(mem),
+                                           np.asarray(row_span), Tensor(null_rows),
+                                           np.asarray(null_mask))
+    return ctx.values, weights
+
+
 class TestAttend:
     def test_single_row_memory_returns_row(self):
         rng = np.random.default_rng(0)
-        f = Tensor(rng.normal(size=4))
-        mem = Tensor(rng.normal(size=(1, 3)))
-        w = Tensor(rng.normal(size=(4, 3)))
-        with Tape():
-            ctx, weights = attend(f, mem, w)
-        assert np.allclose(weights.values, [1.0])
-        assert np.allclose(ctx.values, mem.values[0])
+        mem, nul = rng.normal(size=(1, 3)), rng.normal(size=(2, 3))
+        # span 0: one real row; span 1: one null row
+        ctx, (p_real, p_null) = attention(
+            rng.normal(size=(2, 4)), rng.normal(size=(4, 3)), mem, [0], nul,
+            [[False, False], [False, True]])
+        assert np.allclose(p_real, [1.0])
+        assert np.array_equal(p_null, [[0.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(ctx, [mem[0], nul[1]])
 
     def test_zero_bilinear_gives_column_mean(self):
         rng = np.random.default_rng(1)
-        f = Tensor(rng.normal(size=4))
-        mem = Tensor(rng.normal(size=(5, 3)))
-        with Tape():
-            ctx, weights = attend(f, mem, Tensor(np.zeros((4, 3))))
-        assert np.allclose(weights.values, 0.2)
-        assert np.allclose(ctx.values, mem.values.mean(axis=0))
+        mem, nul = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        mask = np.array([[True, False, True, False], [True, True, True, True]])
+        ctx, (p_real, p_null) = attention(
+            rng.normal(size=(2, 4)), np.zeros((4, 3)), mem, [0, 0, 0, 1], nul, mask)
+        assert np.allclose(p_real, 0.2)
+        assert np.allclose(p_null[mask], 0.2)
+        assert np.allclose(ctx[0], np.vstack([mem[:3], nul[[0, 2]]]).mean(axis=0))
+        assert np.allclose(ctx[1], np.vstack([mem[3:], nul]).mean(axis=0))
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            f = Tensor(rng.normal(size=6))
-            mem = Tensor(rng.normal(size=(int(rng.integers(1, 9)), 4)))
-            w = Tensor(rng.normal(size=(6, 4)))
-            with Tape():
-                _, weights = attend(f, mem, w)
-            assert np.isclose(weights.values.sum(), 1.0)
-            assert np.all(weights.values >= 0.0)
+            n = int(rng.integers(1, 6))
+            row_span = np.repeat(np.arange(n), rng.integers(0, 4, size=n))
+            mask = rng.random((n, 4)) < 0.5
+            mask[:, 0] |= np.bincount(row_span, minlength=n) == 0
+            _, (p_real, p_null) = attention(
+                rng.normal(size=(n, 6)), rng.normal(size=(6, 4)),
+                rng.normal(size=(len(row_span), 4)), row_span,
+                rng.normal(size=(4, 4)), mask)
+            totals = np.bincount(row_span, p_real, minlength=n) + p_null.sum(axis=1)
+            assert np.allclose(totals, 1.0)
+            assert np.all(p_real >= 0.0) and np.all(p_null >= 0.0)
+            assert np.all(p_null[~mask] == 0.0)
 
 
 class TestClassify:
     def test_output_is_distribution(self):
-        model, _, _ = tiny_world()
-        cfg = model.config
-        rng = np.random.default_rng(3)
-        f = Tensor(rng.normal(size=cfg.d_f))
-        mem = Tensor(rng.normal(size=(4, cfg.d_m)))
+        model, sents, lex = tiny_world()
+        sent, spans, layout, _ = _prepare(model, sents[0], lex)
         with Tape():
-            probs = classify(model, f, mem)
-        assert probs.shape == (cfg.n_types,)
-        assert np.isclose(probs.values.sum(), 1.0)
+            probs, _ = model.score_spans(sent, layout, spans)
+        assert probs.shape == (len(spans), model.config.n_types)
+        assert np.allclose(probs.values.sum(axis=1), 1.0)
         assert np.all(probs.values > 0.0)
 
     def test_matches_batched_path(self):
@@ -100,19 +119,132 @@ class TestClassify:
         sent = sents[0]
         model.vocab.encode(sent)
         spans = [(0, 2), (1, 1)]
-        layouts = model.memory_layouts(sent, lex, spans)
+        layout = model.memory_layouts(sent, lex, spans)
         with Tape():
-            probs, _ = model.score_spans(sent, layouts, spans)
+            probs, _ = model.score_spans(sent, layout, spans)
+            want, _ = ref.score_spans(model, sent, layout.per_span, spans)
         assert probs.shape == (2, model.config.n_types)
-        assert np.allclose(probs.values.sum(axis=1), 1.0)
+        assert np.allclose(probs.values, want.values, rtol=0, atol=1e-12)
+
+
+def random_layouts(rng, n_spans, k_cut, cap, lex, fill):
+    """Span layouts from random matches: each bucket of a span holds 1 to
+    cap + 2 matches with chance ``fill``, so ``fill=1`` leaves no null row
+    and overfull buckets are cut to ``cap``. Returns the layouts and the
+    number of matches they were made from."""
+    def mode_and_k(b):
+        if b == 0:
+            return EXACT, int(rng.integers(1, 6))
+        if b <= k_cut + 1:
+            return PREFIX, b if b <= k_cut else k_cut + int(rng.integers(1, 4))
+        if b <= 2 * k_cut + 2:
+            b -= k_cut + 1
+            return SUFFIX, b if b <= k_cut else k_cut + int(rng.integers(1, 4))
+        return INFIX, int(rng.integers(1, 6))
+
+    layouts, n_matches = [], 0
+    for _ in range(n_spans):
+        words = iter(rng.permutation(len(lex)))
+        matches = []
+        for b in range(bucket_count(k_cut)):
+            if rng.random() < fill:
+                for _ in range(int(rng.integers(1, cap + 3))):
+                    wid = int(next(words))
+                    mode, k = mode_and_k(b)
+                    matches.append(Match(wid, lex.words[wid], mode, k))
+                    assert bucket_of(matches[-1], k_cut) == b
+        layouts.append(bucketize(matches, k_cut, lex, lex.word_id.get, cap=cap))
+        n_matches += len(matches)
+    return layouts, n_matches
+
+
+class TestBatchedMatchesPerSpan:
+    """``Model.score_spans`` against the per-span reference in
+    ``span_reference``: forward within 1e-12, every parameter gradient
+    within 1e-10 of its largest entry, equal sparse rows and attention."""
+
+    def check(self, model, sent, layouts, spans, dropout=0.0, training=False):
+        model.vocab.encode(sent)
+        targets = span_labels(sent, spans, model.vocab)
+        runs = []
+        for batched in (True, False):
+            for t in model.params.values():
+                t.grad = None
+                t.touched_rows.clear()
+            rng = np.random.default_rng(7)
+            with Tape() as tape:
+                if batched:
+                    probs, attn = model.score_spans(
+                        sent, SentenceLayout.of(layouts, model.config.k_cut), spans,
+                        dropout, rng, training, want_attention=True)
+                else:
+                    probs, attn = ref.score_spans(model, sent, layouts, spans, dropout,
+                                                  rng, training, want_attention=True)
+                loss = ad.focal_loss_rows(probs, targets, model.alpha(),
+                                          model.config.gamma)
+                tape.backward(loss)
+            grads = {k: np.zeros_like(v.values) if v.grad is None else v.grad.copy()
+                     for k, v in model.params.items()}
+            touched = {k: set(model.params[k].touched_rows) for k in SPARSE_TABLES}
+            runs.append((probs.values, attn, grads, touched))
+        (probs, attn, grads, touched), (want_p, want_a, want_g, want_t) = runs
+        np.testing.assert_allclose(probs, want_p, rtol=0, atol=1e-12)
+        for k, g in grads.items():
+            np.testing.assert_allclose(g, want_g[k], rtol=0,
+                                       atol=1e-10 * np.abs(want_g[k]).max(), err_msg=k)
+        assert touched == want_t
+        for (w, labels), (want_w, want_labels) in zip(attn, want_a, strict=True):
+            assert labels == want_labels
+            np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-12)
+
+    def world(self, seed, **over):
+        train, _, words = make_corpus(seed, n_train=3, n_dev=0)
+        lex = Lexicon(words)
+        cfg = ModelConfig(**{**SMALL, "char_hidden": 3, "char_layers": 2,
+                             "frag_hidden": 3, **over})
+        model = Model.build(cfg, Vocab.build(train, lex.words),
+                            np.random.default_rng(seed))
+        return model, train, lex
+
+    def test_every_encoder_with_and_without_lexicon(self):
+        for char in ("baseline", "birnn"):
+            for frag in ("bow", "fofe", "birnn"):
+                model, sents, lex = self.world(3, char_encoder=char,
+                                               fragment_encoder=frag)
+                for use_lex in (True, False):
+                    sent, spans, layout, _ = _prepare(model, sents[0],
+                                                      lex if use_lex else None)
+                    assert (len(layout.lex_ids) > 0) == use_lex
+                    self.check(model, sent, layout.per_span, spans)
+
+    def test_full_buckets_and_cap_truncation(self):
+        rng = np.random.default_rng(4)
+        for frag in ("bow", "fofe", "birnn"):
+            model, sents, lex = self.world(4, fragment_encoder=frag, bucket_cap=2)
+            sent = sents[0]
+            model.vocab.encode(sent)
+            spans = enumerate_fragments(len(sent), model.config.max_entity_len)
+            for fill in (1.0, 0.5):
+                layouts, n_matches = random_layouts(rng, len(spans),
+                                                    model.config.k_cut, 2, lex, fill)
+                assert sum(len(l.lex_ids) for l in layouts) < n_matches
+                if fill == 1.0:
+                    assert not any(len(l.null_buckets) for l in layouts)
+                self.check(model, sent, layouts, spans)
+
+    def test_training_dropout_masks_match(self):
+        for char in ("baseline", "birnn"):
+            model, sents, lex = self.world(5, char_encoder=char, fragment_encoder="fofe")
+            sent, spans, layout, _ = _prepare(model, sents[1], lex)
+            self.check(model, sent, layout.per_span, spans, dropout=0.3, training=True)
 
 
 class TestFocalValues:
     def run(self, p_t, gamma, alpha=1.0):
-        probs = Tensor(np.array([p_t, 1.0 - p_t]))
+        probs = Tensor(np.array([[p_t, 1.0 - p_t]]))
         with Tape():
-            loss = ad.focal_loss(probs, 0, Tensor(np.array([alpha, alpha])),
-                                 gamma)
+            loss = ad.focal_loss_rows(probs, np.array([0]),
+                                      Tensor(np.array([alpha, alpha])), gamma)
         return float(loss.values)
 
     def test_half_gamma0_is_ln2(self):
@@ -157,14 +289,13 @@ class TestTraining:
 
     def test_single_sentence_overfit(self):
         model, sents, lex = tiny_world(learn_alpha=False, gamma=0.0)
-        from lexner.model import _prepare
         prepared = _prepare(model, sents[0], lex)
         opt = Adam(model.trainable(), lr=1e-2, sparse=SPARSE_TABLES)
-        sent, spans, layouts, targets = prepared
+        sent, spans, layout, targets = prepared
         loss_val = None
         for _ in range(200):
             with Tape() as tape:
-                probs, _ = model.score_spans(sent, layouts, spans)
+                probs, _ = model.score_spans(sent, layout, spans)
                 loss = ad.scale(
                     ad.focal_loss_rows(probs, targets, model.alpha(), 0.0),
                     1.0 / len(spans))
@@ -178,11 +309,10 @@ class TestTraining:
         # per-step losses of the focal objective with gamma=0, alpha=1 match
         # an explicit cross-entropy computation to within accumulation noise
         model, sents, lex = tiny_world(learn_alpha=False, gamma=0.0)
-        from lexner.model import _prepare
         prepared = [_prepare(model, s, lex) for s in sents]
-        for sent, spans, layouts, targets in prepared:
+        for sent, spans, layout, targets in prepared:
             with Tape():
-                probs, _ = model.score_spans(sent, layouts, spans)
+                probs, _ = model.score_spans(sent, layout, spans)
                 focal = ad.focal_loss_rows(probs, targets, model.alpha(), 0.0)
             ce = -np.sum(np.log(probs.values[np.arange(len(spans)), targets]))
             assert np.isclose(float(focal.values), ce, atol=1e-9)
@@ -271,6 +401,70 @@ class TestCheckpoint:
         p.write_bytes(b"not a checkpoint\n")
         with pytest.raises(ConfigError):
             checkpoint.load(str(p))
+
+    def saved(self, tmp_path):
+        """A saved tiny model: (path, model, header dict, tensor bytes)."""
+        model, _, _ = tiny_world()
+        path = tmp_path / "m.ckpt"
+        checkpoint.save(str(path), model)
+        _, header, body = path.read_bytes().split(b"\n", 2)
+        return path, model, json.loads(header), body
+
+    def write(self, path, header, body):
+        text = header if isinstance(header, bytes) else json.dumps(header).encode()
+        path.write_bytes(checkpoint.MAGIC + text + b"\n" + body)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        path, model, header, _ = self.saved(tmp_path)
+        header["tensors"] = [e for e in header["tensors"] if e["name"] != "attn_w"]
+        body = b"".join(v.values.tobytes() for k, v in model.params.items()
+                        if k != "attn_w")
+        self.write(path, header, body)
+        with pytest.raises(ConfigError, match="attn_w"):
+            checkpoint.load(str(path))
+
+    def test_misshaped_tensor_rejected(self, tmp_path):
+        # same byte count, transposed shape
+        path, _, header, body = self.saved(tmp_path)
+        entry = next(e for e in header["tensors"] if e["name"] == "head_out_w")
+        entry["shape"] = entry["shape"][::-1]
+        self.write(path, header, body)
+        with pytest.raises(ConfigError, match="head_out_w"):
+            checkpoint.load(str(path))
+
+    def test_vocabulary_config_mismatch_rejected(self, tmp_path):
+        path, _, header, body = self.saved(tmp_path)
+        header["vocab"]["types"].append("EXTRA")
+        self.write(path, header, body)
+        with pytest.raises(ConfigError, match="n_types"):
+            checkpoint.load(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, _, header, body = self.saved(tmp_path)
+        self.write(path, header, body + bytes(8))
+        with pytest.raises(ConfigError, match="trailing"):
+            checkpoint.load(str(path))
+
+    def test_malformed_json_header_rejected(self, tmp_path):
+        path, _, header, body = self.saved(tmp_path)
+        self.write(path, json.dumps(header).encode()[:-1], body)
+        with pytest.raises(ConfigError, match="malformed"):
+            checkpoint.load(str(path))
+
+    def test_missing_header_keys_rejected(self, tmp_path):
+        for key in ("config", "vocab", "tensors", "extra"):
+            path, _, header, body = self.saved(tmp_path)
+            del header[key]
+            self.write(path, header, body)
+            with pytest.raises(ConfigError, match="malformed"):
+                checkpoint.load(str(path))
+
+    def test_manifest_is_what_build_makes(self):
+        for over in ({}, {"char_encoder": "birnn", "char_layers": 2,
+                          "fragment_encoder": "birnn", "head_layers": 2}):
+            model, _, _ = tiny_world(**over)
+            assert param_shapes(model.config) == {
+                k: v.values.shape for k, v in model.params.items()}
 
 
 class TestSyntheticCorpus:
