@@ -3,11 +3,14 @@
 Layout: a magic line, a JSON header line (config, vocabulary symbol lists,
 tensor manifest), then the raw little-endian float64 bytes of each tensor
 in manifest order. The writer is fully deterministic, so identical models
-produce byte-identical files and round-trips are bit-exact.
+produce byte-identical files and round-trips are bit-exact. A file is
+written whole under a temporary name and then moved over the old one, so
+a failed save leaves the old checkpoint as it was.
 """
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -36,12 +39,19 @@ def save(path: str, model: Model, extra: dict | None = None):
                     for k, v in model.params.items()],
         "extra": extra or {},
     }
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for k, v in model.params.items():
-            fh.write(np.ascontiguousarray(v.values, dtype="<f8").tobytes())
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
+            fh.write(b"\n")
+            for k, v in model.params.items():
+                fh.write(np.ascontiguousarray(v.values, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load(path: str) -> tuple[Model, dict]:

@@ -7,34 +7,30 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import decode
 from .autodiff import ConfigError
-from .config import RunConfig, _coerce, load_config
-from .corpus import NONE_LABEL, PAD, UNK, ParseError, Sentence, Vocab, \
-    load_embeddings, read_corpus
+from .config import OPTIONS, RunConfig, _coerce, load_config
+from .corpus import PAD, UNK, ParseError, Vocab, load_embeddings, read_corpus, \
+    read_raw
 from .lexicon import Lexicon
-from .model import Model, train_model, _prepare, _score
+from .model import Model, TrainSettings, _prepare, score_corpus, train_model
 from .optim import DivergenceError
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key = value configuration file")
-    for f in fields(RunConfig):
-        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+    for name in OPTIONS:
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
                             default=None, metavar="V")
 
 
 def _collect(args) -> tuple[RunConfig, set[str]]:
-    overrides = {}
-    for f in fields(RunConfig):
-        raw = getattr(args, f.name, None)
-        if raw is not None:
-            overrides[f.name] = _coerce(f.name, raw) if isinstance(raw, str) else raw
+    overrides = {name: _coerce(name, getattr(args, name)) for name in OPTIONS
+                 if getattr(args, name) is not None}
     return load_config(args.config, overrides)
 
 
@@ -47,22 +43,27 @@ def _require_file(path: str, what: str):
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
 
 
-def _load_checkpoint(path: str):
+def _load_checkpoint(path: str, cfg: RunConfig, explicit: set[str]):
+    """The checkpoint's model, checked against the structural options set
+    explicitly, and the lexicon to match with (None when the run disables
+    it or the checkpoint has none)."""
     _require_file(path, "checkpoint")
     model, extra = ckpt.load(path)
+    ckpt.check_structure(cfg, model.config, explicit)
     words = [w for w in model.vocab.lex.symbols if w not in (PAD, UNK)]
+    if not (cfg.use_lexicon and words):
+        return model, None
     freqs = {k: float(v) for k, v in extra.get("lex_freqs", {}).items()}
-    lex = Lexicon(words, freqs) if words else None
-    return model, extra, lex
+    return model, Lexicon(words, freqs)
 
 
-def _predict_sets(model, prepared, rho, nested):
-    out = []
-    for item in prepared:
-        spans = decode.resolve(decode.filter_threshold(_score(model, item), rho),
-                               nested)
-        out.append(spans)
-    return out
+def _score_sentences(model: Model, lex: Lexicon | None, sents, want_attention=False):
+    return score_corpus(model, [_prepare(model, s, lex) for s in sents],
+                        want_attention)
+
+
+def _prf(p: float, r: float, f1: float) -> str:
+    return f"P={100 * p:.2f} R={100 * r:.2f} F1={100 * f1:.2f}"
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def cmd_train(args) -> int:
                                  f"P={r.precision:.4f} R={r.recall:.4f} "
                                  f"F1={r.f1:.4f} loss={r.loss:.6f}"))
     model.restore(best)
-    extra = {"run_config": {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}}
+    extra = {"run_config": {name: getattr(cfg, name) for name in OPTIONS}}
     if lex is not None and lex.freqs:
         extra["lex_freqs"] = lex.freqs
     ckpt.save(cfg.checkpoint, model, extra)
@@ -111,87 +112,69 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, explicit = _collect(args)
-    model, extra, lex = _load_checkpoint(cfg.checkpoint)
-    ckpt.check_structure(cfg.model_config(), model.config, explicit)
+    model, lex = _load_checkpoint(cfg.checkpoint, cfg, explicit)
     path = {"train": cfg.train, "dev": cfg.dev, "test": cfg.test}[args.split]
     _require_file(path, f"{args.split} corpus")
     sents = read_corpus(path, cfg.corpus_format, cfg.max_sentence_len)
-    active_lex = lex if cfg.use_lexicon else None
-    prepared = [_prepare(model, s, active_lex) for s in sents]
-    preds = _predict_sets(model, prepared, cfg.rho, cfg.nested)
-    pred_sets = [{s.key() for s in ps} for ps in preds]
+    pred_sets = decode.key_sets(decode.decode_corpus(
+        _score_sentences(model, lex, sents), cfg.rho, cfg.nested))
     gold_sets = [s.entities for s in sents]
-    p, r, f1 = decode.evaluate(pred_sets, gold_sets)
-    print(f"micro P={100 * p:.2f} R={100 * r:.2f} F1={100 * f1:.2f}")
-    for etype, (tp, tr, tf) in decode.evaluate_by_type(pred_sets, gold_sets).items():
-        print(f"{etype}: P={100 * tp:.2f} R={100 * tr:.2f} F1={100 * tf:.2f}")
+    print("micro " + _prf(*decode.evaluate(pred_sets, gold_sets)))
+    for etype, prf in decode.evaluate_by_type(pred_sets, gold_sets).items():
+        print(f"{etype}: " + _prf(*prf))
     return 0
 
 
-def _read_raw(path: str) -> list[Sentence]:
-    sents = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            text = line.rstrip("\n")
-            if not text:
-                continue
-            chars = list(text)
-            sents.append(Sentence(chars, ["S"] * len(chars), [UNK] * len(chars)))
-    return sents
-
-
 def cmd_predict(args) -> int:
-    cfg, _ = _collect(args)
-    model, extra, lex = _load_checkpoint(cfg.checkpoint)
+    cfg, explicit = _collect(args)
+    model, lex = _load_checkpoint(cfg.checkpoint, cfg, explicit)
     path = args.input or cfg.test
     _require_file(path, "input")
-    if args.raw:
-        sents = _read_raw(path)
-        have_gold = False
-    else:
-        sents = read_corpus(path, cfg.corpus_format, cfg.max_sentence_len)
-        have_gold = any(s.entities for s in sents)
-    active_lex = lex if cfg.use_lexicon else None
-    prepared = [_prepare(model, s, active_lex) for s in sents]
+    sents = (read_raw(path, cfg.max_sentence_len) if args.raw else
+             read_corpus(path, cfg.corpus_format, cfg.max_sentence_len))
+    kept = decode.decode_corpus(
+        _score_sentences(model, lex, sents, want_attention=args.dump_attention),
+        cfg.rho, cfg.nested)
     lines = []
-    pred_sets = []
-    for sid, item in enumerate(prepared):
-        scored = _score(model, item, want_attention=args.dump_attention)
-        kept = decode.resolve(decode.filter_threshold(scored, cfg.rho), cfg.nested)
-        pred_sets.append({s.key() for s in kept})
-        for s in kept:
+    for sid, spans in enumerate(kept):
+        for s in spans:
             lines.append(f"{sid}\t{s.start}\t{s.end}\t{s.type}\t{s.prob:.6f}")
             if args.dump_attention and s.attention is not None:
                 weights, labels = s.attention
                 ws = " ".join(f"{wv:.6f}" for wv in weights)
                 lines.append(f"#attn\t{sid}\t{s.start}\t{s.end}\t{ws}\t"
                              + "|".join(labels))
-    if have_gold:
-        p, r, f1 = decode.evaluate(pred_sets, [s.entities for s in sents])
-        lines.append(f"# micro P={100 * p:.2f} R={100 * r:.2f} F1={100 * f1:.2f}")
+    if any(s.entities for s in sents):   # raw input has no gold entities
+        lines.append("# micro " + _prf(*decode.evaluate(
+            decode.key_sets(kept), [s.entities for s in sents])))
     out = args.output_file or cfg.output
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
-    print(f"wrote {out} ({sum(len(p) for p in pred_sets)} entities)")
+    print(f"wrote {out} ({sum(len(spans) for spans in kept)} entities)")
     return 0
 
 
+def _parse_rhos(text: str) -> list[float]:
+    rhos = [_coerce("rho", x) for x in text.split(",")]
+    for rho in rhos:
+        TrainSettings(rho=rho).validate()
+    return rhos
+
+
 def cmd_sweep(args) -> int:
-    cfg, _ = _collect(args)
+    cfg, explicit = _collect(args)
     _require_file(cfg.dev, "dev corpus")
-    rhos = [float(x) for x in args.rhos.split(",")] if args.rhos else \
+    rhos = _parse_rhos(args.rhos) if args.rhos else \
         [round(0.1 * i, 1) for i in range(10)]
     out_rows = ["gamma,rho,F1"]
     for path in args.checkpoints:
-        model, extra, lex = _load_checkpoint(path)
+        model, lex = _load_checkpoint(path, cfg, explicit)
+        # read per checkpoint: _prepare caches vocabulary ids on each sentence
         sents = read_corpus(cfg.dev, cfg.corpus_format, cfg.max_sentence_len)
-        active_lex = lex if cfg.use_lexicon else None
-        prepared = [_prepare(model, s, active_lex) for s in sents]
-        scored = [_score(model, item) for item in prepared]
+        scored = _score_sentences(model, lex, sents)
         golds = [s.entities for s in sents]
         for rho in rhos:
-            preds = [{s.key() for s in decode.resolve(
-                decode.filter_threshold(sc, rho), cfg.nested)} for sc in scored]
+            preds = decode.key_sets(decode.decode_corpus(scored, rho, cfg.nested))
             _, _, f1 = decode.evaluate(preds, golds)
             out_rows.append(f"{model.config.gamma},{rho},{f1:.6f}")
     text = "\n".join(out_rows) + "\n"

@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .autodiff import ConfigError
-from .model import ModelConfig, TrainSettings
+from .model import VOCAB_FIELDS, ModelConfig, TrainSettings
 
 
 @dataclass
-class RunConfig:
-    # paths
+class RunConfig(TrainSettings, ModelConfig):
+    """Every option of a run: the model structure of ``ModelConfig``, the
+    training and decoding knobs of ``TrainSettings``, and the paths below."""
+
     train: str = ""
     dev: str = ""
     test: str = ""
@@ -21,92 +24,43 @@ class RunConfig:
     output: str = "predictions.tsv"
     corpus_format: str = "column-bmes"
     max_sentence_len: int = 256
-    # model structure
-    d_char: int = 50
-    d_seg: int = 25
-    d_pos: int = 25
-    d_lex: int = 50
-    d_mod: int = 20
-    k_cut: int = 2
-    bucket_cap: int = 8
-    max_entity_len: int = 10
-    char_encoder: str = "birnn"
-    fragment_encoder: str = "fofe"
-    char_hidden: int = 128
-    char_layers: int = 2
-    frag_hidden: int = 128
-    head_hidden: int = 256
-    head_layers: int = 2
-    fofe_alpha: float = 0.5
-    gamma: float = 2.0
-    learn_alpha: bool = True
-    # training
-    lr: float = 1e-3
-    weight_decay: float = 1e-7
-    dropout: float = 0.3
-    batch_size: int = 16
-    clip_norm: float = 5.0
-    epochs: int = 30
-    freeze_lex: bool = True
-    use_lexicon: bool = True
-    early_stop_f1: float = -1.0   # negative disables
-    eval_train: bool = False
-    seed: int = 1
-    # decoding
-    rho: float = 0.25
-    nested: bool = False
 
     def validate(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        TrainSettings.validate(self)
         if self.corpus_format not in ("column-bmes", "column-bio"):
             raise ConfigError(f"unknown corpus format {self.corpus_format!r}")
-        self.model_config().validate()
+        if self.max_sentence_len < 1:
+            raise ConfigError(f"max_sentence_len must be >= 1, got {self.max_sentence_len}")
+        ModelConfig.validate(self)
 
     def model_config(self) -> ModelConfig:
-        names = {f.name for f in fields(ModelConfig)}
-        kwargs = {f.name: getattr(self, f.name) for f in fields(RunConfig)
-                  if f.name in names}
-        return ModelConfig(**kwargs)
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def train_settings(self) -> TrainSettings:
-        return TrainSettings(
-            lr=self.lr, weight_decay=self.weight_decay, dropout=self.dropout,
-            batch_size=self.batch_size, clip_norm=self.clip_norm,
-            epochs=self.epochs, freeze_lex=self.freeze_lex,
-            use_lexicon=self.use_lexicon, rho=self.rho, nested=self.nested,
-            early_stop_f1=self.early_stop_f1 if self.early_stop_f1 >= 0 else None,
-            eval_train=self.eval_train, seed=self.seed)
+        return TrainSettings(**{f.name: getattr(self, f.name)
+                                for f in fields(TrainSettings)})
 
 
-_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+# option name -> declared type; the vocabulary sizes come from the data
+OPTIONS = {name: kind for name, kind in get_type_hints(RunConfig).items()
+           if name not in VOCAB_FIELDS}
 
 
 def _coerce(name: str, raw: str):
-    default = getattr(RunConfig(), name)
-    if isinstance(default, bool):
+    kind = OPTIONS[name]
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
+    if kind in (int, float):
         try:
-            return int(raw)
+            return kind(raw)
         except ValueError:
-            raise ConfigError(f"{name}: expected an integer, got {raw!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{name}: expected a number, got {raw!r}") from None
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{name}: expected {what}, got {raw!r}") from None
     return raw
 
 
@@ -128,14 +82,14 @@ def load_config(path: str | None, overrides: dict[str, object]
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, _, raw = line.partition("=")
                 key = key.strip()
-                if key not in _FIELDS:
+                if key not in OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
                 setattr(cfg, key, _coerce(key, raw.strip()))
                 explicit.add(key)
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _FIELDS:
+        if key not in OPTIONS:
             raise ConfigError(f"unknown option {key!r}")
         setattr(cfg, key, value)
         explicit.add(key)

@@ -73,11 +73,6 @@ def derive_soft_word_labels(words: list[str]) -> list[str]:
     return labels
 
 
-def check_segmentation(words: list[str], chars: list[str]):
-    if list("".join(words)) != chars:
-        raise ValueError("segmented words do not concatenate to the sentence characters")
-
-
 # ---------------------------------------------------------------------------
 # tag scheme <-> span conversion
 
@@ -168,6 +163,12 @@ def spans_to_bmes_tags(spans: set[Span], n: int) -> list[str]:
 # reading
 
 
+def _truncate(items: list, max_len: int) -> list:
+    if len(items) > max_len:
+        log.warning("sentence truncated from %d to %d characters", len(items), max_len)
+    return items[:max_len]
+
+
 def read_corpus(path: str, fmt: str = "column-bmes",
                 max_len: int = 256) -> list[Sentence]:
     """Read a 4-column corpus file; ``fmt`` picks the entity tag scheme."""
@@ -180,9 +181,7 @@ def read_corpus(path: str, fmt: str = "column-bmes",
     def flush():
         if not rows:
             return
-        kept = rows[:max_len]
-        if len(rows) > max_len:
-            log.warning("sentence truncated from %d to %d characters", len(rows), max_len)
+        kept = _truncate(rows, max_len)
         chars = [r[0] for r in kept]
         segs = [r[1] for r in kept]
         pos = [r[2] for r in kept]
@@ -201,6 +200,18 @@ def read_corpus(path: str, fmt: str = "column-bmes",
                 raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(cols)}")
             rows.append(tuple(cols))
     flush()
+    return sentences
+
+
+def read_raw(path: str, max_len: int = 256) -> list[Sentence]:
+    """Plain text, one sentence per non-empty line, every character a
+    single-character word with an unknown POS tag."""
+    sentences = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            chars = _truncate(list(line.rstrip("\n")), max_len)
+            if chars:
+                sentences.append(Sentence(chars, ["S"] * len(chars), [UNK] * len(chars)))
     return sentences
 
 

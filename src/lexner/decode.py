@@ -68,6 +68,17 @@ def resolve(spans: list[ScoredSpan], nested: bool = False) -> list[ScoredSpan]:
     return kept
 
 
+def decode_corpus(scored: list[list[ScoredSpan]], rho: float,
+                  nested: bool = False) -> list[list[ScoredSpan]]:
+    """Each sentence's entities: its scored spans thresholded, then resolved."""
+    return [resolve(filter_threshold(spans, rho), nested) for spans in scored]
+
+
+def key_sets(decoded: list[list[ScoredSpan]]) -> list[set]:
+    """The (start, end, type) keys of each sentence's spans, for ``evaluate``."""
+    return [{s.key() for s in spans} for spans in decoded]
+
+
 def evaluate(pred_sets: list[set], gold_sets: list[set]
              ) -> tuple[float, float, float]:
     """Micro precision/recall/F1 on exact (start, end, type) matches.

@@ -9,14 +9,15 @@ vector, optionally learned (stored as exponentials of free parameters).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import encoders, lexicon as lx
+from . import decode, encoders, lexicon as lx
 from .autodiff import ConfigError, Tensor
 from .corpus import Sentence, Vocab
+from .decode import ScoredSpan
 from .optim import Adam, DivergenceError, clip_global_norm
 
 SPARSE_TABLES = frozenset({"emb_char", "emb_seg", "emb_pos", "emb_lex", "emb_mod"})
@@ -84,11 +85,14 @@ class ModelConfig:
         return lx.bucket_count(self.k_cut)
 
 
+# the ModelConfig fields a vocabulary fixes; they are not run options
+VOCAB_FIELDS = ("n_chars", "n_seg", "n_pos", "n_types", "n_lex")
+
+
 def vocab_sizes(vocab: Vocab) -> dict[str, int]:
     """The ``ModelConfig`` vocabulary-size fields a vocabulary fixes."""
-    return {"n_chars": len(vocab.chars), "n_seg": len(vocab.segs),
-            "n_pos": len(vocab.pos), "n_types": len(vocab.types),
-            "n_lex": len(vocab.lex)}
+    tables = (vocab.chars, vocab.segs, vocab.pos, vocab.types, vocab.lex)
+    return {name: len(table) for name, table in zip(VOCAB_FIELDS, tables)}
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -132,15 +136,13 @@ class Model:
     """Parameter container plus the forward pass over one sentence."""
 
     def __init__(self, config: ModelConfig, vocab: Vocab,
-                 params: dict[str, Tensor] | None = None):
+                 params: dict[str, Tensor]):
         config.validate()
         self.config = config
         self.vocab = vocab
-        self.params = params if params is not None else {}
+        self.params = params
         self._char_cells: list[tuple[encoders.LSTMCell, encoders.LSTMCell]] = []
         self._frag_cells: tuple[encoders.LSTMCell, encoders.LSTMCell] | None = None
-        if params is None:
-            raise ConfigError("use Model.build or checkpoint loading")
         self._bind_cells()
 
     # -- construction ------------------------------------------------------
@@ -287,9 +289,19 @@ class TrainSettings:
     use_lexicon: bool = True
     rho: float = 0.25
     nested: bool = False
-    early_stop_f1: float | None = None
+    early_stop_f1: float = -1.0     # negative disables
     eval_train: bool = False
     seed: int = 1
+
+    def validate(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if self.lr <= 0:
+            raise ConfigError(f"learning rate must be positive, got {self.lr}")
 
 
 @dataclass
@@ -311,8 +323,6 @@ def train_model(model: Model, train_sents: list[Sentence],
     The best checkpoint is chosen by dev F1 (train F1 when no dev split is
     given). Embedding tables use the sparse update mode.
     """
-    from . import decode  # local import to avoid a cycle at module load
-
     cfg = model.config
     rng = np.random.default_rng(settings.seed)
     active_lex = lex if settings.use_lexicon else None
@@ -351,16 +361,13 @@ def train_model(model: Model, train_sents: list[Sentence],
         mean_loss = epoch_loss / max(epoch_frags, 1)
 
         def eval_split(name, items):
-            preds = [decode.resolve(
-                decode.filter_threshold(_score(model, it), settings.rho),
-                settings.nested) for it in items]
-            golds = [it[0].entities for it in items]
-            p, r, f1 = decode.evaluate(
-                [{(s.start, s.end, s.type) for s in ps} for ps in preds], golds)
+            kept = decode.decode_corpus(score_corpus(model, items),
+                                        settings.rho, settings.nested)
+            p, r, f1 = decode.evaluate(decode.key_sets(kept),
+                                       [it[0].entities for it in items])
             rows.append(EpochRow(epoch, name, p, r, f1, mean_loss))
             return f1
 
-        monitored = None
         if settings.eval_train or not dev_prepared:
             monitored = eval_split("train", prepared)
         if dev_prepared:
@@ -369,10 +376,9 @@ def train_model(model: Model, train_sents: list[Sentence],
             log_fn(rows[-1])
         # ties go to the later epoch so a flat F1 curve still yields the
         # most-trained weights
-        if monitored is not None and monitored >= best_f1:
+        if monitored >= best_f1:
             best_f1, best_snap = monitored, model.snapshot()
-        if settings.early_stop_f1 is not None and monitored is not None \
-                and monitored >= settings.early_stop_f1:
+        if 0 <= settings.early_stop_f1 <= monitored:
             break
     return best_snap, rows
 
@@ -388,8 +394,6 @@ def _prepare(model: Model, sent: Sentence, lex):
 
 def _score(model: Model, prepared, want_attention: bool = False):
     """Inference pass producing decode-ready scored spans."""
-    from .decode import ScoredSpan
-
     sent, spans, layout, _ = prepared
     probs, attn = model.score_spans(sent, layout, spans,
                                     want_attention=want_attention)
@@ -401,5 +405,11 @@ def _score(model: Model, prepared, want_attention: bool = False):
         scored.append(ScoredSpan(
             start=i, end=j, type=model.vocab.types.sym(best),
             prob=float(dist[best]), is_none=(best == none),
-            attention=attn[row] if want_attention else None))
+            attention=attn[row]))
     return scored
+
+
+def score_corpus(model: Model, prepared: list, want_attention: bool = False
+                 ) -> list[list[ScoredSpan]]:
+    """Decode-ready scored spans of each ``_prepare``d sentence."""
+    return [_score(model, item, want_attention) for item in prepared]

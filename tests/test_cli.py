@@ -132,6 +132,19 @@ class TestPredict:
         for ln in out.read_text().splitlines():
             assert not ln.startswith("# micro")   # no gold, no metrics
 
+    def test_raw_input_truncated(self, trained, caplog):
+        raw = trained / "long_raw.txt"
+        raw.write_text("".join(open(trained / "raw.txt", encoding="utf-8")
+                               .read().split()) * 20 + "\n", encoding="utf-8")
+        out = trained / "pred_long_raw.txt"
+        code = main(["predict", "--checkpoint", str(trained / "m.ckpt"),
+                     "--input", str(raw), "--raw", "--max-sentence-len", "50",
+                     "--rho", "0", "--output-file", str(out)])
+        assert code == 0
+        assert "to 50 characters" in caplog.text
+        for ln in out.read_text().splitlines():
+            assert int(ln.split("\t")[2]) < 50
+
     def test_attention_rows_sum_to_one(self, trained):
         out = trained / "pred_attn.txt"
         code = main(["predict", "--checkpoint", str(trained / "m.ckpt"),
@@ -168,6 +181,45 @@ class TestSweep:
         out = capsys.readouterr().out
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+
+
+    @pytest.mark.parametrize("rhos", ["0.2,1.5", "0.2,abc"])
+    def test_bad_rhos_exit_2(self, trained, capsys, rhos):
+        code = main(["sweep", "--checkpoints", str(trained / "m.ckpt"),
+                     "--dev", str(trained / "dev.txt"), "--rhos", rhos])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rho")
+        assert rhos.split(",")[1] in err
+
+
+class TestSharedPath:
+    def test_structure_mismatch_rejected(self, trained, capsys):
+        for cmd in (["predict", "--checkpoint", str(trained / "m.ckpt"),
+                     "--input", str(trained / "dev.txt"),
+                     "--output-file", str(trained / "never.tsv")],
+                    ["sweep", "--checkpoints", str(trained / "m.ckpt"),
+                     "--dev", str(trained / "dev.txt")]):
+            assert main(cmd + ["--d-char", "99"]) == 2
+            assert "d_char" in capsys.readouterr().err
+        assert not (trained / "never.tsv").exists()
+
+    def test_eval_predict_sweep_agree(self, trained, capsys):
+        common = ["--dev", str(trained / "dev.txt"), "--rho", "0.3"]
+        assert main(["eval", "--checkpoint", str(trained / "m.ckpt"),
+                     "--split", "dev"] + common) == 0
+        eval_f1 = capsys.readouterr().out.splitlines()[0].split("F1=")[1]
+        out = trained / "pred_agree.txt"
+        assert main(["predict", "--checkpoint", str(trained / "m.ckpt"),
+                     "--input", str(trained / "dev.txt"),
+                     "--output-file", str(out)] + common) == 0
+        predict_f1 = out.read_text().splitlines()[-1].split("F1=")[1]
+        assert main(["sweep", "--checkpoints", str(trained / "m.ckpt"),
+                     "--rhos", "0.3"] + common) == 0
+        sweep_f1 = float(capsys.readouterr().out.splitlines()[-1].split(",")[2])
+        assert predict_f1 == eval_f1
+        assert float(eval_f1) > 50
+        assert abs(100 * sweep_f1 - float(eval_f1)) <= 0.005 + 1e-9
 
 
 class TestConfigFile:

@@ -25,10 +25,6 @@ class TestSoftWordLabels:
         words = ["abc", "d", "ef", "ghij"]
         assert len(derive_soft_word_labels(words)) == len("".join(words))
 
-    def test_alignment_check(self):
-        with pytest.raises(ValueError):
-            corpus.check_segmentation(["ab"], ["a", "c"])
-
 
 class TestTagConversion:
     def test_bmes_basic(self):
@@ -108,6 +104,24 @@ class TestReadCorpus:
         back = read_corpus(str(out))
         assert back[0].chars == s.chars
         assert back[0].entities == s.entities
+
+
+class TestReadRaw:
+    def test_lines_become_sentences(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        path.write_text("希尔顿\n\nab c\n", encoding="utf-8")
+        sents = corpus.read_raw(str(path))
+        assert [s.chars for s in sents] == [list("希尔顿"), list("ab c")]
+        assert sents[1].seg_labels == ["S"] * 4
+        assert sents[1].pos_tags == [corpus.UNK] * 4
+        assert sents[1].entities == set()
+
+    def test_truncation_warns(self, tmp_path, caplog):
+        path = tmp_path / "raw.txt"
+        path.write_text("x" * 400 + "\nshort\n", encoding="utf-8")
+        sents = corpus.read_raw(str(path), max_len=50)
+        assert [len(s) for s in sents] == [50, 5]
+        assert "truncated from 400 to 50" in caplog.text
 
 
 class TestVocab:

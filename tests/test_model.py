@@ -385,6 +385,20 @@ class TestCheckpoint:
         checkpoint.save(p2, model)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        model, _, _ = tiny_world()
+        path = tmp_path / "m.ckpt"
+        checkpoint.save(str(path), model)
+        old = path.read_bytes()
+        # the last tensor cannot be written as float64, so the save fails
+        # after the header and the earlier tensors are out
+        last = list(model.params)[-1]
+        model.params[last].values = np.array(["x"] * model.params[last].values.size)
+        with pytest.raises(ValueError):
+            checkpoint.save(str(path), model)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
     def test_structure_check(self, tmp_path):
         model, _, _ = tiny_world()
         path = str(tmp_path / "m.ckpt")
