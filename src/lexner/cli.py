@@ -210,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_pred)
     p_pred.add_argument("--input", help="input file (defaults to the test path)")
     p_pred.add_argument("--raw", action="store_true",
-                        help="input is plain text, one sentence per line")
+                        help="input is plain text, one sentence per line; it has "
+                             "no segmentation or POS columns, so every character "
+                             "gets S and <unk>, and a model trained with those "
+                             "features finds few entities")
     p_pred.add_argument("--dump-attention", action="store_true")
     p_pred.add_argument("--output-file", help="output path (defaults to config)")
     p_pred.set_defaults(func=cmd_predict)

@@ -11,9 +11,12 @@ Matches are grouped into buckets with cutoff K: one exact bucket, one
 bucket per k <= K for prefixes and suffixes, one residual prefix bucket
 (k > K), one residual suffix bucket, and one infix bucket; 2K+4 buckets
 in total. Mode ids are tied to bucket ids, so the mode embedding table has
-2K+4 rows. An empty bucket is represented by a learned null row. The
-layouts of a sentence's spans are joined into one ragged layout, which the
-model's memory attention reads in one step.
+2K+4 rows. An empty bucket is represented by a learned null row.
+
+A sentence is matched once: every word occurring in it is found by one
+trie walk from each start position, and each span reads the occurrences
+that fall inside it. The result is one ragged layout of all spans, which
+the model's memory attention reads in one step.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 from .autodiff import ConfigError
 
 EXACT, PREFIX, SUFFIX, INFIX = "exact", "prefix", "suffix", "infix"
-_MODE_RANK = {EXACT: 0, PREFIX: 1, SUFFIX: 2, INFIX: 3}
+MODES = (EXACT, PREFIX, SUFFIX, INFIX)   # in priority order
 
 
 class _TrieNode:
@@ -44,14 +47,6 @@ class Trie:
         for ch in word:
             node = node.children.setdefault(ch, _TrieNode())
         node.word_id = word_id
-
-    def lookup(self, word: str) -> int | None:
-        node = self.root
-        for ch in word:
-            node = node.children.get(ch)
-            if node is None:
-                return None
-        return node.word_id
 
     def walk_prefixes(self, text: str, start: int = 0, stop: int | None = None):
         """Yield (length, word_id) for every word equal to a prefix of
@@ -73,12 +68,9 @@ class Match:
     mode: str   # one of exact / prefix / suffix / infix
     k: int      # matched word length
 
-    def sort_key(self):
-        return (_MODE_RANK[self.mode], self.k, self.word_id)
-
 
 class Lexicon:
-    """Immutable word list with forward and reverse tries."""
+    """Immutable word list with a trie over its words."""
 
     def __init__(self, words: list[str], freqs: dict[str, float] | None = None):
         seen: dict[str, int] = {}
@@ -91,10 +83,8 @@ class Lexicon:
         self.word_id: dict[str, int] = seen
         self.freqs = freqs or {}
         self._fwd = Trie()
-        self._rev = Trie()
         for w, i in seen.items():
             self._fwd.insert(w, i)
-            self._rev.insert(w[::-1], i)
 
     def __len__(self):
         return len(self.words)
@@ -120,37 +110,44 @@ class Lexicon:
         return self.freqs.get(word, 0.0)
 
 
+def _span_matches(lex: Lexicon | None, text: str, starts: np.ndarray,
+                  ends: np.ndarray):
+    """Every word inside each span ``text[starts[s]:ends[s] + 1]``, once per
+    (span, word), in the word's highest-priority mode there.
+
+    Returns span index, word id, mode (index into ``MODES``) and word length
+    per match, ordered by span, mode, length and word id.
+    """
+    longest = int((ends - starts).max(initial=-1)) + 1
+    found = [] if lex is None else [
+        (a, k, wid) for a in range(len(text))
+        for k, wid in lex._fwd.walk_prefixes(text, a, min(len(text), a + longest))]
+    a, k, wid = np.array(found, dtype=np.intp).reshape(-1, 3).T
+    b = a + k - 1
+    span, occ = np.nonzero((starts[:, None] <= a) & (b <= ends[:, None]))
+    # exact 0, prefix 1, suffix 2, infix 3, by the span ends the word touches
+    mode = 3 - 2 * (a[occ] == starts[span]) - (b[occ] == ends[span])
+    k, wid = k[occ], wid[occ]
+    order = np.lexsort((wid, k, mode, span))
+    span, wid, mode, k = span[order], wid[order], mode[order], k[order]
+    # a word found more than once in a span keeps its first, highest-priority mode
+    _, first = np.unique(wid * len(starts) + span, return_index=True)
+    keep = np.sort(first)
+    return span[keep], wid[keep], mode[keep], k[keep]
+
+
 def match_fragment(lex: Lexicon, fragment: str) -> list[Match]:
     """All (word, mode) matches for a fragment, one mode per word.
 
-    Deterministic order: exact, then prefixes by k, suffixes by k, infixes
-    by word id.
+    Deterministic order: exact, then prefixes, suffixes and infixes, each
+    by length and then word id.
     """
     if not fragment:
         raise ValueError("cannot match an empty fragment")
-    n = len(fragment)
-    by_word: dict[int, Match] = {}
-
-    def offer(match: Match):
-        held = by_word.get(match.word_id)
-        if held is None or match.sort_key() < held.sort_key():
-            by_word[match.word_id] = match
-
-    exact_id = lex._fwd.lookup(fragment)
-    if exact_id is not None:
-        offer(Match(exact_id, fragment, EXACT, n))
-    for k, wid in lex._fwd.walk_prefixes(fragment):
-        if k < n:
-            offer(Match(wid, fragment[:k], PREFIX, k))
-    rev = fragment[::-1]
-    for k, wid in lex._rev.walk_prefixes(rev):
-        if k < n:
-            offer(Match(wid, fragment[n - k:], SUFFIX, k))
-    # interior occurrences: start >= 1, end <= n - 2
-    for start in range(1, n - 1):
-        for k, wid in lex._fwd.walk_prefixes(fragment, start, n - 1):
-            offer(Match(wid, fragment[start:start + k], INFIX, k))
-    return sorted(by_word.values(), key=Match.sort_key)
+    _, wid, mode, k = _span_matches(lex, fragment, np.array([0]),
+                                    np.array([len(fragment) - 1]))
+    return [Match(w, lex.words[w], MODES[m], n)
+            for w, m, n in zip(wid.tolist(), mode.tolist(), k.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +158,12 @@ def bucket_count(k_cut: int) -> int:
     return 2 * k_cut + 4
 
 
-def bucket_of(match: Match, k_cut: int) -> int:
-    if match.mode == EXACT:
-        return 0
-    if match.mode == PREFIX:
-        return match.k if match.k <= k_cut else k_cut + 1
-    if match.mode == SUFFIX:
-        return k_cut + 1 + match.k if match.k <= k_cut else 2 * k_cut + 2
-    return 2 * k_cut + 3
+def bucket_of(mode: np.ndarray, k: np.ndarray, k_cut: int) -> np.ndarray:
+    """Bucket of each match, from its mode (index into ``MODES``) and its
+    word length."""
+    residual = np.minimum(k, k_cut + 1)
+    return np.select([mode == 0, mode == 1, mode == 2],
+                     [0, residual, k_cut + 1 + residual], 2 * k_cut + 3)
 
 
 def bucket_name(bucket: int, k_cut: int) -> str:
@@ -186,104 +181,62 @@ def bucket_name(bucket: int, k_cut: int) -> str:
 
 
 @dataclass
-class MemoryLayout:
-    """Index-level description of a fragment's memory, ready to embed.
-
-    ``lex_ids`` and ``mode_ids`` describe the real match rows (mode id ==
-    bucket id); ``null_buckets`` lists buckets left empty, which contribute
-    one learned null row each. Row order: real rows sorted by bucket then
-    match order, followed by null rows by bucket.
-    """
-
-    lex_ids: np.ndarray
-    mode_ids: np.ndarray
-    null_buckets: np.ndarray
-    bucket_of_row: np.ndarray
-    words: list[str]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.bucket_of_row)
-
-    def row_labels(self, k_cut: int) -> list[str]:
-        real = [f"{w}[{bucket_name(b, k_cut)}]"
-                for w, b in zip(self.words, self.bucket_of_row)]
-        real += [f"-[{bucket_name(int(b), k_cut)}]" for b in self.null_buckets]
-        return real
-
-
-def bucketize(matches: list[Match], k_cut: int, lex: Lexicon,
-              vocab_lex_id, cap: int = 8) -> MemoryLayout:
-    """Group matches into 2K+4 buckets, capping each at ``cap`` rows.
-
-    Overfull buckets keep the longest-k matches first, then the most
-    frequent words. ``vocab_lex_id`` maps a word string to its embedding
-    row.
-    """
-    if k_cut < 0:
-        raise ConfigError(f"bucket cutoff must be nonnegative, got {k_cut}")
-    buckets: dict[int, list[Match]] = {}
-    for m in matches:
-        buckets.setdefault(bucket_of(m, k_cut), []).append(m)
-    lex_ids, mode_ids, row_buckets, words = [], [], [], []
-    for b in sorted(buckets):
-        group = buckets[b]
-        if len(group) > cap:
-            group = sorted(group, key=lambda m: (-m.k, -lex.freq(m.word), m.word_id))[:cap]
-            group.sort(key=Match.sort_key)
-        for m in group:
-            lex_ids.append(vocab_lex_id(m.word))
-            mode_ids.append(b)
-            row_buckets.append(b)
-            words.append(m.word)
-    null = [b for b in range(bucket_count(k_cut)) if b not in buckets]
-    return MemoryLayout(
-        lex_ids=np.array(lex_ids, dtype=np.intp),
-        mode_ids=np.array(mode_ids, dtype=np.intp),
-        null_buckets=np.array(null, dtype=np.intp),
-        bucket_of_row=np.array(row_buckets + null, dtype=np.intp),
-        words=words,
-    )
-
-
-@dataclass
 class SentenceLayout:
     """Ragged memory layout of every span of a sentence, built once.
 
-    The real rows of all spans, span by span in each span's row order,
-    form one list: ``lex_ids`` and ``mode_ids`` index the embedding tables
-    and ``row_span`` (sorted) names the span of each row. ``null_mask[s, b]``
-    is set when bucket ``b`` of span ``s`` is empty and the span attends
-    over null row ``b``. ``per_span`` keeps the span layouts for the row
-    labels of the attention dump.
+    The real rows of all spans, span by span and, within a span, by bucket,
+    word length and word id, form one list: ``lex_ids`` and ``mode_ids``
+    (mode id == bucket id) index the embedding tables, ``row_span``
+    (sorted) names the span of each row and ``words`` its word.
+    ``null_mask[s, b]`` is set when bucket ``b`` of span ``s`` is empty and
+    the span attends over null row ``b``.
     """
 
     lex_ids: np.ndarray
     mode_ids: np.ndarray
     row_span: np.ndarray
     null_mask: np.ndarray
-    per_span: list[MemoryLayout]
+    words: np.ndarray
 
     @classmethod
-    def of(cls, layouts: list[MemoryLayout], k_cut: int) -> "SentenceLayout":
-        n = len(layouts)
-        null_mask = np.zeros((n, bucket_count(k_cut)), dtype=bool)
-        for s, layout in enumerate(layouts):
-            null_mask[s, layout.null_buckets] = True
+    def build(cls, lex: Lexicon | None, text: str, spans: list[tuple[int, int]],
+              k_cut: int, cap: int, lex_id) -> "SentenceLayout":
+        """Match ``text`` once and lay out the memory of each span.
+
+        Each bucket keeps at most ``cap`` (>= 1) matches: the longest words
+        first, then the most frequent, then the lowest word id.
+        ``lex_id`` maps a word to its embedding row. With no lexicon every
+        bucket is null.
+        """
+        starts, ends = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+        span, wid, mode, k = _span_matches(lex, text, starts, ends)
+        bucket = bucket_of(mode, k, k_cut)
+        null_mask = np.ones((len(spans), bucket_count(k_cut)), dtype=bool)
+        null_mask[span, bucket] = False
+        uniq, word = np.unique(wid, return_inverse=True)
+        words = [lex.words[w] for w in uniq.tolist()]
+        freq = np.array([lex.freq(w) for w in words])[word]
+        order = np.lexsort((wid, -freq, -k, bucket, span))
+        group = (span * bucket_count(k_cut) + bucket)[order]
+        kept = np.sort(order[np.arange(len(order)) - np.searchsorted(group, group) < cap])
         return cls(
-            lex_ids=np.concatenate([l.lex_ids for l in layouts]),
-            mode_ids=np.concatenate([l.mode_ids for l in layouts]),
-            row_span=np.repeat(np.arange(n), [len(l.lex_ids) for l in layouts]),
+            lex_ids=np.array([lex_id(w) for w in words], dtype=np.intp)[word[kept]],
+            mode_ids=bucket[kept],
+            row_span=span[kept],
             null_mask=null_mask,
-            per_span=layouts,
+            words=np.array(words, dtype=object)[word[kept]],
         )
 
     def attention_rows(self, p_real: np.ndarray, p_null: np.ndarray, k_cut: int
                        ) -> list[tuple[np.ndarray, list[str]]]:
         """Per span, its attention weights and row labels in memory row
         order: real rows by bucket, then null rows by bucket."""
-        bounds = np.searchsorted(self.row_span, np.arange(len(self.per_span) + 1))
-        return [(np.concatenate([p_real[lo:hi], p_null[s, layout.null_buckets]]),
-                 layout.row_labels(k_cut))
-                for s, (layout, lo, hi) in enumerate(
-                    zip(self.per_span, bounds[:-1], bounds[1:]))]
+        bounds = np.searchsorted(self.row_span, np.arange(len(self.null_mask) + 1))
+        rows = []
+        for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            null = np.flatnonzero(self.null_mask[s])
+            labels = [f"{w}[{bucket_name(b, k_cut)}]"
+                      for w, b in zip(self.words[lo:hi], self.mode_ids[lo:hi])]
+            labels += [f"-[{bucket_name(b, k_cut)}]" for b in null]
+            rows.append((np.concatenate([p_real[lo:hi], p_null[s, null]]), labels))
+        return rows

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import decode, encoders, lexicon as lx
 from .autodiff import ConfigError, Tensor
-from .corpus import Sentence, Vocab
+from .corpus import UNK, Sentence, Vocab
 from .decode import ScoredSpan
 from .optim import Adam, DivergenceError, clip_global_norm
 
@@ -63,6 +63,12 @@ class ModelConfig:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
         if self.k_cut < 0 or self.max_entity_len < 1:
             raise ConfigError("k_cut must be >= 0 and max_entity_len >= 1")
+        for name in ("bucket_cap", "char_hidden", "char_layers", "frag_hidden",
+                     "head_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.head_layers < 0:
+            raise ConfigError(f"head_layers must be >= 0, got {self.head_layers}")
 
     @property
     def d_w(self) -> int:
@@ -203,20 +209,6 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def memory_layouts(self, sent: Sentence, lex: lx.Lexicon | None,
-                       spans: list[tuple[int, int]]) -> lx.SentenceLayout:
-        """The sentence's memory layout; with no lexicon every bucket is null."""
-        cfg = self.config
-        unk = self.vocab.lex.id("<unk>")
-        layouts = []
-        for i, j in spans:
-            matches = ([] if lex is None
-                       else lx.match_fragment(lex, sent.text[i:j + 1]))
-            layouts.append(lx.bucketize(
-                matches, cfg.k_cut, lex if lex is not None else _EMPTY_LEX,
-                lambda w: self.vocab.lex.id(w, unk), cap=cfg.bucket_cap))
-        return lx.SentenceLayout.of(layouts, cfg.k_cut)
-
     def score_spans(self, sent: Sentence, layout: lx.SentenceLayout,
                     spans: list[tuple[int, int]],
                     dropout_rate: float = 0.0,
@@ -253,14 +245,6 @@ class Model:
             r = ad.tanh(ad.linear(r, p[f"head_w{layer}"], p[f"head_b{layer}"]))
         logits = ad.linear(r, p["head_out_w"], p["head_out_b"])
         return ad.softmax_rows(logits), attn_dump
-
-
-class _NoLexicon:
-    def freq(self, word):
-        return 0.0
-
-
-_EMPTY_LEX = _NoLexicon()
 
 
 def span_labels(sent: Sentence, spans: list[tuple[int, int]],
@@ -386,8 +370,11 @@ def train_model(model: Model, train_sents: list[Sentence],
 def _prepare(model: Model, sent: Sentence, lex):
     if sent.char_ids is None:
         model.vocab.encode(sent)
-    spans = encoders.enumerate_fragments(len(sent), model.config.max_entity_len)
-    layout = model.memory_layouts(sent, lex, spans)
+    cfg, table = model.config, model.vocab.lex
+    spans = encoders.enumerate_fragments(len(sent), cfg.max_entity_len)
+    unk = table.id(UNK)
+    layout = lx.SentenceLayout.build(lex, sent.text, spans, cfg.k_cut, cfg.bucket_cap,
+                                     lambda w: table.id(w, unk))
     targets = span_labels(sent, spans, model.vocab)
     return sent, spans, layout, targets
 

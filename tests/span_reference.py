@@ -1,4 +1,4 @@
-"""Per-span reference of ``Model.score_spans``.
+"""Per-span reference of ``Model.score_spans`` and its memory layout.
 
 The model scores all spans of a sentence as the rows of matrices: one
 coefficient-matrix product per bag-of-words or forgetting encoding and one
@@ -7,14 +7,24 @@ replaced, for the tests to compare against: per-vector tape ops, one
 feature vector per character, incremental fragment encoders that return a
 dict, a memory matrix per span (``assemble_memory``) and one attention per
 span (``attend``), concatenated with the fragment vector.
+
+The model matches a sentence against the lexicon once and lays out the
+memory of all its spans in ``SentenceLayout.build``. This module keeps the
+per-span path that it replaced: each fragment matched on its own by four
+walks over a forward and a reverse trie (``Matcher``), bucketed into a
+``MemoryLayout`` (``bucketize``), and the span layouts joined into one
+``SentenceLayout`` (``sentence_layout``).
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 import lexner.autodiff as ad
-from lexner.autodiff import ShapeError, Tensor, _begin
+from lexner.autodiff import ConfigError, ShapeError, Tensor, _begin
 from lexner.encoders import lstm_run
+from lexner.lexicon import (EXACT, INFIX, MODES, PREFIX, SUFFIX, Match,
+                            SentenceLayout, Trie, bucket_count, bucket_name)
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +239,139 @@ def score_spans(model, sent, layouts, spans, dropout_rate=0.0, rng=None,
         r = ad.tanh(ad.linear(r, p[f"head_w{layer}"], p[f"head_b{layer}"]))
     logits = ad.linear(r, p["head_out_w"], p["head_out_b"])
     return ad.softmax_rows(logits), attn_dump
+
+
+# ---------------------------------------------------------------------------
+# per-span matching and memory layout
+
+
+def sort_key(match: Match):
+    return (MODES.index(match.mode), match.k, match.word_id)
+
+
+class Matcher:
+    """Matches one fragment at a time over a forward and a reverse trie."""
+
+    def __init__(self, lex):
+        self.fwd, self.rev = Trie(), Trie()
+        for w, i in lex.word_id.items():
+            self.fwd.insert(w, i)
+            self.rev.insert(w[::-1], i)
+
+    def match(self, fragment: str) -> list[Match]:
+        """All (word, mode) matches for a fragment, one mode per word, in
+        ``sort_key`` order."""
+        if not fragment:
+            raise ValueError("cannot match an empty fragment")
+        n = len(fragment)
+        by_word: dict[int, Match] = {}
+
+        def offer(match: Match):
+            held = by_word.get(match.word_id)
+            if held is None or sort_key(match) < sort_key(held):
+                by_word[match.word_id] = match
+
+        for k, wid in self.fwd.walk_prefixes(fragment):
+            offer(Match(wid, fragment[:k], EXACT if k == n else PREFIX, k))
+        rev = fragment[::-1]
+        for k, wid in self.rev.walk_prefixes(rev):
+            if k < n:
+                offer(Match(wid, fragment[n - k:], SUFFIX, k))
+        # interior occurrences: start >= 1, end <= n - 2
+        for start in range(1, n - 1):
+            for k, wid in self.fwd.walk_prefixes(fragment, start, n - 1):
+                offer(Match(wid, fragment[start:start + k], INFIX, k))
+        return sorted(by_word.values(), key=sort_key)
+
+
+def bucket_of(match: Match, k_cut: int) -> int:
+    if match.mode == EXACT:
+        return 0
+    if match.mode == PREFIX:
+        return match.k if match.k <= k_cut else k_cut + 1
+    if match.mode == SUFFIX:
+        return k_cut + 1 + match.k if match.k <= k_cut else 2 * k_cut + 2
+    return 2 * k_cut + 3
+
+
+@dataclass
+class MemoryLayout:
+    """One fragment's memory: ``lex_ids`` and ``mode_ids`` of the real match
+    rows (mode id == bucket id), and ``null_buckets``, the empty buckets.
+    Row order: real rows sorted by bucket then match order, followed by null
+    rows by bucket."""
+
+    lex_ids: np.ndarray
+    mode_ids: np.ndarray
+    null_buckets: np.ndarray
+    bucket_of_row: np.ndarray
+    words: list[str]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.bucket_of_row)
+
+    def row_labels(self, k_cut: int) -> list[str]:
+        real = [f"{w}[{bucket_name(b, k_cut)}]"
+                for w, b in zip(self.words, self.bucket_of_row)]
+        real += [f"-[{bucket_name(int(b), k_cut)}]" for b in self.null_buckets]
+        return real
+
+
+def bucketize(matches: list[Match], k_cut: int, freq, vocab_lex_id,
+              cap: int = 8) -> MemoryLayout:
+    """Group matches into 2K+4 buckets, capping each at ``cap`` rows.
+
+    Overfull buckets keep the longest-k matches first, then the most
+    frequent words (``freq`` maps a word to its frequency).
+    ``vocab_lex_id`` maps a word string to its embedding row.
+    """
+    if k_cut < 0:
+        raise ConfigError(f"bucket cutoff must be nonnegative, got {k_cut}")
+    buckets: dict[int, list[Match]] = {}
+    for m in matches:
+        buckets.setdefault(bucket_of(m, k_cut), []).append(m)
+    lex_ids, mode_ids, row_buckets, words = [], [], [], []
+    for b in sorted(buckets):
+        group = buckets[b]
+        if len(group) > cap:
+            group = sorted(group, key=lambda m: (-m.k, -freq(m.word), m.word_id))[:cap]
+            group.sort(key=sort_key)
+        for m in group:
+            lex_ids.append(vocab_lex_id(m.word))
+            mode_ids.append(b)
+            row_buckets.append(b)
+            words.append(m.word)
+    null = [b for b in range(bucket_count(k_cut)) if b not in buckets]
+    return MemoryLayout(
+        lex_ids=np.array(lex_ids, dtype=np.intp),
+        mode_ids=np.array(mode_ids, dtype=np.intp),
+        null_buckets=np.array(null, dtype=np.intp),
+        bucket_of_row=np.array(row_buckets + null, dtype=np.intp),
+        words=words,
+    )
+
+
+def memory_layouts(lex, text, spans, k_cut, cap, lex_id) -> list[MemoryLayout]:
+    """One ``MemoryLayout`` per span, from the arguments of
+    ``SentenceLayout.build``; with no lexicon every bucket is null."""
+    if lex is None:
+        return [bucketize([], k_cut, None, lex_id, cap) for _ in spans]
+    matcher = Matcher(lex)
+    return [bucketize(matcher.match(text[i:j + 1]), k_cut, lex.freq, lex_id, cap)
+            for i, j in spans]
+
+
+def sentence_layout(layouts: list[MemoryLayout], k_cut: int) -> SentenceLayout:
+    """The span layouts joined into one ragged sentence layout."""
+    n = len(layouts)
+    null_mask = np.zeros((n, bucket_count(k_cut)), dtype=bool)
+    for s, layout in enumerate(layouts):
+        null_mask[s, layout.null_buckets] = True
+    return SentenceLayout(
+        lex_ids=np.concatenate([l.lex_ids for l in layouts]),
+        mode_ids=np.concatenate([l.mode_ids for l in layouts]),
+        row_span=np.repeat(np.arange(n), [len(l.lex_ids) for l in layouts]),
+        null_mask=null_mask,
+        words=np.array([w for l in layouts for w in l.words], dtype=object),
+    )

@@ -3,9 +3,13 @@ import os
 import numpy as np
 import pytest
 
+from lexner import checkpoint
 from lexner.cli import main
-from lexner.corpus import write_corpus
+from lexner.corpus import read_corpus, write_corpus
+from lexner.lexicon import Lexicon
 from lexner.synth import make_corpus
+
+import span_reference as ref
 
 # small recipe that reliably learns the synthetic corpus on CPU
 FAST = ["--d-char", "16", "--d-seg", "8", "--d-pos", "8", "--d-lex", "24",
@@ -51,6 +55,12 @@ class TestTrain:
         args[i + 1] = str(workdir / "no_such_file.txt")
         assert main(args) == 2
         assert "lexicon" in capsys.readouterr().err
+
+    def test_bad_bucket_cap_exits_2(self, workdir, capsys):
+        args = train_args(workdir, ckpt="x.ckpt", log="x.csv") + ["--bucket-cap", "0"]
+        assert main(args) == 2
+        assert "bucket_cap" in capsys.readouterr().err
+        assert not (workdir / "x.ckpt").exists()
 
     def test_artifacts_written(self, trained):
         assert (trained / "m.ckpt").exists()
@@ -159,6 +169,30 @@ class TestPredict:
             weights = np.array([float(x) for x in ws.split()])
             assert np.isclose(weights.sum(), 1.0)
             assert len(labels.split("|")) == len(weights)
+
+    def test_attention_labels_match_reference(self, trained):
+        # each dumped span lists its real rows by bucket, then its null rows
+        # by bucket, as the per-span reference lays them out
+        out = trained / "pred_attn_labels.txt"
+        assert main(["predict", "--checkpoint", str(trained / "m.ckpt"),
+                     "--input", str(trained / "dev.txt"), "--dump-attention",
+                     "--output-file", str(out)]) == 0
+        model, _ = checkpoint.load(str(trained / "m.ckpt"))
+        lex = Lexicon.from_file(str(trained / "lex.txt"))
+        cfg, table = model.config, model.vocab.lex
+        unk = table.id("<unk>")
+        sents = read_corpus(str(trained / "dev.txt"))
+        mixed = 0
+        for ln in out.read_text().splitlines():
+            if not ln.startswith("#attn\t"):
+                continue
+            _, sid, start, end, _, labels = ln.split("\t")
+            span = (int(start), int(end))
+            [want] = ref.memory_layouts(lex, sents[int(sid)].text, [span], cfg.k_cut,
+                                        cfg.bucket_cap, lambda w: table.id(w, unk))
+            assert labels.split("|") == want.row_labels(cfg.k_cut)
+            mixed += 0 < len(want.lex_ids) and len(want.null_buckets) > 0
+        assert mixed, "expected a span with both filled and null buckets"
 
 
 class TestSweep:

@@ -2,11 +2,20 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, Tape, Tensor
-from lexner.lexicon import (Lexicon, Match, SentenceLayout, Trie, bucket_count,
-                            bucket_name, bucket_of, bucketize, match_fragment)
+from lexner.encoders import enumerate_fragments
+from lexner.lexicon import (MODES, Lexicon, Match, SentenceLayout, Trie,
+                            bucket_count, bucket_name, bucket_of, match_fragment)
+from lexner.model import ModelConfig
+
+import span_reference as ref
+
+
+# CJK characters and one outside the Basic Multilingual Plane
+CJK = "希尔顿酒\U00020000"
 
 
 def brute_force_matches(frag, words):
@@ -48,13 +57,6 @@ class TestTrie:
 
     def test_empty_trie(self):
         assert list(Trie().walk_prefixes("abc")) == []
-
-    def test_lookup(self):
-        t = Trie()
-        t.insert("ab", 5)
-        assert t.lookup("ab") == 5
-        assert t.lookup("a") is None
-        assert t.lookup("abc") is None
 
 
 class TestLexicon:
@@ -132,6 +134,16 @@ class TestMatchFragment:
             # oracle applies the same priority order, so modes agree exactly
             assert got == want, frag
 
+    @given(words=st.lists(st.text(CJK, min_size=1, max_size=4), min_size=1, max_size=30),
+           frag=st.text(CJK, min_size=1, max_size=10))
+    def test_non_ascii_against_oracle(self, words, frag):
+        lex = Lexicon(words)
+        got = match_fragment(lex, frag)
+        assert ({m.word_id: (m.mode, m.k) for m in got}
+                == brute_force_matches(frag, lex.words))
+        assert all(m.word == lex.words[m.word_id] for m in got)
+        assert got == ref.Matcher(lex).match(frag)
+
 
 class TestBucketing:
     def test_bucket_count(self):
@@ -139,15 +151,10 @@ class TestBucketing:
         assert bucket_count(2) == 8
 
     def test_bucket_of_k2(self):
-        m = lambda mode, k: Match(0, "x" * k, mode, k)
-        assert bucket_of(m("exact", 3), 2) == 0
-        assert bucket_of(m("prefix", 1), 2) == 1
-        assert bucket_of(m("prefix", 2), 2) == 2
-        assert bucket_of(m("prefix", 9), 2) == 3    # residual prefix
-        assert bucket_of(m("suffix", 1), 2) == 4
-        assert bucket_of(m("suffix", 2), 2) == 5
-        assert bucket_of(m("suffix", 5), 2) == 6    # residual suffix
-        assert bucket_of(m("infix", 4), 2) == 7
+        mode = np.array([0, 1, 1, 1, 2, 2, 2, 3])   # indices into MODES
+        k = np.array([3, 1, 2, 9, 1, 2, 5, 4])
+        # prefix k=9 and suffix k=5 go to the residual buckets
+        assert bucket_of(mode, k, 2).tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
 
     def test_bucket_names_distinct(self):
         for k_cut in (0, 1, 2, 3):
@@ -157,59 +164,102 @@ class TestBucketing:
     def test_all_buckets_reachable(self):
         rng = np.random.default_rng(3)
         k_cut = 2
-        seen = set()
-        for _ in range(500):
-            mode = str(rng.choice(["exact", "prefix", "suffix", "infix"]))
-            k = int(rng.integers(1, 6))
-            b = bucket_of(Match(0, "x" * k, mode, k), k_cut)
-            assert 0 <= b < bucket_count(k_cut)
-            seen.add(b)
-        assert seen == set(range(bucket_count(k_cut)))
+        mode, k = rng.integers(0, 4, 500), rng.integers(1, 6, 500)
+        got = bucket_of(mode, k, k_cut)
+        assert got.tolist() == [ref.bucket_of(Match(0, "x" * int(n), MODES[m], int(n)),
+                                              k_cut) for m, n in zip(mode, k)]
+        assert set(got.tolist()) == set(range(bucket_count(k_cut)))
 
     def test_empty_matches_all_null(self):
-        lex = Lexicon(["ab"])
-        layout = bucketize([], 2, lex, vocab_lex_id=lambda w: 0)
+        layout = SentenceLayout.build(None, "ab", [(0, 1)], 2, 8, lambda w: 0)
         assert len(layout.lex_ids) == 0
-        assert sorted(layout.null_buckets) == list(range(8))
-        assert layout.n_rows == 8
+        assert layout.null_mask.tolist() == [[True] * 8]
 
     def test_row_count_one_per_match_plus_nulls(self):
         lex = Lexicon(["a", "ab", "b"])
         matches = match_fragment(lex, "ab")
-        layout = bucketize(matches, 2, lex, vocab_lex_id=lambda w: 1)
-        occupied = {bucket_of(m, 2) for m in matches}
+        layout = SentenceLayout.build(lex, "ab", [(0, 1)], 2, 8, lambda w: 1)
+        occupied = set(bucket_of(np.array([MODES.index(m.mode) for m in matches]),
+                                 np.array([m.k for m in matches]), 2).tolist())
         assert len(layout.lex_ids) == len(matches)
-        assert set(int(b) for b in layout.null_buckets) == set(range(8)) - occupied
-        assert layout.n_rows == len(matches) + len(layout.null_buckets)
+        assert set(np.flatnonzero(layout.null_mask[0])) == set(range(8)) - occupied
 
     def test_mode_id_equals_bucket_id(self):
         lex = Lexicon(["a", "ab", "b"])
-        layout = bucketize(match_fragment(lex, "ab"), 2, lex,
-                           vocab_lex_id=lambda w: 0)
-        assert np.array_equal(layout.mode_ids,
-                              layout.bucket_of_row[:len(layout.mode_ids)])
+        matches = match_fragment(lex, "ab")
+        layout = SentenceLayout.build(lex, "ab", [(0, 1)], 2, 8, lambda w: 0)
+        assert layout.mode_ids.tolist() == bucket_of(
+            np.array([MODES.index(m.mode) for m in matches]),
+            np.array([m.k for m in matches]), 2).tolist()
 
     def test_cap_prefers_longest_then_frequent(self):
-        words = [f"w{i}" for i in range(12)]
-        freqs = {w: float(i) for i, w in enumerate(words)}
+        # twelve infixes of "#abcdefghijkl#": four words each of k = 3, 2, 1
+        words = ["abc", "def", "ghi", "jkl", "bc", "ef", "hi", "kl", "a", "d", "g", "j"]
+        freqs = {"ef": 5.0, "kl": 5.0, "hi": 1.0}
         lex = Lexicon(words, freqs)
-        matches = [Match(i, words[i], "infix", (i % 3) + 1) for i in range(12)]
-        layout = bucketize(matches, 0, lex, vocab_lex_id=lambda w: 0, cap=8)
-        assert len(layout.words) == 8
-        kept_ks = sorted((int(w[1:]) % 3) + 1 for w in layout.words)
-        # the four k=3 and four k=2 matches beat every k=1 match
-        assert kept_ks == [2, 2, 2, 2, 3, 3, 3, 3]
+        text = "#abcdefghijkl#"
+        for cap, kept in ((8, words[:8]), (6, words[:4] + ["ef", "kl"]),
+                          (5, words[:4] + ["ef"])):
+            layout = SentenceLayout.build(lex, text, [(0, len(text) - 1)], 0, cap,
+                                          lex.word_id.get)
+            # the longest words win, then the most frequent, then the lowest id;
+            # the kept rows are ordered by length, then word id
+            want = sorted(kept, key=lambda w: (len(w), lex.word_id[w]))
+            assert layout.words.tolist() == want
+            assert layout.lex_ids.tolist() == [lex.word_id[w] for w in want]
 
     def test_negative_cutoff_rejected(self):
-        lex = Lexicon(["a"])
         with pytest.raises(ConfigError):
-            bucketize([], -1, lex, vocab_lex_id=lambda w: 0)
+            ModelConfig(k_cut=-1).validate()
+
+
+class TestSentenceLayout:
+    """``SentenceLayout.build`` against the per-span reference: every array,
+    word and attention row label equal."""
+
+    def check(self, lex, text, spans, k_cut, cap):
+        def lex_id(w):
+            return len(w) + 7 * lex.word_id[w] % 3
+        layout = SentenceLayout.build(lex, text, spans, k_cut, cap, lex_id)
+        per_span = ref.memory_layouts(lex, text, spans, k_cut, cap, lex_id)
+        want = ref.sentence_layout(per_span, k_cut)
+        for name in ("lex_ids", "mode_ids", "row_span", "null_mask"):
+            got, expected = getattr(layout, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        assert layout.words.tolist() == want.words.tolist()
+        p_real = np.arange(len(layout.lex_ids), dtype=float)
+        p_null = -np.arange(layout.null_mask.size, dtype=float).reshape(
+            layout.null_mask.shape)
+        rows = layout.attention_rows(p_real, p_null, k_cut)
+        lo = 0
+        for s, ((weights, labels), span) in enumerate(zip(rows, per_span, strict=True)):
+            hi = lo + len(span.lex_ids)
+            assert labels == span.row_labels(k_cut)
+            assert weights.tolist() == (p_real[lo:hi].tolist()
+                                        + p_null[s, span.null_buckets].tolist())
+            lo = hi
+
+    @given(text=st.text("abcd", min_size=1, max_size=14),
+           entries=st.lists(st.tuples(st.text("abcd", min_size=1, max_size=4),
+                                      st.sampled_from([0.0, 1.0, 2.0])),
+                            min_size=1, max_size=25),
+           use_lex=st.booleans(), k_cut=st.integers(0, 3), cap=st.integers(1, 3),
+           max_len=st.integers(1, 8))
+    def test_equals_per_span_reference(self, text, entries, use_lex, k_cut, cap,
+                                       max_len):
+        lex = Lexicon([w for w, _ in entries], dict(entries)) if use_lex else None
+        spans = enumerate_fragments(len(text), max_len)
+        self.check(lex, text, spans, k_cut, cap)
+
+    def test_any_span_order(self):
+        lex = Lexicon(["ab", "b", "bc", "abc", "c"])
+        self.check(lex, "abcab", [(1, 2), (0, 4), (0, 2), (3, 3), (0, 0)], 1, 1)
 
 
 def attend_layout(layout, emb_lex, emb_mod, null_rows, d_f=2):
     """The model's memory step over a sentence layout, with a zero
     bilinear map: every span weighs its rows equally."""
-    n = len(layout.per_span)
+    n = len(layout.null_mask)
     memory = ad.hconcat(ad.gather_rows(emb_lex, layout.lex_ids),
                         ad.gather_rows(emb_mod, layout.mode_ids))
     ctx, weights = ad.memory_attention(
@@ -221,11 +271,9 @@ def attend_layout(layout, emb_lex, emb_mod, null_rows, d_f=2):
 class TestAssemble:
     def test_one_real_row_plus_nulls(self):
         lex = Lexicon(["希尔顿"])
-        matches = match_fragment(lex, "希尔顿")
-        assert len(matches) == 1
-        layout = SentenceLayout.of(
-            [bucketize(matches, 2, lex, vocab_lex_id=lambda w: 2),
-             bucketize([], 2, lex, vocab_lex_id=lambda w: 2)], 2)
+        # the second span, "尔", matches nothing
+        layout = SentenceLayout.build(lex, "希尔顿", [(0, 2), (1, 1)], 2, 8,
+                                      lambda w: 2)
         assert layout.lex_ids.tolist() == [2]
         assert layout.mode_ids.tolist() == [0]
         assert layout.row_span.tolist() == [0]
@@ -247,9 +295,20 @@ class TestAssemble:
                                             for b in range(1, 8)]
         assert np.allclose(weights, 1 / 8)
 
+    def test_labels_real_rows_by_bucket_then_null_rows(self):
+        lex = Lexicon(["酒店", "尔顿", "顿", "希尔", "希尔顿"])
+        layout = SentenceLayout.build(lex, "希尔顿酒店", [(0, 2), (3, 4)], 1, 8,
+                                      lex.word_id.get)
+        (_, hilton), (_, hotel) = layout.attention_rows(
+            np.zeros(len(layout.lex_ids)), np.zeros(layout.null_mask.shape), 1)
+        assert hilton == ["希尔顿[exact]", "希尔[prefix->1]", "顿[suffix-1]",
+                          "尔顿[suffix->1]", "-[prefix-1]", "-[infix]"]
+        assert hotel == ["酒店[exact]", "-[prefix-1]", "-[prefix->1]", "-[suffix-1]",
+                         "-[suffix->1]", "-[infix]"]
+
     def test_gradient_reaches_null_rows(self):
         lex = Lexicon(["xy"])
-        layout = SentenceLayout.of([bucketize([], 2, lex, vocab_lex_id=lambda w: 0)], 2)
+        layout = SentenceLayout.build(lex, "ab", [(0, 1)], 2, 8, lambda w: 0)
         assert len(layout.lex_ids) == 0
         emb_lex = Tensor(np.zeros((1, 4)), tracked=True)
         emb_mod = Tensor(np.zeros((8, 2)), tracked=True)
@@ -266,9 +325,8 @@ class TestAssemble:
 
     def test_gradient_reaches_embeddings(self):
         lex = Lexicon(["ab", "a"])
-        layouts = [bucketize(match_fragment(lex, frag), 0, lex,
-                             vocab_lex_id=lambda w: lex.word_id[w]) for frag in ("ab", "a")]
-        layout = SentenceLayout.of(layouts, 0)
+        layout = SentenceLayout.build(lex, "ab", [(0, 1), (0, 0)], 0, 8,
+                                      lex.word_id.get)
         emb_lex = Tensor(np.zeros((2, 3)), tracked=True)
         emb_mod = Tensor(np.zeros((4, 2)), tracked=True)
         null_rows = Tensor(np.zeros((4, 5)), tracked=True)

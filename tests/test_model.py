@@ -9,7 +9,7 @@ from lexner.autodiff import ConfigError, Tape, Tensor
 from lexner.corpus import Sentence, Vocab
 from lexner.encoders import enumerate_fragments
 from lexner.lexicon import (EXACT, INFIX, PREFIX, SUFFIX, Lexicon, Match,
-                            SentenceLayout, bucket_count, bucket_of, bucketize)
+                            SentenceLayout, bucket_count)
 from lexner.model import (Model, ModelConfig, SPARSE_TABLES, TrainSettings,
                           _prepare, param_shapes, span_labels, train_model)
 from lexner.optim import Adam
@@ -46,6 +46,14 @@ class TestModelConfig:
     def test_bad_gamma(self):
         with pytest.raises(ConfigError):
             ModelConfig(gamma=-1.0).validate()
+
+    @pytest.mark.parametrize("over", [
+        {"bucket_cap": 0}, {"bucket_cap": -1}, {"char_hidden": 0},
+        {"head_layers": -1}, {"char_layers": 0, "char_encoder": "birnn"},
+        {"frag_hidden": 0, "fragment_encoder": "birnn"}, {"head_hidden": 0}])
+    def test_bad_sizes_rejected(self, over):
+        with pytest.raises(ConfigError, match=next(iter(over))):
+            ModelConfig(**over).validate()
 
     def test_derived_dims(self):
         cfg = ModelConfig()
@@ -119,10 +127,11 @@ class TestClassify:
         sent = sents[0]
         model.vocab.encode(sent)
         spans = [(0, 2), (1, 1)]
-        layout = model.memory_layouts(sent, lex, spans)
+        args = (lex, sent.text, spans, model.config.k_cut, model.config.bucket_cap,
+                model.vocab.lex.id)
         with Tape():
-            probs, _ = model.score_spans(sent, layout, spans)
-            want, _ = ref.score_spans(model, sent, layout.per_span, spans)
+            probs, _ = model.score_spans(sent, SentenceLayout.build(*args), spans)
+            want, _ = ref.score_spans(model, sent, ref.memory_layouts(*args), spans)
         assert probs.shape == (2, model.config.n_types)
         assert np.allclose(probs.values, want.values, rtol=0, atol=1e-12)
 
@@ -152,8 +161,8 @@ def random_layouts(rng, n_spans, k_cut, cap, lex, fill):
                     wid = int(next(words))
                     mode, k = mode_and_k(b)
                     matches.append(Match(wid, lex.words[wid], mode, k))
-                    assert bucket_of(matches[-1], k_cut) == b
-        layouts.append(bucketize(matches, k_cut, lex, lex.word_id.get, cap=cap))
+                    assert ref.bucket_of(matches[-1], k_cut) == b
+        layouts.append(ref.bucketize(matches, k_cut, lex.freq, lex.word_id.get, cap=cap))
         n_matches += len(matches)
     return layouts, n_matches
 
@@ -175,7 +184,7 @@ class TestBatchedMatchesPerSpan:
             with Tape() as tape:
                 if batched:
                     probs, attn = model.score_spans(
-                        sent, SentenceLayout.of(layouts, model.config.k_cut), spans,
+                        sent, ref.sentence_layout(layouts, model.config.k_cut), spans,
                         dropout, rng, training, want_attention=True)
                 else:
                     probs, attn = ref.score_spans(model, sent, layouts, spans, dropout,
@@ -197,6 +206,13 @@ class TestBatchedMatchesPerSpan:
             assert labels == want_labels
             np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def reference_layouts(model, sent, lex, spans):
+        table = model.vocab.lex
+        unk = table.id("<unk>")
+        return ref.memory_layouts(lex, sent.text, spans, model.config.k_cut,
+                                  model.config.bucket_cap, lambda w: table.id(w, unk))
+
     def world(self, seed, **over):
         train, _, words = make_corpus(seed, n_train=3, n_dev=0)
         lex = Lexicon(words)
@@ -215,7 +231,8 @@ class TestBatchedMatchesPerSpan:
                     sent, spans, layout, _ = _prepare(model, sents[0],
                                                       lex if use_lex else None)
                     assert (len(layout.lex_ids) > 0) == use_lex
-                    self.check(model, sent, layout.per_span, spans)
+                    self.check(model, sent, self.reference_layouts(
+                        model, sent, lex if use_lex else None, spans), spans)
 
     def test_full_buckets_and_cap_truncation(self):
         rng = np.random.default_rng(4)
@@ -235,8 +252,9 @@ class TestBatchedMatchesPerSpan:
     def test_training_dropout_masks_match(self):
         for char in ("baseline", "birnn"):
             model, sents, lex = self.world(5, char_encoder=char, fragment_encoder="fofe")
-            sent, spans, layout, _ = _prepare(model, sents[1], lex)
-            self.check(model, sent, layout.per_span, spans, dropout=0.3, training=True)
+            sent, spans, _, _ = _prepare(model, sents[1], lex)
+            self.check(model, sent, self.reference_layouts(model, sent, lex, spans),
+                       spans, dropout=0.3, training=True)
 
 
 class TestFocalValues:
