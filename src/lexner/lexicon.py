@@ -216,6 +216,8 @@ class SentenceLayout:
         uniq, word = np.unique(wid, return_inverse=True)
         words = [lex.words[w] for w in uniq.tolist()]
         freq = np.array([lex.freq(w) for w in words])[word]
+        # best first within each (span, bucket); a match's rank is its offset
+        # from the start of its group, and the first ``cap`` ranks are kept
         order = np.lexsort((wid, -freq, -k, bucket, span))
         group = (span * bucket_count(k_cut) + bucket)[order]
         kept = np.sort(order[np.arange(len(order)) - np.searchsorted(group, group) < cap])
