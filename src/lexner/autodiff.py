@@ -20,6 +20,8 @@ class ConfigError(ValueError):
 
 
 _TAPE_STACK: list["Tape"] = []
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
 
 
 def active_tape() -> "Tape | None":
@@ -29,8 +31,9 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """Dense float64 array with an optional same-shape gradient buffer.
 
-    ``touched_rows`` records which rows of a 2-D parameter received gradient
-    during the current step; the sparse Adam mode consumes it.
+    ``touched_rows`` is an index array of the rows of a 2-D parameter that
+    received gradient during the current step, with repeats; the sparse
+    Adam mode consumes it.
     """
 
     __slots__ = ("values", "grad", "tracked", "touched_rows")
@@ -39,7 +42,7 @@ class Tensor:
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.tracked = tracked
-        self.touched_rows: set[int] = set()
+        self.touched_rows = _NO_ROWS
 
     @property
     def shape(self):
@@ -53,7 +56,7 @@ class Tensor:
     def zero_grad(self):
         if self.grad is not None:
             self.grad.fill(0.0)
-        self.touched_rows.clear()
+        self.touched_rows = _NO_ROWS
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, tracked={self.tracked})"
@@ -125,35 +128,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    out, tape = _begin(a.values - b.values, a, b)
-    if tape:
-        def backward():
-            if a.tracked:
-                a.grad += out.grad
-            if b.tracked:
-                b.grad -= out.grad
-        tape.record(backward)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out, tape = _begin(a.values * b.values, a, b)
-    if tape:
-        av, bv = a.values.copy(), b.values.copy()
-        def backward():
-            if a.tracked:
-                a.grad += out.grad * bv
-            if b.tracked:
-                b.grad += out.grad * av
-        tape.record(backward)
-    return out
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     out, tape = _begin(x.values * c, x)
     if tape:
@@ -173,41 +147,12 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out, tape = _begin(1.0 / (1.0 + np.exp(-x.values)), x)
-    if tape:
-        ov = out.values
-        def backward():
-            x.grad += out.grad * ov * (1.0 - ov)
-        tape.record(backward)
-    return out
-
-
 def exp(x: Tensor) -> Tensor:
     out, tape = _begin(np.exp(x.values), x)
     if tape:
         ov = out.values
         def backward():
             x.grad += out.grad * ov
-        tape.record(backward)
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    out, tape = _begin(np.log(x.values), x)
-    if tape:
-        xv = x.values.copy()
-        def backward():
-            x.grad += out.grad / xv
-        tape.record(backward)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out, tape = _begin(x.values.sum(), x)
-    if tape:
-        def backward():
-            x.grad += out.grad
         tape.record(backward)
     return out
 
@@ -251,52 +196,74 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def lstm_step(wx: Tensor, wh: Tensor, b: Tensor, x: Tensor, h: Tensor,
-              c: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step ``(h_new, c_new)`` recorded as a single tape node.
+def lstm_sequence(x: Tensor, index: np.ndarray, wx: Tensor, wh: Tensor,
+                  b: Tensor) -> Tensor:
+    """Hidden states of B LSTM chains from zero state, one tape node.
 
-    Gate rows of ``wx``, ``wh`` and ``b`` are laid out as 4h rows in
-    i, f, g, o order. The forward keeps the arithmetic order of the per-op
-    composition, ``(wx x + wh h) + b``, ``1 / (1 + exp(-z))``,
-    ``f c + i g`` and ``o tanh(c_new)``, so its values match it bit for bit.
+    Step ``t`` of chain ``b`` reads row ``index[b, t]`` of ``x``; row
+    ``b T + t`` of the (B T) x h result is the state after that step. Gate
+    rows of ``wx``, ``wh`` and ``b`` are laid out as 4h rows in i, f, g, o
+    order, and a step computes ``(wx x + wh h) + b``. Each row of ``x`` is
+    projected once. A state depends only on the steps before it, so chains
+    of different lengths share one call: pad each at its tail and read no
+    padded state, which then gets zero gradient.
     """
+    idx = np.asarray(index, dtype=np.intp)
     four_h = b.shape[0] if b.values.ndim == 1 else -1
     hid = four_h // 4
-    if (four_h % 4 or x.values.ndim != 1 or wx.shape != (four_h, x.shape[0])
-            or wh.shape != (four_h, hid) or h.shape != (hid,) or c.shape != (hid,)):
-        raise ShapeError(f"lstm_step: incompatible shapes wx {wx.shape}, wh {wh.shape}, "
-                         f"b {b.shape}, x {x.shape}, h {h.shape}, c {c.shape}")
-    pre = (wx.values @ x.values + wh.values @ h.values) + b.values
-    sig = 1.0 / (1.0 + np.exp(-pre))
-    i, f, o = sig[:hid], sig[hid:2 * hid], sig[3 * hid:]
-    g = np.tanh(pre[2 * hid:3 * hid])
-    c_new = f * c.values + i * g
-    tc = np.tanh(c_new)
-    h_out, tape = _begin(o * tc, wx, wh, b, x, h, c)
-    c_out = Tensor(c_new, tracked=h_out.tracked)
+    if (four_h % 4 or x.values.ndim != 2 or wx.shape != (four_h, x.shape[1])
+            or wh.shape != (four_h, hid) or idx.ndim != 2):
+        raise ShapeError(f"lstm_sequence: incompatible shapes x {x.shape}, index "
+                         f"{idx.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        raise ShapeError("lstm_sequence: index out of range")
+    n_seq, steps = idx.shape
+    proj = x.values @ wx.values.T
+    wh_t, bias = wh.values.T, b.values
+    # gates[t] holds the i, f, g, o gates of step t, hs[t + 1] and cs[t + 1]
+    # its states, and hs[0] and cs[0] the zero start
+    gates = np.empty((steps, 4, n_seq, hid))
+    hs, cs = np.zeros((2, steps + 1, n_seq, hid))
+    tcs = np.empty((steps, n_seq, hid))
+    for t in range(steps):
+        pre = ((proj[idx[:, t]] + hs[t] @ wh_t) + bias).reshape(n_seq, 4, hid)
+        i, f, g, o = act = gates[t]
+        np.divide(1.0, 1.0 + np.exp(-pre.transpose(1, 0, 2)), out=act)
+        np.tanh(pre[:, 2], out=g)
+        cs[t + 1] = f * cs[t] + i * g
+        np.tanh(cs[t + 1], out=tcs[t])
+        hs[t + 1] = o * tcs[t]
+    out, tape = _begin(hs[1:].transpose(1, 0, 2).reshape(n_seq * steps, hid),
+                       x, wx, wh, b)
     if tape:
-        c_out.ensure_grad()
-        wxv, whv = wx.values.copy(), wh.values.copy()
-        xv, hv, cv = x.values.copy(), h.values.copy(), c.values.copy()
+        xv, wxv, whv = x.values.copy(), wx.values.copy(), wh.values.copy()
         def backward():
-            dh = h_out.grad
-            dc = c_out.grad + dh * o * (1.0 - tc * tc)
-            dpre = np.concatenate([dc * g * i * (1.0 - i), dc * cv * f * (1.0 - f),
-                                   dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)])
-            if wx.tracked:
-                wx.grad += np.outer(dpre, xv)
+            g_out = out.grad.reshape(n_seq, steps, hid)
+            dpre = np.empty((steps, n_seq, four_h))
+            dh, dc = np.zeros((2, n_seq, hid))
+            for t in range(steps - 1, -1, -1):
+                i, f, g, o = gates[t]
+                dh = dh + g_out[:, t]
+                dc = dc + dh * o * (1.0 - tcs[t] * tcs[t])
+                dpre[t] = np.concatenate([dc * g * i * (1.0 - i), dc * cs[t] * f * (1.0 - f),
+                                          dc * i * (1.0 - g * g), dh * tcs[t] * o * (1.0 - o)],
+                                         axis=1)
+                dh = dpre[t] @ whv
+                dc = dc * f
+            flat = dpre.reshape(steps * n_seq, four_h)
             if wh.tracked:
-                wh.grad += np.outer(dpre, hv)
+                wh.grad += flat.T @ hs[:-1].reshape(steps * n_seq, hid)
             if b.tracked:
-                b.grad += dpre
-            if x.tracked:
-                x.grad += wxv.T @ dpre
-            if h.tracked:
-                h.grad += whv.T @ dpre
-            if c.tracked:
-                c.grad += dc * f
+                b.grad += flat.sum(axis=0)
+            if x.tracked or wx.tracked:
+                d_proj = np.zeros_like(proj)
+                np.add.at(d_proj, idx.T.ravel(), flat)
+                if wx.tracked:
+                    wx.grad += d_proj.T @ xv
+                if x.tracked:
+                    x.grad += d_proj @ wxv
         tape.record(backward)
-    return h_out, c_out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +281,6 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
                     r.grad += out.grad[i]
         tape.record(backward)
     return out
-
-
-def unstack_rows(x: Tensor) -> list[Tensor]:
-    """The rows of a matrix as vectors, recorded as one tape node.
-
-    The rows' gradient buffers are views into one matrix, which the
-    backward adds to ``x.grad`` at once.
-    """
-    if x.values.ndim != 2:
-        raise ShapeError(f"unstack_rows: expected a matrix, got shape {x.shape}")
-    rows = [Tensor(r) for r in x.values.copy()]
-    tape = active_tape()
-    if tape is None or not x.tracked:
-        return rows
-    x.ensure_grad()
-    grads = np.zeros_like(x.values)
-    for r, g in zip(rows, grads):
-        r.tracked, r.grad = True, g
-    def backward():
-        x.grad += grads
-    tape.record(backward)
-    return rows
 
 
 def hconcat(*parts: Tensor) -> Tensor:
@@ -363,7 +308,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     if tape:
         def backward():
             np.add.at(table.grad, idx, out.grad)
-            table.touched_rows.update(idx.tolist())
+            table.touched_rows = np.append(table.touched_rows, idx.ravel())
         tape.record(backward)
     return out
 

@@ -198,6 +198,10 @@ def read_corpus(path: str, fmt: str = "column-bmes",
             cols = line.split()
             if len(cols) != 4:
                 raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(cols)}")
+            if len(cols[0]) != 1:
+                # spans index ``Sentence.text`` by row
+                raise ParseError(f"{path}:{lineno}: expected one character in the "
+                                 f"first column, got {cols[0]!r}")
             rows.append(tuple(cols))
     flush()
     return sentences

@@ -3,8 +3,9 @@
 Every candidate span of length at most ``m`` gets one fixed-size vector.
 Bag-of-words mean and forgetting encoding are linear in the character
 vectors, so each is one product of a span coefficient matrix with the
-character matrix. The span-local bidirectional LSTM enumerates spans
-incrementally, reusing the state of shorter spans to build longer ones.
+character matrix. The span-local bidirectional LSTM runs a batch of
+forward chains, one from every start, and a batch of backward chains, one
+from every end, in two sequence ops; each span reads one state of each.
 """
 from __future__ import annotations
 
@@ -58,12 +59,10 @@ class LSTMCell:
     wh: Tensor
     b: Tensor
 
-    @property
-    def hidden(self) -> int:
-        return self.b.shape[0] // 4
-
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        return ad.lstm_step(self.wx, self.wh, self.b, x, h, c)
+    def run(self, x: Tensor, index: np.ndarray) -> Tensor:
+        """States of the chains over the rows ``index`` of ``x``; see
+        ``ad.lstm_sequence``."""
+        return ad.lstm_sequence(x, index, self.wx, self.wh, self.b)
 
 
 def lstm_init(d_in: int, hidden: int, rng: np.random.Generator) -> LSTMCell:
@@ -77,14 +76,9 @@ def lstm_init(d_in: int, hidden: int, rng: np.random.Generator) -> LSTMCell:
 
 def lstm_run(xs: list[Tensor], cell: LSTMCell, reverse: bool = False) -> list[Tensor]:
     """Hidden states aligned with ``xs``; ``reverse`` runs right to left."""
-    h = ad.constant(np.zeros(cell.hidden))
-    c = ad.constant(np.zeros(cell.hidden))
-    states: list[Tensor] = [None] * len(xs)
-    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-    for idx in order:
-        h, c = cell.step(xs[idx], h, c)
-        states[idx] = h
-    return states
+    order = np.arange(len(xs))[::-1] if reverse else np.arange(len(xs))
+    states = cell.run(ad.stack_rows(xs), order[None])
+    return [ad.gather_rows(states, k) for k in order]
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +100,12 @@ def encode_characters(w: Tensor, mode: str,
         raise ConfigError(f"unknown character encoder {mode!r}")
     if not layers:
         raise ConfigError("birnn character encoder requires LSTM layers")
+    right = np.arange(w.shape[0])[None]
+    left = right[:, ::-1]
     x = w
     for fwd, bwd in layers:
-        xs = ad.unstack_rows(x)
-        x = ad.hconcat(ad.stack_rows(lstm_run(xs, fwd)),
-                       ad.stack_rows(lstm_run(xs, bwd, reverse=True)))
+        # state t of the leftward chain belongs to position n - 1 - t
+        x = ad.hconcat(fwd.run(x, right), ad.gather_rows(bwd.run(x, left), left[0]))
     return x
 
 
@@ -163,32 +158,19 @@ def encode_fragments_birnn(t: Tensor | list[Tensor], spans: list[Span],
                            fwd: LSTMCell, bwd: LSTMCell) -> Tensor:
     """Final forward state ++ final backward state of a span-local BiLSTM.
 
-    Forward chains are shared across spans with a common start; backward
-    chains across spans with a common end.
+    One batch of forward chains runs from every start and one of backward
+    chains from every end, each as long as the longest span; span (i, j)
+    reads step j - i of the chain from i and of the chain from j. A chain
+    that runs past the sentence's edge repeats the edge character; no span
+    reads those states.
     """
-    rows = ad.unstack_rows(t) if isinstance(t, Tensor) else t
-    starts: dict[int, int] = {}
-    ends: dict[int, int] = {}
-    for i, j in spans:
-        starts[i] = max(starts.get(i, i), j)
-        ends[j] = min(ends.get(j, j), i)
-    zeros = ad.constant(np.zeros(fwd.hidden))
-    fchain: dict[int, list[Tensor]] = {}
-    for i, far in starts.items():
-        h, c = zeros, zeros
-        states = []
-        for k in range(i, far + 1):
-            h, c = fwd.step(rows[k], h, c)
-            states.append(h)
-        fchain[i] = states
-    bzeros = ad.constant(np.zeros(bwd.hidden))
-    bchain: dict[int, list[Tensor]] = {}
-    for j, near in ends.items():
-        h, c = bzeros, bzeros
-        states = []
-        for k in range(j, near - 1, -1):
-            h, c = bwd.step(rows[k], h, c)
-            states.append(h)
-        bchain[j] = states
-    return ad.hconcat(ad.stack_rows([fchain[i][j - i] for i, j in spans]),
-                      ad.stack_rows([bchain[j][j - i] for i, j in spans]))
+    x = t if isinstance(t, Tensor) else ad.stack_rows(t)
+    n = x.shape[0]
+    starts = np.array([i for i, _ in spans], dtype=np.intp)
+    ends = np.array([j for _, j in spans], dtype=np.intp)
+    steps = int((ends - starts).max()) + 1
+    origin, step = np.arange(n)[:, None], np.arange(steps)
+    f = fwd.run(x, np.minimum(origin + step, n - 1))
+    b = bwd.run(x, np.maximum(origin - step, 0))
+    return ad.hconcat(ad.gather_rows(f, starts * steps + ends - starts),
+                      ad.gather_rows(b, ends * steps + ends - starts))

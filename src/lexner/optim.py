@@ -17,7 +17,7 @@ class Adam:
 
     Decoupled weight decay multiplies parameters by (1 - lr * wd) before the
     moment update. Parameters named in ``sparse`` update only the rows
-    recorded in their ``touched_rows`` set, including the moment buffers;
+    recorded in their ``touched_rows``, including the moment buffers;
     untouched rows stay bit-identical. The step counter is per parameter and
     advances on every ``step`` call.
     """
@@ -53,10 +53,9 @@ class Adam:
             bc1 = 1.0 - self.beta1 ** st["t"]
             bc2 = 1.0 - self.beta2 ** st["t"]
             if name in self.sparse:
-                rows = sorted(p.touched_rows)
-                if not rows:
+                idx = np.unique(p.touched_rows)
+                if not len(idx):
                     continue
-                idx = np.asarray(rows, dtype=np.intp)
                 g = grad[idx]
                 if self.weight_decay:
                     p.values[idx] *= 1.0 - self.lr * self.weight_decay

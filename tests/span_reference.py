@@ -1,5 +1,11 @@
 """Per-span reference of ``Model.score_spans`` and its memory layout.
 
+The model runs each LSTM as a batch of chains in one ``lstm_sequence`` op.
+This module keeps the per-step path it replaced: one LSTM step composed of
+per-op tape nodes (``reference_step``) and chains of those steps
+(``lstm_run``), with the elementwise ops that only this path and the tests
+use (``sub``, ``mul``, ``sigmoid``, ``log``, ``sum_all``).
+
 The model scores all spans of a sentence as the rows of matrices: one
 coefficient-matrix product per bag-of-words or forgetting encoding and one
 fused memory-attention op. This module keeps the per-span path that it
@@ -22,9 +28,70 @@ import numpy as np
 
 import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, ShapeError, Tensor, _begin
-from lexner.encoders import lstm_run
 from lexner.lexicon import (EXACT, INFIX, MODES, PREFIX, SUFFIX, Match,
                             SentenceLayout, Trie, bucket_count, bucket_name)
+
+
+# ---------------------------------------------------------------------------
+# elementwise ops
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
+    out, tape = _begin(a.values - b.values, a, b)
+    if tape:
+        def backward():
+            if a.tracked:
+                a.grad += out.grad
+            if b.tracked:
+                b.grad -= out.grad
+        tape.record(backward)
+    return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
+    out, tape = _begin(a.values * b.values, a, b)
+    if tape:
+        av, bv = a.values.copy(), b.values.copy()
+        def backward():
+            if a.tracked:
+                a.grad += out.grad * bv
+            if b.tracked:
+                b.grad += out.grad * av
+        tape.record(backward)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out, tape = _begin(1.0 / (1.0 + np.exp(-x.values)), x)
+    if tape:
+        ov = out.values
+        def backward():
+            x.grad += out.grad * ov * (1.0 - ov)
+        tape.record(backward)
+    return out
+
+
+def log(x: Tensor) -> Tensor:
+    out, tape = _begin(np.log(x.values), x)
+    if tape:
+        xv = x.values.copy()
+        def backward():
+            x.grad += out.grad / xv
+        tape.record(backward)
+    return out
+
+
+def sum_all(x: Tensor) -> Tensor:
+    out, tape = _begin(x.values.sum(), x)
+    if tape:
+        def backward():
+            x.grad += out.grad
+        tape.record(backward)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +176,7 @@ def lookup(table: Tensor, index: int) -> Tensor:
     if tape:
         def backward():
             table.grad[index] += out.grad
-            table.touched_rows.add(int(index))
+            table.touched_rows = np.append(table.touched_rows, index)
         tape.record(backward)
     return out
 
@@ -127,6 +194,36 @@ def softmax(x: Tensor) -> Tensor:
             x.grad += p * (g - np.dot(p, g))
         tape.record(backward)
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-step LSTM
+
+
+def reference_step(cell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step ``(h_new, c_new)`` of per-op tape nodes; gate rows in
+    i, f, g, o order."""
+    hid = cell.wh.shape[1]
+    pre = ad.add(ad.add(matvec(cell.wx, x), matvec(cell.wh, h)), cell.b)
+    i = sigmoid(vslice(pre, 0, hid))
+    f = sigmoid(vslice(pre, hid, 2 * hid))
+    g = ad.tanh(vslice(pre, 2 * hid, 3 * hid))
+    o = sigmoid(vslice(pre, 3 * hid, 4 * hid))
+    c_new = ad.add(mul(f, c), mul(i, g))
+    h_new = mul(o, ad.tanh(c_new))
+    return h_new, c_new
+
+
+def lstm_run(xs: list[Tensor], cell, reverse: bool = False) -> list[Tensor]:
+    """Hidden states aligned with ``xs``, one ``reference_step`` per
+    vector from zero state; ``reverse`` runs right to left."""
+    h = c = ad.constant(np.zeros(cell.wh.shape[1]))
+    states: list[Tensor] = [None] * len(xs)
+    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
+    for k in order:
+        h, c = reference_step(cell, xs[k], h, c)
+        states[k] = h
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +256,7 @@ def encode_fragments_bow(t, spans):
     for v in t:
         prefix.append(ad.add(prefix[-1], v))
     return {(i, j): t[i] if i == j else
-            ad.scale(ad.sub(prefix[j + 1], prefix[i]), 1.0 / (j - i + 1))
+            ad.scale(sub(prefix[j + 1], prefix[i]), 1.0 / (j - i + 1))
             for i, j in spans}
 
 

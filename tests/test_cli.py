@@ -62,6 +62,16 @@ class TestTrain:
         assert "bucket_cap" in capsys.readouterr().err
         assert not (workdir / "x.ckpt").exists()
 
+    def test_multichar_token_exits_2(self, workdir, capsys):
+        lines = (workdir / "tiny.txt").read_text(encoding="utf-8").splitlines()
+        lines[4] = "ab" + lines[4][1:]
+        (workdir / "multichar.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = train_args(workdir, train="multichar.txt", ckpt="x.ckpt", log="x.csv")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "multichar.txt:5" in err and "'ab'" in err
+        assert not (workdir / "x.ckpt").exists()
+
     def test_artifacts_written(self, trained):
         assert (trained / "m.ckpt").exists()
         header, *rows = (trained / "log.csv").read_text().splitlines()

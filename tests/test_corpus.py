@@ -91,6 +91,11 @@ class TestReadCorpus:
         with pytest.raises(corpus.ParseError, match=":2"):
             read_corpus(path)
 
+    def test_multichar_token_reports_line(self, tmp_path):
+        path = self.write(tmp_path, "a\tS\tX\tO\n\nab\tS\tX\tO\nc\tS\tX\tO\n")
+        with pytest.raises(corpus.ParseError, match=r":3: .*'ab'"):
+            read_corpus(path)
+
     def test_truncation(self, tmp_path):
         path = self.write(tmp_path, "".join(f"c\tS\tX\tO\n" for _ in range(10)))
         sents = read_corpus(path, max_len=4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, Tape, Tensor
@@ -8,7 +9,8 @@ from lexner.encoders import (LSTMCell, char_feature_vectors,
                              encode_fragments_bow, encode_fragments_fofe,
                              enumerate_fragments, fragment_count, lstm_init,
                              lstm_run)
-from span_reference import matvec, vslice
+
+import span_reference as ref
 
 
 def rand_vecs(rng, n, d):
@@ -17,19 +19,6 @@ def rand_vecs(rng, n, d):
 
 def rand_matrix(rng, n, d):
     return Tensor(rng.normal(size=(n, d)))
-
-
-def reference_step(cell, x, h, c):
-    """Per-op LSTM step: the reference the fused ``ad.lstm_step`` must match."""
-    hid = cell.hidden
-    pre = ad.add(ad.add(matvec(cell.wx, x), matvec(cell.wh, h)), cell.b)
-    i = ad.sigmoid(vslice(pre, 0, hid))
-    f = ad.sigmoid(vslice(pre, hid, 2 * hid))
-    g = ad.tanh(vslice(pre, 2 * hid, 3 * hid))
-    o = ad.sigmoid(vslice(pre, 3 * hid, 4 * hid))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
 
 
 class TestFragmentEnumeration:
@@ -83,7 +72,6 @@ class TestLSTM:
         assert cell.wx.shape == (20, 3)
         assert cell.wh.shape == (20, 5)
         assert cell.b.shape == (20,)
-        assert cell.hidden == 5
 
     def test_zero_weights_zero_output(self):
         cell = LSTMCell(Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 2))),
@@ -110,57 +98,61 @@ class TestLSTM:
         cell = lstm_init(2, 3, rng)
         x = rng.normal(size=2)
         with Tape():
-            h, c = cell.step(Tensor(x), ad.constant(np.zeros(3)),
-                             ad.constant(np.zeros(3)))
+            h = lstm_run([Tensor(x)], cell)[0]
         pre = cell.wx.values @ x + cell.b.values
         sig = lambda z: 1.0 / (1.0 + np.exp(-z))
         i, f, g, o = sig(pre[:3]), sig(pre[3:6]), np.tanh(pre[6:9]), sig(pre[9:])
-        c_ref = i * g
-        assert np.allclose(c.values, c_ref)
-        assert np.allclose(h.values, o * np.tanh(c_ref))
+        assert np.allclose(h.values, o * np.tanh(i * g))
 
-    def test_fused_step_matches_per_op_reference(self):
-        # chains of fused steps against the same chains of per-op steps:
-        # forward bit-identical, every gradient equal to rounding
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            d = int(rng.integers(1, 9))
-            hid = int(rng.integers(1, 40)) if seed % 4 else int(rng.integers(100, 140))
-            steps = int(rng.integers(1, 5))
-            start_tracked = bool(seed % 2)
-            cell = lstm_init(d, hid, rng)
-            cell.b.values[:] = rng.normal(size=4 * hid)
-            xs = [ad.parameter(v) for v in rng.normal(size=(steps, d))]
-            h0 = rng.normal(size=hid) if start_tracked else np.zeros(hid)
-            c0 = rng.normal(size=hid) if start_tracked else np.zeros(hid)
-            u, v = rng.normal(size=hid), rng.normal(size=hid)
+    @given(st.data())
+    def test_sequence_matches_per_step_reference(self, data):
+        # B tail-padded chains in one op against per-op reference chains
+        # that read the same rows: forward within 1e-12, every gradient
+        # within rtol 1e-10, padded states unread
+        n_seq = data.draw(st.integers(1, 4), label="chains")
+        steps = data.draw(st.integers(1, 5), label="steps")
+        lengths = data.draw(st.lists(st.integers(1, steps), min_size=n_seq,
+                                     max_size=n_seq), label="lengths")
+        n = data.draw(st.integers(1, 6), label="rows")
+        d = data.draw(st.integers(1, 6), label="d")
+        hid = data.draw(st.integers(1, 9), label="hidden")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        index = rng.integers(0, n, size=(n_seq, steps))
+        cell = lstm_init(d, hid, rng)
+        cell.b.values[:] = rng.normal(size=4 * hid)
+        x = ad.parameter(rng.normal(size=(n, d)))
+        params = [x, cell.wx, cell.wh, cell.b]
+        read = [c * steps + t for c in range(n_seq) for t in range(lengths[c])]
+        probe = ad.constant(rng.normal(size=(len(read), hid)))
 
-            def run(step):
-                make = ad.parameter if start_tracked else ad.constant
-                h, c = make(h0), make(c0)
-                inputs = [cell.wx, cell.wh, cell.b, *xs, h, c]
-                states = []
-                with Tape() as tape:
-                    for x in xs:
-                        h, c = step(cell, x, h, c)
-                        states += [h.values, c.values]
-                    loss = ad.add(ad.sum_all(ad.mul(h, ad.constant(u))),
-                                  ad.sum_all(ad.mul(c, ad.constant(v))))
-                    tape.backward(loss)
-                grads = [None if t.grad is None else t.grad.copy() for t in inputs]
-                for t in inputs:
-                    t.grad = None
-                return states, grads
-
-            fused = run(LSTMCell.step)
-            ref = run(reference_step)
-            for a, b in zip(fused[0], ref[0], strict=True):
-                assert np.array_equal(a, b)
-            for a, b in zip(fused[1], ref[1], strict=True):
-                if b is None:
-                    assert a is None
+        def run(batched):
+            for p in params:
+                p.grad = None
+            with Tape() as tape:
+                if batched:
+                    states = ad.gather_rows(cell.run(x, index), read)
                 else:
-                    np.testing.assert_allclose(a, b, rtol=1e-10)
+                    states = ad.stack_rows([
+                        h for c in range(n_seq) for h in ref.lstm_run(
+                            [ref.lookup(x, k) for k in index[c, :lengths[c]]], cell)])
+                tape.backward(ref.sum_all(ref.mul(states, probe)))
+            return states.values, [p.grad.copy() for p in params]
+
+        got, got_grads = run(True)
+        want, want_grads = run(False)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for g, w in zip(got_grads, want_grads, strict=True):
+            np.testing.assert_allclose(g, w, rtol=1e-10)
+
+    def test_rejects_bad_shapes(self):
+        cell = lstm_init(3, 2, np.random.default_rng(0))
+        x = Tensor(np.zeros((4, 3)))
+        with pytest.raises(ad.ShapeError, match="incompatible"):
+            cell.run(x, np.arange(4))
+        with pytest.raises(ad.ShapeError, match="incompatible"):
+            cell.run(Tensor(np.zeros((4, 2))), np.arange(4)[None])
+        with pytest.raises(ad.ShapeError, match="out of range"):
+            cell.run(x, np.array([[0, 4]]))
 
 
 class TestEncodeCharacters:
@@ -176,13 +168,14 @@ class TestEncodeCharacters:
         with Tape():
             out = encode_characters(w, "birnn", layers)
         assert out.shape == (5, 6)
-        # the top layer's forward and backward states, side by side
+        # the top layer's per-step forward and backward states, side by side
         with Tape():
             xs = [Tensor(r) for r in w.values]
             for fwd, bwd in layers:
                 xs = [Tensor(np.concatenate([f.values, b.values])) for f, b in
-                      zip(lstm_run(xs, fwd), lstm_run(xs, bwd, reverse=True))]
-        assert np.array_equal(out.values, np.stack([x.values for x in xs]))
+                      zip(ref.lstm_run(xs, fwd), ref.lstm_run(xs, bwd, reverse=True))]
+        np.testing.assert_allclose(out.values, np.stack([x.values for x in xs]),
+                                   rtol=0, atol=1e-12)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -269,8 +262,8 @@ class TestFOFE:
 class TestFragmentBiRNN:
     def direct(self, t, i, j, fwd, bwd):
         with Tape():
-            f = lstm_run(t[i:j + 1], fwd)[-1]
-            b = lstm_run(t[i:j + 1], bwd, reverse=True)[0]
+            f = ref.lstm_run(t[i:j + 1], fwd)[-1]
+            b = ref.lstm_run(t[i:j + 1], bwd, reverse=True)[0]
         return np.concatenate([f.values, b.values])
 
     def test_matches_span_local_run(self):

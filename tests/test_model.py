@@ -179,7 +179,7 @@ class TestBatchedMatchesPerSpan:
         for batched in (True, False):
             for t in model.params.values():
                 t.grad = None
-                t.touched_rows.clear()
+                t.zero_grad()
             rng = np.random.default_rng(7)
             with Tape() as tape:
                 if batched:
@@ -194,7 +194,8 @@ class TestBatchedMatchesPerSpan:
                 tape.backward(loss)
             grads = {k: np.zeros_like(v.values) if v.grad is None else v.grad.copy()
                      for k, v in model.params.items()}
-            touched = {k: set(model.params[k].touched_rows) for k in SPARSE_TABLES}
+            touched = {k: set(model.params[k].touched_rows.tolist())
+                       for k in SPARSE_TABLES}
             runs.append((probs.values, attn, grads, touched))
         (probs, attn, grads, touched), (want_p, want_a, want_g, want_t) = runs
         np.testing.assert_allclose(probs, want_p, rtol=0, atol=1e-12)
@@ -255,6 +256,31 @@ class TestBatchedMatchesPerSpan:
             sent, spans, _, _ = _prepare(model, sents[1], lex)
             self.check(model, sent, self.reference_layouts(model, sent, lex, spans),
                        spans, dropout=0.3, training=True)
+
+
+class TestTapeSize:
+    def test_nodes_per_sentence_independent_of_length(self):
+        # the default config, and it with the BiLSTM fragment encoder,
+        # records no tape node per character, LSTM step or span
+        train, _, words = make_corpus(0, n_train=20, n_dev=0)
+        lex = Lexicon(words)
+        vocab = Vocab.build(train, lex.words)
+        chars = [c for s in train for c in s.chars]
+        segs = [l for s in train for l in s.seg_labels]
+        pos = [p for s in train for p in s.pos_tags]
+        for over, want in (({}, 27), ({"fragment_encoder": "birnn"}, 31)):
+            model = Model.build(ModelConfig(**over), vocab, np.random.default_rng(0))
+            counts = []
+            for n in (1, 9, 72):
+                sent, spans, layout, targets = _prepare(
+                    model, Sentence(chars[:n], segs[:n], pos[:n]), lex)
+                with Tape() as tape:
+                    probs, _ = model.score_spans(sent, layout, spans, dropout_rate=0.3,
+                                                 rng=np.random.default_rng(0),
+                                                 training=True)
+                    ad.focal_loss_rows(probs, targets, model.alpha(), model.config.gamma)
+                counts.append(len(tape._records))
+            assert counts == [want] * 3, over
 
 
 class TestFocalValues:
