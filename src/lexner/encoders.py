@@ -59,11 +59,6 @@ class LSTMCell:
     wh: Tensor
     b: Tensor
 
-    def run(self, x: Tensor, index: np.ndarray) -> Tensor:
-        """States of the chains over the rows ``index`` of ``x``; see
-        ``ad.lstm_sequence``."""
-        return ad.lstm_sequence(x, index, self.wx, self.wh, self.b)
-
 
 def lstm_init(d_in: int, hidden: int, rng: np.random.Generator) -> LSTMCell:
     bound = 1.0 / np.sqrt(hidden)
@@ -77,7 +72,7 @@ def lstm_init(d_in: int, hidden: int, rng: np.random.Generator) -> LSTMCell:
 def lstm_run(xs: list[Tensor], cell: LSTMCell, reverse: bool = False) -> list[Tensor]:
     """Hidden states aligned with ``xs``; ``reverse`` runs right to left."""
     order = np.arange(len(xs))[::-1] if reverse else np.arange(len(xs))
-    states = cell.run(ad.stack_rows(xs), order[None])
+    states = ad.lstm_sequence(ad.stack_rows(xs), order[None], cell.wx, cell.wh, cell.b)
     return [ad.gather_rows(states, k) for k in order]
 
 
@@ -105,7 +100,9 @@ def encode_characters(w: Tensor, mode: str,
     x = w
     for fwd, bwd in layers:
         # state t of the leftward chain belongs to position n - 1 - t
-        x = ad.hconcat(fwd.run(x, right), ad.gather_rows(bwd.run(x, left), left[0]))
+        f = ad.lstm_sequence(x, right, fwd.wx, fwd.wh, fwd.b)
+        b = ad.lstm_sequence(x, left, bwd.wx, bwd.wh, bwd.b)
+        x = ad.hconcat(f, ad.gather_rows(b, left[0]))
     return x
 
 
@@ -117,11 +114,16 @@ def encode_characters(w: Tensor, mode: str,
 # of ``spans``.
 
 
+def _span_bounds(spans: list[Span]) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of every span, as two index arrays."""
+    bounds = np.array(spans, dtype=np.intp).reshape(-1, 2)
+    return bounds[:, 0], bounds[:, 1]
+
+
 def _span_cells(spans: list[Span]):
     """(span index, character index, span end, span length) of every
     character of every span, as parallel arrays."""
-    starts = np.array([i for i, _ in spans], dtype=np.intp)
-    ends = np.array([j for _, j in spans], dtype=np.intp)
+    starts, ends = _span_bounds(spans)
     lengths = ends - starts + 1
     rows = np.repeat(np.arange(len(spans)), lengths)
     first = np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -166,11 +168,10 @@ def encode_fragments_birnn(t: Tensor | list[Tensor], spans: list[Span],
     """
     x = t if isinstance(t, Tensor) else ad.stack_rows(t)
     n = x.shape[0]
-    starts = np.array([i for i, _ in spans], dtype=np.intp)
-    ends = np.array([j for _, j in spans], dtype=np.intp)
+    starts, ends = _span_bounds(spans)
     steps = int((ends - starts).max()) + 1
     origin, step = np.arange(n)[:, None], np.arange(steps)
-    f = fwd.run(x, np.minimum(origin + step, n - 1))
-    b = bwd.run(x, np.maximum(origin - step, 0))
+    f = ad.lstm_sequence(x, np.minimum(origin + step, n - 1), fwd.wx, fwd.wh, fwd.b)
+    b = ad.lstm_sequence(x, np.maximum(origin - step, 0), bwd.wx, bwd.wh, bwd.b)
     return ad.hconcat(ad.gather_rows(f, starts * steps + ends - starts),
                       ad.gather_rows(b, ends * steps + ends - starts))

@@ -339,7 +339,10 @@ def train_model(model: Model, train_sents: list[Sentence],
                 tape.backward(loss)
             clip_global_norm(opt.params, settings.clip_norm)
             opt.step()
-            opt.zero_grad()
+            # every parameter, not only the optimised ones: a frozen table
+            # still gathers gradient and touched rows on each backward
+            for p in model.params.values():
+                p.zero_grad()
             epoch_loss += float(loss.values) * n_frags
             epoch_frags += n_frags
         mean_loss = epoch_loss / max(epoch_frags, 1)

@@ -368,6 +368,17 @@ class TestTraining:
         # train_model restores nothing; current params reflect last step
         assert np.array_equal(model.params["emb_lex"].values, before)
 
+    def test_frozen_lexicon_gradient_reset_every_step(self):
+        # a frozen table is outside the optimiser but still receives
+        # gradient; its touched rows must not pile up across steps
+        model, sents, lex = tiny_world()
+        emb_lex = model.params["emb_lex"]
+        seen = []
+        train_model(model, sents, [], lex, self.settings(freeze_lex=True),
+                    log_fn=lambda row: seen.append(
+                        (len(emb_lex.touched_rows), np.abs(emb_lex.grad).sum())))
+        assert seen == [(0, 0.0)] * 3
+
     def test_unfrozen_lexicon_embeddings_move(self):
         model, sents, lex = tiny_world()
         before = model.params["emb_lex"].values.copy()
