@@ -20,8 +20,6 @@ class ConfigError(ValueError):
 
 
 _TAPE_STACK: list["Tape"] = []
-_NO_ROWS = np.zeros(0, dtype=np.intp)
-_NO_ROWS.flags.writeable = False
 
 
 def active_tape() -> "Tape | None":
@@ -31,9 +29,9 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """Dense float64 array with an optional same-shape gradient buffer.
 
-    ``touched_rows`` is an index array of the rows of a 2-D parameter that
-    received gradient during the current step, with repeats; the sparse
-    Adam mode consumes it.
+    ``touched_rows`` is None, or a boolean mask over the rows of a 2-D
+    parameter that is True where ``gather_rows`` sent gradient during the
+    current step; the sparse Adam mode consumes it.
     """
 
     __slots__ = ("values", "grad", "tracked", "touched_rows")
@@ -42,7 +40,7 @@ class Tensor:
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.tracked = tracked
-        self.touched_rows = _NO_ROWS
+        self.touched_rows: np.ndarray | None = None
 
     @property
     def shape(self):
@@ -56,7 +54,7 @@ class Tensor:
     def zero_grad(self):
         if self.grad is not None:
             self.grad.fill(0.0)
-        self.touched_rows = _NO_ROWS
+        self.touched_rows = None
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, tracked={self.tracked})"
@@ -308,7 +306,9 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     if tape:
         def backward():
             np.add.at(table.grad, idx, out.grad)
-            table.touched_rows = np.append(table.touched_rows, idx.ravel())
+            if table.touched_rows is None:
+                table.touched_rows = np.zeros(table.shape[0], dtype=bool)
+            table.touched_rows[idx] = True
         tape.record(backward)
     return out
 

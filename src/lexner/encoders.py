@@ -116,8 +116,8 @@ def encode_characters(w: Tensor, mode: str,
 
 def _span_bounds(spans: list[Span]) -> tuple[np.ndarray, np.ndarray]:
     """Start and end of every span, as two index arrays."""
-    bounds = np.array(spans, dtype=np.intp).reshape(-1, 2)
-    return bounds[:, 0], bounds[:, 1]
+    return (np.array([i for i, _ in spans], dtype=np.intp),
+            np.array([j for _, j in spans], dtype=np.intp))
 
 
 def _span_cells(spans: list[Span]):

@@ -53,9 +53,9 @@ class Adam:
             bc1 = 1.0 - self.beta1 ** st["t"]
             bc2 = 1.0 - self.beta2 ** st["t"]
             if name in self.sparse:
-                idx = np.unique(p.touched_rows)
-                if not len(idx):
+                if p.touched_rows is None:
                     continue
+                idx = np.flatnonzero(p.touched_rows)
                 g = grad[idx]
                 if self.weight_decay:
                     p.values[idx] *= 1.0 - self.lr * self.weight_decay

@@ -176,7 +176,9 @@ def lookup(table: Tensor, index: int) -> Tensor:
     if tape:
         def backward():
             table.grad[index] += out.grad
-            table.touched_rows = np.append(table.touched_rows, index)
+            if table.touched_rows is None:
+                table.touched_rows = np.zeros(table.shape[0], dtype=bool)
+            table.touched_rows[index] = True
         tape.record(backward)
     return out
 
