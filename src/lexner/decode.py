@@ -5,6 +5,13 @@ contained in another surviving span (outer wins, regardless of
 probability), then resolve partial overlaps greedily by descending
 probability. Nested mode skips the containment step so inner entities
 survive.
+
+Both steps are sweeps, so decoding s spans costs O(s log s) sorting plus
+clash tests bounded by the span lengths. Containment sorts the distinct
+extents by (start, -end) and keeps a running maximum of the ends swept so
+far. The greedy step marks the characters each kept span covers (flat), or
+indexes the kept spans by start and by end (nested), so testing a
+candidate reads only the positions inside it.
 """
 from __future__ import annotations
 
@@ -31,41 +38,54 @@ def filter_threshold(spans: list[ScoredSpan], rho: float) -> list[ScoredSpan]:
     return [s for s in spans if not s.is_none and s.prob > rho]
 
 
-def _contains(outer: ScoredSpan, inner: ScoredSpan) -> bool:
-    return (outer.start <= inner.start and inner.end <= outer.end
-            and (outer.start, outer.end) != (inner.start, inner.end))
-
-
-def _overlaps(a: ScoredSpan, b: ScoredSpan) -> bool:
-    return a.start <= b.end and b.start <= a.end
-
-
 def resolve(spans: list[ScoredSpan], nested: bool = False) -> list[ScoredSpan]:
     """Final entity set; flat mode output is pairwise non-overlapping.
 
     Ties in probability break toward the earlier start, then the longer
-    span.
+    span. The output is sorted by (start, end, type).
     """
     if not nested:
-        spans = [s for s in spans
-                 if not any(_contains(o, s) for o in spans)]
+        spans = _drop_contained(spans)
     order = sorted(spans, key=lambda s: (-s.prob, s.start, s.start - s.end))
     kept: list[ScoredSpan] = []
-    for cand in order:
-        if nested:
-            # containment in either direction is allowed
-            clash = any(_overlaps(cand, k) and not _contains(k, cand)
-                        and not _contains(cand, k)
-                        and (cand.start, cand.end) != (k.start, k.end)
-                        for k in kept)
-            clash = clash or any((cand.start, cand.end) == (k.start, k.end)
-                                 for k in kept)
-        else:
-            clash = any(_overlaps(cand, k) for k in kept)
-        if not clash:
+    size = max((s.end for s in spans), default=-1) + 1
+    if nested:
+        extents: set[tuple[int, int]] = set()
+        # over the kept spans: the furthest end of those starting at each
+        # position, and the earliest start of those ending at each position
+        last_end = [-1] * size
+        first_start = [size] * size
+        for cand in order:
+            i, j = cand.start, cand.end
+            if ((i, j) in extents
+                    or max(last_end[i + 1:j + 1], default=-1) > j
+                    or min(first_start[i:j], default=size) < i):
+                continue
             kept.append(cand)
+            extents.add((i, j))
+            last_end[i] = max(last_end[i], j)
+            first_start[j] = min(first_start[j], i)
+    else:
+        taken = bytearray(size)
+        for cand in order:
+            i, j = cand.start, cand.end
+            if not any(taken[i:j + 1]):
+                kept.append(cand)
+                taken[i:j + 1] = b"\x01" * (j + 1 - i)
     kept.sort(key=lambda s: (s.start, s.end, s.type))
     return kept
+
+
+def _drop_contained(spans: list[ScoredSpan]) -> list[ScoredSpan]:
+    """The spans whose extent lies inside no other, different extent."""
+    contained = set()
+    reach = -1      # furthest end among the extents swept so far
+    for start, end in sorted({(s.start, s.end) for s in spans},
+                             key=lambda e: (e[0], -e[1])):
+        if reach >= end:
+            contained.add((start, end))
+        reach = max(reach, end)
+    return [s for s in spans if (s.start, s.end) not in contained]
 
 
 def decode_corpus(scored: list[list[ScoredSpan]], rho: float,

@@ -307,7 +307,6 @@ def train_model(model: Model, train_sents: list[Sentence],
     The best checkpoint is chosen by dev F1 (train F1 when no dev split is
     given). Embedding tables use the sparse update mode.
     """
-    cfg = model.config
     rng = np.random.default_rng(settings.seed)
     active_lex = lex if settings.use_lexicon else None
     prepared = [_prepare(model, s, active_lex) for s in train_sents]
@@ -315,6 +314,21 @@ def train_model(model: Model, train_sents: list[Sentence],
     opt = Adam(model.trainable(settings.freeze_lex), lr=settings.lr,
                weight_decay=settings.weight_decay,
                sparse=SPARSE_TABLES)
+    # a table outside the optimiser (the frozen lexicon) is read untracked,
+    # so backward sends it no gradient and marks none of its rows
+    frozen = [p for name, p in model.params.items()
+              if name not in opt.params and p.tracked]
+    for p in frozen:
+        p.tracked = False
+    try:
+        return _train_epochs(model, prepared, dev_prepared, opt, rng, settings, log_fn)
+    finally:
+        for p in frozen:
+            p.tracked = True
+
+
+def _train_epochs(model, prepared, dev_prepared, opt, rng, settings, log_fn):
+    cfg = model.config
     rows: list[EpochRow] = []
     best_f1, best_snap = -1.0, model.snapshot()
     for epoch in range(1, settings.epochs + 1):
@@ -339,10 +353,7 @@ def train_model(model: Model, train_sents: list[Sentence],
                 tape.backward(loss)
             clip_global_norm(opt.params, settings.clip_norm)
             opt.step()
-            # every parameter, not only the optimised ones: a frozen table
-            # still gathers gradient and touched rows on each backward
-            for p in model.params.values():
-                p.zero_grad()
+            opt.zero_grad()
             epoch_loss += float(loss.values) * n_frags
             epoch_frags += n_frags
         mean_loss = epoch_loss / max(epoch_frags, 1)
@@ -387,16 +398,12 @@ def _score(model: Model, prepared, want_attention: bool = False):
     sent, spans, layout, _ = prepared
     probs, attn = model.score_spans(sent, layout, spans,
                                     want_attention=want_attention)
-    none = model.vocab.none_id
-    scored = []
-    for row, (i, j) in enumerate(spans):
-        dist = probs.values[row]
-        best = int(dist.argmax())
-        scored.append(ScoredSpan(
-            start=i, end=j, type=model.vocab.types.sym(best),
-            prob=float(dist[best]), is_none=(best == none),
-            attention=attn[row]))
-    return scored
+    none, types = model.vocab.none_id, model.vocab.types
+    best = probs.values.argmax(axis=1)
+    chosen = probs.values[np.arange(len(spans)), best]
+    return [ScoredSpan(start=i, end=j, type=types.sym(b), prob=p,
+                       is_none=(b == none), attention=a)
+            for (i, j), b, p, a in zip(spans, best.tolist(), chosen.tolist(), attn)]
 
 
 def score_corpus(model: Model, prepared: list, want_attention: bool = False

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lexner import corpus
 from lexner.autodiff import ConfigError
@@ -100,6 +101,34 @@ class TestReadCorpus:
         path = self.write(tmp_path, "".join(f"c\tS\tX\tO\n" for _ in range(10)))
         sents = read_corpus(path, max_len=4)
         assert len(sents[0]) == 4
+
+    @given(data=st.data(), fmt=st.sampled_from(["column-bmes", "column-bio"]))
+    def test_roundtrip_property(self, tmp_path_factory, data, fmt):
+        # one UTF-8 scalar per row that ``str.split`` keeps whole: CJK,
+        # non-BMP and any other non-space character
+        char = st.one_of(st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
+                         st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF,
+                                       exclude_categories=("Cs", "Zs")),
+                         st.characters(exclude_categories=("Cs",))
+                         ).filter(lambda c: not c.isspace())
+        tag = st.text(char, min_size=1, max_size=3)
+        sents = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            n = data.draw(st.integers(1, 20))
+            # non-overlapping entities: some of the pieces between cut points
+            cuts = sorted(data.draw(st.sets(st.integers(0, n), max_size=6)) | {0, n})
+            entities = {(a, b - 1, data.draw(st.sampled_from(["PER", "ORG", "GPE-X"])))
+                        for a, b in zip(cuts, cuts[1:]) if data.draw(st.booleans())}
+            sents.append(Sentence(data.draw(st.lists(char, min_size=n, max_size=n)),
+                                  data.draw(st.lists(st.sampled_from("BMES"),
+                                                     min_size=n, max_size=n)),
+                                  data.draw(st.lists(tag, min_size=n, max_size=n)),
+                                  entities=entities))
+        path = str(tmp_path_factory.mktemp("roundtrip") / "c.txt")
+        corpus.write_corpus(path, sents, fmt)
+        back = read_corpus(path, fmt)
+        assert [(s.chars, s.seg_labels, s.pos_tags, s.entities) for s in back] == \
+            [(s.chars, s.seg_labels, s.pos_tags, s.entities) for s in sents]
 
     def test_roundtrip_file(self, tmp_path):
         s = Sentence(list("abcd"), ["B", "E", "S", "S"], ["NN", "NN", "X", "X"],

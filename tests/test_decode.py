@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lexner.decode import (ScoredSpan, evaluate, evaluate_by_type,
                            filter_threshold, resolve)
+
+import decode_reference as ref
 
 
 def span(start, end, type="PER", prob=0.9, is_none=False):
@@ -93,6 +96,81 @@ class TestResolveNested:
         spans = [span(0, 2, prob=0.9, type="PER"),
                  span(0, 2, prob=0.5, type="ORG")]
         assert [s.key() for s in resolve(spans, nested=True)] == [(0, 2, "PER")]
+
+
+@st.composite
+def span_lists(draw):
+    """Spans over a sentence of 1-20 characters, of any length up to the
+    whole sentence, with probabilities that often tie and extents that often
+    repeat under another type."""
+    n = draw(st.integers(1, 20))
+    prob = st.one_of(st.sampled_from([0.3, 0.5, 0.9]),
+                     st.floats(0.0, 1.0, allow_nan=False))
+    spans = []
+    for _ in range(draw(st.integers(0, 30))):
+        start = draw(st.integers(0, n - 1))
+        end = draw(st.integers(start, n - 1))
+        spans.append(span(start, end, draw(st.sampled_from(["PER", "ORG", "LOC"])),
+                          draw(prob)))
+    return spans
+
+
+class TestResolveMatchesReference:
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_empty(self, nested):
+        assert resolve([], nested) == []
+
+    @given(spans=span_lists(), nested=st.booleans())
+    def test_same_kept_spans_in_same_order(self, spans, nested):
+        ours, theirs = resolve(spans, nested), ref.resolve(spans, nested)
+        assert [id(s) for s in ours] == [id(s) for s in theirs]
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_sentence_length_spans_and_ties(self, nested):
+        # spans far longer than any max_entity_len, equal extents of two
+        # types, and every probability tied
+        spans = [span(0, 39, "PER", 0.5), span(0, 39, "ORG", 0.5),
+                 span(5, 30, "LOC", 0.5), span(20, 45, "PER", 0.5),
+                 span(45, 45, "ORG", 0.5), span(46, 90, "LOC", 0.5)]
+        ours, theirs = resolve(spans, nested), ref.resolve(spans, nested)
+        assert [id(s) for s in ours] == [id(s) for s in theirs]
+
+
+class TestResolveInvariants:
+    @given(spans=span_lists(), nested=st.booleans())
+    def test_idempotent(self, spans, nested):
+        once = resolve(spans, nested)
+        assert resolve(once, nested) == once
+
+    @given(spans=span_lists(), nested=st.booleans())
+    def test_sorted_subset_of_input(self, spans, nested):
+        kept = resolve(spans, nested)
+        given_ids = {id(s) for s in spans}
+        assert all(id(s) in given_ids for s in kept)
+        assert len({id(s) for s in kept}) == len(kept)
+        keys = [s.key() for s in kept]
+        assert keys == sorted(keys)
+
+    @given(spans=span_lists())
+    def test_flat_never_overlaps(self, spans):
+        kept = resolve(spans)
+        assert all(a.end < b.start for a, b in zip(kept, kept[1:]))
+
+    @given(spans=span_lists())
+    def test_flat_keeps_no_span_inside_another_input(self, spans):
+        for k in resolve(spans):
+            assert not any(o.start <= k.start and k.end <= o.end
+                           and (o.start, o.end) != (k.start, k.end)
+                           for o in spans)
+
+    @given(spans=span_lists())
+    def test_nested_no_partial_overlap_or_repeated_extent(self, spans):
+        kept = resolve(spans, nested=True)
+        extents = [(s.start, s.end) for s in kept]
+        assert len(set(extents)) == len(extents)
+        for a, b in extents:
+            for c, d in extents:
+                assert not (a < c <= b < d)
 
 
 class TestEvaluate:

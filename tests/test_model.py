@@ -12,7 +12,7 @@ from lexner.lexicon import (EXACT, INFIX, PREFIX, SUFFIX, Lexicon, Match,
                             SentenceLayout, bucket_count)
 from lexner.model import (Model, ModelConfig, SPARSE_TABLES, TrainSettings,
                           _prepare, param_shapes, span_labels, train_model)
-from lexner.optim import Adam
+from lexner.optim import Adam, DivergenceError
 from lexner.synth import make_corpus
 
 import span_reference as ref
@@ -370,15 +370,24 @@ class TestTraining:
         assert np.array_equal(model.params["emb_lex"].values, before)
 
     def test_frozen_lexicon_gradient_reset_every_step(self):
-        # a frozen table is outside the optimiser but still receives
-        # gradient; its touched rows must not pile up across steps
+        # a frozen table is outside the optimiser: training reads it
+        # untracked, so it never gets a gradient buffer or touched rows,
+        # and it is a tracked parameter again afterwards
         model, sents, lex = tiny_world()
         emb_lex = model.params["emb_lex"]
         seen = []
         train_model(model, sents, [], lex, self.settings(freeze_lex=True),
                     log_fn=lambda row: seen.append(
-                        (emb_lex.touched_rows, np.abs(emb_lex.grad).sum())))
-        assert seen == [(None, 0.0)] * 3
+                        (emb_lex.grad, emb_lex.touched_rows, emb_lex.tracked)))
+        assert seen == [(None, None, False)] * 3
+        assert emb_lex.tracked
+
+    def test_frozen_lexicon_tracked_again_after_divergence(self):
+        model, sents, lex = tiny_world()
+        model.params["head_out_b"].values[:] = np.nan
+        with pytest.raises(DivergenceError):
+            train_model(model, sents, [], lex, self.settings(freeze_lex=True))
+        assert all(p.tracked for p in model.params.values())
 
     def test_unfrozen_lexicon_embeddings_move(self):
         model, sents, lex = tiny_world()
