@@ -44,11 +44,13 @@ def resolve(spans: list[ScoredSpan], nested: bool = False) -> list[ScoredSpan]:
     Ties in probability break toward the earlier start, then the longer
     span. The output is sorted by (start, end, type).
     """
+    if not spans:   # often nothing survives the threshold; skip the set-up
+        return []
     if not nested:
         spans = _drop_contained(spans)
     order = sorted(spans, key=lambda s: (-s.prob, s.start, s.start - s.end))
     kept: list[ScoredSpan] = []
-    size = max((s.end for s in spans), default=-1) + 1
+    size = max(s.end for s in spans) + 1
     if nested:
         extents: set[tuple[int, int]] = set()
         # over the kept spans: the furthest end of those starting at each
