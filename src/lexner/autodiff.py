@@ -268,19 +268,6 @@ def lstm_sequence(x: Tensor, index: np.ndarray, wx: Tensor, wh: Tensor,
 # structural ops
 
 
-def stack_rows(rows: list[Tensor]) -> Tensor:
-    if not rows:
-        raise ShapeError("stack_rows: empty row list")
-    out, tape = _begin(np.stack([r.values for r in rows]), *rows)
-    if tape:
-        def backward():
-            for i, r in enumerate(rows):
-                if r.tracked:
-                    r.grad += out.grad[i]
-        tape.record(backward)
-    return out
-
-
 def hconcat(*parts: Tensor) -> Tensor:
     """Matrices with equal row counts, side by side."""
     if not parts or any(p.values.ndim != 2 or p.shape[0] != parts[0].shape[0]

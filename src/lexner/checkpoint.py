@@ -28,13 +28,7 @@ STRUCTURAL = [f for f in ModelConfig.__dataclass_fields__]
 def save(path: str, model: Model, extra: dict | None = None):
     header = {
         "config": asdict(model.config),
-        "vocab": {
-            "chars": model.vocab.chars.symbols,
-            "segs": model.vocab.segs.symbols,
-            "pos": model.vocab.pos.symbols,
-            "types": model.vocab.types.symbols,
-            "lex": model.vocab.lex.symbols,
-        },
+        "vocab": {name: getattr(model.vocab, name).symbols for name in Vocab.TABLES},
         "tensors": [{"name": k, "shape": list(v.values.shape)}
                     for k, v in model.params.items()],
         "extra": extra or {},
@@ -65,8 +59,8 @@ def load(path: str) -> tuple[Model, dict]:
             header = json.loads(fh.readline().decode("utf-8"))
             config = ModelConfig(**header["config"])
             vocab = Vocab()
-            for table in ("chars", "segs", "pos", "types", "lex"):
-                setattr(vocab, table, SymbolTable(header["vocab"][table]))
+            for name in Vocab.TABLES:
+                setattr(vocab, name, SymbolTable(header["vocab"][name]))
             manifest = [(entry["name"], tuple(int(d) for d in entry["shape"]))
                         for entry in header["tensors"]]
             extra = header["extra"]

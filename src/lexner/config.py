@@ -5,6 +5,7 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .autodiff import ConfigError
+from .corpus import FORMATS, open_text
 from .model import VOCAB_FIELDS, ModelConfig, TrainSettings
 
 
@@ -27,7 +28,7 @@ class RunConfig(TrainSettings, ModelConfig):
 
     def validate(self):
         TrainSettings.validate(self)
-        if self.corpus_format not in ("column-bmes", "column-bio"):
+        if self.corpus_format not in FORMATS:
             raise ConfigError(f"unknown corpus format {self.corpus_format!r}")
         if self.max_sentence_len < 1:
             raise ConfigError(f"max_sentence_len must be >= 1, got {self.max_sentence_len}")
@@ -73,7 +74,7 @@ def load_config(path: str | None, overrides: dict[str, object]
     cfg = RunConfig()
     explicit: set[str] = set()
     if path:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

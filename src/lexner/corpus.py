@@ -7,6 +7,7 @@ schemes. A "character" throughout is one Unicode scalar value.
 """
 from __future__ import annotations
 
+import io
 import logging
 import sys
 from dataclasses import dataclass, field
@@ -27,6 +28,18 @@ Span = tuple[int, int, str]  # start, end inclusive, type
 
 class ParseError(ValueError):
     pass
+
+
+def open_text(path: str) -> io.StringIO:
+    """A UTF-8 text file as a stream of lines, with universal newlines; bytes
+    that are not UTF-8 are a ParseError naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
 
 
 @dataclass
@@ -159,6 +172,11 @@ def spans_to_bmes_tags(spans: set[Span], n: int) -> list[str]:
     return tags
 
 
+# corpus format -> (tags to spans, spans to tags)
+FORMATS = {"column-bmes": (bmes_tags_to_spans, spans_to_bmes_tags),
+           "column-bio": (bio_tags_to_spans, spans_to_bio_tags)}
+
+
 # ---------------------------------------------------------------------------
 # reading
 
@@ -172,24 +190,20 @@ def _truncate(items: list, max_len: int) -> list:
 def read_corpus(path: str, fmt: str = "column-bmes",
                 max_len: int = 256) -> list[Sentence]:
     """Read a 4-column corpus file; ``fmt`` picks the entity tag scheme."""
-    if fmt not in ("column-bmes", "column-bio"):
+    if fmt not in FORMATS:
         raise ConfigError(f"unknown corpus format {fmt!r}")
-    to_spans = bmes_tags_to_spans if fmt == "column-bmes" else bio_tags_to_spans
+    to_spans = FORMATS[fmt][0]
     sentences: list[Sentence] = []
     rows: list[tuple[str, str, str, str]] = []
 
     def flush():
         if not rows:
             return
-        kept = _truncate(rows, max_len)
-        chars = [r[0] for r in kept]
-        segs = [r[1] for r in kept]
-        pos = [r[2] for r in kept]
-        spans = to_spans([r[3] for r in kept])
-        sentences.append(Sentence(chars, segs, pos, spans))
+        chars, segs, pos, tags = (list(col) for col in zip(*_truncate(rows, max_len)))
+        sentences.append(Sentence(chars, segs, pos, to_spans(tags)))
         rows.clear()
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -211,7 +225,7 @@ def read_raw(path: str, max_len: int = 256) -> list[Sentence]:
     """Plain text, one sentence per non-empty line, every character a
     single-character word with an unknown POS tag."""
     sentences = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             chars = _truncate(list(line.rstrip("\n")), max_len)
             if chars:
@@ -220,13 +234,20 @@ def read_raw(path: str, max_len: int = 256) -> list[Sentence]:
 
 
 def write_corpus(path: str, sentences: list[Sentence], fmt: str = "column-bmes"):
-    to_tags = spans_to_bmes_tags if fmt == "column-bmes" else spans_to_bio_tags
+    """Write a 4-column corpus file; a row that ``read_corpus`` could not read
+    back, such as a whitespace character, is a ParseError before any write."""
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown corpus format {fmt!r}")
+    lines = []
+    for k, sent in enumerate(sentences):
+        tags = FORMATS[fmt][1](sent.entities, len(sent))
+        for row in zip(sent.chars, sent.seg_labels, sent.pos_tags, tags):
+            if len(row[0]) != 1 or "\t".join(row).split() != list(row):
+                raise ParseError(f"{path}: sentence {k}: row {row!r} would not read back")
+            lines.append("\t".join(row) + "\n")
+        lines.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for sent in sentences:
-            tags = to_tags(sent.entities, len(sent))
-            for c, s, p, t in zip(sent.chars, sent.seg_labels, sent.pos_tags, tags):
-                fh.write(f"{c}\t{s}\t{p}\t{t}\n")
-            fh.write("\n")
+        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +293,13 @@ class SymbolTable:
 class Vocab:
     """Symbol tables for characters, seg labels, POS, entity types, lexicon."""
 
+    # table name -> the symbols it starts with; checkpoints list them in this order
+    TABLES = {"chars": (PAD, UNK), "segs": SEG_LABELS, "pos": (PAD, UNK),
+              "types": (NONE_LABEL,), "lex": (PAD, UNK)}
+
     def __init__(self):
-        self.chars = SymbolTable([PAD, UNK])
-        self.segs = SymbolTable(list(SEG_LABELS))
-        self.pos = SymbolTable([PAD, UNK])
-        self.types = SymbolTable([NONE_LABEL])
-        self.lex = SymbolTable([PAD, UNK])
+        for name, start in self.TABLES.items():
+            setattr(self, name, SymbolTable(list(start)))
 
     @classmethod
     def build(cls, sentences: list[Sentence],
@@ -323,23 +345,21 @@ def load_embeddings(path: str, table: SymbolTable, dim: int,
     """
     matrix = rng.uniform(-0.1, 0.1, size=(len(table), dim))
     hits = 0
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        lines = []
-        if first.strip():
-            parts = first.split()
-            if not (len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts)):
-                lines.append(first)
-        for line in lines + fh.readlines():
-            if not line.strip():
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or lineno == 1 and len(parts) == 2 and all(
+                    p.lstrip("-").isdigit() for p in parts):
                 continue
-            parts = line.rstrip("\n").split()
             token, vals = parts[0], parts[1:]
             if len(vals) != dim:
-                raise ConfigError(
-                    f"embedding row for {token!r} has {len(vals)} values, expected {dim}")
+                raise ConfigError(f"{path}:{lineno}: embedding row for {token!r} has "
+                                  f"{len(vals)} values, expected {dim}")
             if token in table:
-                matrix[table.id(token)] = [float(v) for v in vals]
+                try:
+                    matrix[table.id(token)] = [float(v) for v in vals]
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: non-numeric row {token!r}") from None
                 hits += 1
     countable = max(len(table) - reserved_rows, 1)
     rate = hits / countable

@@ -1,15 +1,13 @@
 """Character-level context encoders and fixed-size fragment encoders.
 
-Every candidate span of length at most ``m`` gets one fixed-size vector.
-Bag-of-words mean and forgetting encoding are linear in the character
-vectors, so each is one product of a span coefficient matrix with the
-character matrix. The span-local bidirectional LSTM runs a batch of
-forward chains, one from every start, and a batch of backward chains, one
-from every end, in two sequence ops; each span reads one state of each.
+All take the character vectors as the rows of one matrix and LSTM weights
+as ``(wx, wh, b)`` parameter triples. Every span of length at most ``m``
+gets one vector: bag-of-words and forgetting encoding, linear in the
+character vectors, as a span coefficient matrix times that matrix; the
+span-local BiLSTM as forward chains from every start and backward chains
+from every end, in two sequence ops, each span reading one state of each.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +15,8 @@ from . import autodiff as ad
 from .autodiff import ConfigError, Tensor
 
 Span = tuple[int, int]
+# LSTM weights (wx, wh, b), gate rows in i, f, g, o order
+Cell = tuple[Tensor, Tensor, Tensor]
 
 
 def fragment_count(n: int, m: int) -> int:
@@ -48,70 +48,33 @@ def char_feature_vectors(char_ids, seg_ids, pos_ids, emb_char: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# LSTM machinery
-
-
-@dataclass
-class LSTMCell:
-    """Gate weights laid out as 4h rows in i, f, g, o order."""
-
-    wx: Tensor
-    wh: Tensor
-    b: Tensor
-
-
-def lstm_init(d_in: int, hidden: int, rng: np.random.Generator) -> LSTMCell:
-    bound = 1.0 / np.sqrt(hidden)
-    return LSTMCell(
-        wx=ad.parameter(rng.uniform(-bound, bound, (4 * hidden, d_in))),
-        wh=ad.parameter(rng.uniform(-bound, bound, (4 * hidden, hidden))),
-        b=ad.parameter(np.zeros(4 * hidden)),
-    )
-
-
-def lstm_run(xs: list[Tensor], cell: LSTMCell, reverse: bool = False) -> list[Tensor]:
-    """Hidden states aligned with ``xs``; ``reverse`` runs right to left."""
-    order = np.arange(len(xs))[::-1] if reverse else np.arange(len(xs))
-    states = ad.lstm_sequence(ad.stack_rows(xs), order[None], cell.wx, cell.wh, cell.b)
-    return [ad.gather_rows(states, k) for k in order]
-
-
-# ---------------------------------------------------------------------------
 # character encoders
 
 
-def encode_characters(w: Tensor, mode: str,
-                      layers: list[tuple[LSTMCell, LSTMCell]] | None = None
-                      ) -> Tensor:
+def encode_characters(w: Tensor, layers: list[tuple[Cell, Cell]]) -> Tensor:
     """Context-aware character vectors, one row per character.
 
-    ``baseline`` returns the embedding matrix unchanged. ``birnn`` stacks
-    bidirectional LSTM layers (forward cell, backward cell per layer) and
-    concatenates the two top-layer states per position.
+    With no layers this is the baseline encoder: the embedding matrix
+    unchanged. Otherwise it stacks bidirectional LSTM layers (forward cell,
+    backward cell per layer) and concatenates the two top-layer states per
+    position.
     """
-    if mode == "baseline":
-        return w
-    if mode != "birnn":
-        raise ConfigError(f"unknown character encoder {mode!r}")
-    if not layers:
-        raise ConfigError("birnn character encoder requires LSTM layers")
     right = np.arange(w.shape[0])[None]
     left = right[:, ::-1]
-    x = w
     for fwd, bwd in layers:
         # state t of the leftward chain belongs to position n - 1 - t
-        f = ad.lstm_sequence(x, right, fwd.wx, fwd.wh, fwd.b)
-        b = ad.lstm_sequence(x, left, bwd.wx, bwd.wh, bwd.b)
-        x = ad.hconcat(f, ad.gather_rows(b, left[0]))
-    return x
+        f = ad.lstm_sequence(w, right, *fwd)
+        b = ad.lstm_sequence(w, left, *bwd)
+        w = ad.hconcat(f, ad.gather_rows(b, left[0]))
+    return w
 
 
 # ---------------------------------------------------------------------------
 # fragment encoders
 #
-# Each takes the character vectors ``t``, as an n x d matrix or as its n
-# rows, and returns the span vectors as the rows of a matrix, in the order
-# of ``spans``.
+# Each takes the character vectors as the rows of an n x d matrix ``t`` and
+# returns the span vectors as the rows of a matrix, in the order of
+# ``spans``.
 
 
 def _span_bounds(spans: list[Span]) -> tuple[np.ndarray, np.ndarray]:
@@ -131,23 +94,21 @@ def _span_cells(spans: list[Span]):
     return rows, cols, ends[rows], lengths[rows]
 
 
-def _combine(t: Tensor | list[Tensor], spans: list[Span], coefficient) -> Tensor:
+def _combine(t: Tensor, spans: list[Span], coefficient) -> Tensor:
     """``C @ T`` for the span coefficient matrix ``C[s, k]`` =
     ``coefficient(end of s, k, length of s)`` over the characters k of s."""
-    matrix = t if isinstance(t, Tensor) else ad.stack_rows(t)
-    n = matrix.shape[0]
     rows, cols, ends, lengths = _span_cells(spans)
-    c = np.zeros((len(spans), n))
+    c = np.zeros((len(spans), t.shape[0]))
     c[rows, cols] = coefficient(ends, cols, lengths)
-    return ad.matmul(ad.constant(c), matrix)
+    return ad.matmul(ad.constant(c), t)
 
 
-def encode_fragments_bow(t: Tensor | list[Tensor], spans: list[Span]) -> Tensor:
+def encode_fragments_bow(t: Tensor, spans: list[Span]) -> Tensor:
     """Mean of the span's character vectors."""
     return _combine(t, spans, lambda ends, k, lengths: 1.0 / lengths)
 
 
-def encode_fragments_fofe(t: Tensor | list[Tensor], spans: list[Span],
+def encode_fragments_fofe(t: Tensor, spans: list[Span],
                           alpha: float) -> Tensor:
     """Forgetting encoding z_k = alpha * z_{k-1} + t_k, in its closed form:
     span (i, j) is the sum of alpha^(j-k) t_k over i <= k <= j."""
@@ -156,8 +117,8 @@ def encode_fragments_fofe(t: Tensor | list[Tensor], spans: list[Span],
     return _combine(t, spans, lambda ends, k, lengths: alpha ** (ends - k))
 
 
-def encode_fragments_birnn(t: Tensor | list[Tensor], spans: list[Span],
-                           fwd: LSTMCell, bwd: LSTMCell) -> Tensor:
+def encode_fragments_birnn(t: Tensor, spans: list[Span],
+                           fwd: Cell, bwd: Cell) -> Tensor:
     """Final forward state ++ final backward state of a span-local BiLSTM.
 
     One batch of forward chains runs from every start and one of backward
@@ -166,12 +127,11 @@ def encode_fragments_birnn(t: Tensor | list[Tensor], spans: list[Span],
     that runs past the sentence's edge repeats the edge character; no span
     reads those states.
     """
-    x = t if isinstance(t, Tensor) else ad.stack_rows(t)
-    n = x.shape[0]
+    n = t.shape[0]
     starts, ends = _span_bounds(spans)
     steps = int((ends - starts).max()) + 1
     origin, step = np.arange(n)[:, None], np.arange(steps)
-    f = ad.lstm_sequence(x, np.minimum(origin + step, n - 1), fwd.wx, fwd.wh, fwd.b)
-    b = ad.lstm_sequence(x, np.maximum(origin - step, 0), bwd.wx, bwd.wh, bwd.b)
+    f = ad.lstm_sequence(t, np.minimum(origin + step, n - 1), *fwd)
+    b = ad.lstm_sequence(t, np.maximum(origin - step, 0), *bwd)
     return ad.hconcat(ad.gather_rows(f, starts * steps + ends - starts),
                       ad.gather_rows(b, ends * steps + ends - starts))

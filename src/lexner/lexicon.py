@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ConfigError
+from .corpus import ParseError, open_text
 
 EXACT, PREFIX, SUFFIX, INFIX = "exact", "prefix", "suffix", "infix"
 MODES = (EXACT, PREFIX, SUFFIX, INFIX)   # in priority order
@@ -96,14 +97,18 @@ class Lexicon:
     def from_file(cls, path: str) -> "Lexicon":
         """One word per line, optional whitespace-separated frequency column."""
         words, freqs = [], {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
+        with open_text(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:
                     continue
                 words.append(parts[0])
                 if len(parts) > 1:
-                    freqs[parts[0]] = float(parts[1])
+                    try:
+                        freqs[parts[0]] = float(parts[1])
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}:{lineno}: bad frequency {parts[1]!r}") from None
         return cls(words, freqs)
 
     def freq(self, word: str) -> float:

@@ -97,8 +97,8 @@ VOCAB_FIELDS = ("n_chars", "n_seg", "n_pos", "n_types", "n_lex")
 
 def vocab_sizes(vocab: Vocab) -> dict[str, int]:
     """The ``ModelConfig`` vocabulary-size fields a vocabulary fixes."""
-    tables = (vocab.chars, vocab.segs, vocab.pos, vocab.types, vocab.lex)
-    return {name: len(table) for name, table in zip(VOCAB_FIELDS, tables)}
+    return {name: len(getattr(vocab, table))
+            for name, table in zip(VOCAB_FIELDS, Vocab.TABLES)}
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -147,9 +147,6 @@ class Model:
         self.config = config
         self.vocab = vocab
         self.params = params
-        self._char_cells: list[tuple[encoders.LSTMCell, encoders.LSTMCell]] = []
-        self._frag_cells: tuple[encoders.LSTMCell, encoders.LSTMCell] | None = None
-        self._bind_cells()
 
     # -- construction ------------------------------------------------------
 
@@ -163,33 +160,19 @@ class Model:
         presets = {"emb_char": char_embeddings, "emb_lex": lex_embeddings}
         p: dict[str, Tensor] = {}
         for name, shape in param_shapes(config).items():
-            if name in p:   # an LSTM cell's wh and b, made with its wx
-                continue
             if presets.get(name) is not None:
                 if presets[name].shape != shape:
                     raise ConfigError(
                         f"{name}: pretrained shape {presets[name].shape} != {shape}")
                 p[name] = ad.parameter(presets[name])
-            elif name.endswith("_wx"):
-                prefix = name[:-len("_wx")]
-                cell = encoders.lstm_init(shape[1], shape[0] // 4, rng)
-                p[f"{prefix}_wx"], p[f"{prefix}_wh"], p[f"{prefix}_b"] = cell.wx, cell.wh, cell.b
             elif len(shape) == 1:
                 p[name] = ad.parameter(np.zeros(shape))
+            elif name.endswith(("_wx", "_wh")):   # LSTM gates: 4 blocks of h rows
+                bound = 1.0 / np.sqrt(shape[0] // 4)
+                p[name] = ad.parameter(rng.uniform(-bound, bound, shape))
             else:
                 p[name] = ad.parameter(rng.uniform(-0.1, 0.1, shape))
         return cls(config, vocab, p)
-
-    def _bind_cells(self):
-        def cell(prefix):
-            return encoders.LSTMCell(self.params[f"{prefix}_wx"],
-                                     self.params[f"{prefix}_wh"],
-                                     self.params[f"{prefix}_b"])
-        if self.config.char_encoder == "birnn":
-            self._char_cells = [(cell(f"char_l{l}_f"), cell(f"char_l{l}_b"))
-                                for l in range(self.config.char_layers)]
-        if self.config.fragment_encoder == "birnn":
-            self._frag_cells = (cell("frag_f"), cell("frag_b"))
 
     def trainable(self, freeze_lex: bool = True) -> dict[str, Tensor]:
         skip = {"emb_lex"} if freeze_lex else set()
@@ -226,13 +209,19 @@ class Model:
             sent.char_ids, sent.seg_ids, sent.pos_ids,
             p["emb_char"], p["emb_seg"], p["emb_pos"],
             dropout_rate=dropout_rate, rng=rng, training=training)
-        t = encoders.encode_characters(w, cfg.char_encoder, self._char_cells)
+
+        def cell(prefix):
+            return p[f"{prefix}_wx"], p[f"{prefix}_wh"], p[f"{prefix}_b"]
+
+        layers = cfg.char_layers if cfg.char_encoder == "birnn" else 0
+        t = encoders.encode_characters(
+            w, [(cell(f"char_l{l}_f"), cell(f"char_l{l}_b")) for l in range(layers)])
         if cfg.fragment_encoder == "bow":
             frags = encoders.encode_fragments_bow(t, spans)
         elif cfg.fragment_encoder == "fofe":
             frags = encoders.encode_fragments_fofe(t, spans, cfg.fofe_alpha)
         else:
-            frags = encoders.encode_fragments_birnn(t, spans, *self._frag_cells)
+            frags = encoders.encode_fragments_birnn(t, spans, cell("frag_f"), cell("frag_b"))
         memory = ad.hconcat(ad.gather_rows(p["emb_lex"], layout.lex_ids),
                             ad.gather_rows(p["emb_mod"], layout.mode_ids))
         ctx, (p_real, p_null) = ad.memory_attention(

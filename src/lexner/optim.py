@@ -52,24 +52,20 @@ class Adam:
             st["t"] += 1
             bc1 = 1.0 - self.beta1 ** st["t"]
             bc2 = 1.0 - self.beta2 ** st["t"]
-            if name in self.sparse:
-                if p.touched_rows is None:
-                    continue
-                idx = np.flatnonzero(p.touched_rows)
-                g = grad[idx]
-                if self.weight_decay:
-                    p.values[idx] *= 1.0 - self.lr * self.weight_decay
-                st["m"][idx] = self.beta1 * st["m"][idx] + (1.0 - self.beta1) * g
-                st["v"][idx] = self.beta2 * st["v"][idx] + (1.0 - self.beta2) * g * g
-                m_hat = st["m"][idx] / bc1
-                v_hat = st["v"][idx] / bc2
-                p.values[idx] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if name not in self.sparse:
+                idx = slice(None)
+            elif p.touched_rows is None:
+                continue
             else:
-                if self.weight_decay:
-                    p.values *= 1.0 - self.lr * self.weight_decay
-                st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * grad
-                st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * grad * grad
-                p.values -= self.lr * (st["m"] / bc1) / (np.sqrt(st["v"] / bc2) + self.eps)
+                idx = np.flatnonzero(p.touched_rows)
+            g = grad[idx]
+            if self.weight_decay:
+                p.values[idx] *= 1.0 - self.lr * self.weight_decay
+            st["m"][idx] = self.beta1 * st["m"][idx] + (1.0 - self.beta1) * g
+            st["v"][idx] = self.beta2 * st["v"][idx] + (1.0 - self.beta2) * g * g
+            m_hat = st["m"][idx] / bc1
+            v_hat = st["v"][idx] / bc2
+            p.values[idx] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:

@@ -1,10 +1,13 @@
 """Per-span reference of ``Model.score_spans`` and its memory layout.
 
-The model runs each LSTM as a batch of chains in one ``lstm_sequence`` op.
-This module keeps the per-step path it replaced: one LSTM step composed of
-per-op tape nodes (``reference_step``) and chains of those steps
-(``lstm_run``), with the elementwise ops that only this path and the tests
-use (``sub``, ``mul``, ``sigmoid``, ``log``, ``sum_all``).
+The model runs each LSTM as a batch of chains in one ``lstm_sequence`` op
+over a character matrix, with its weights as a ``(wx, wh, b)`` triple of
+parameters. This module keeps the per-step path it replaced: one LSTM step
+composed of per-op tape nodes (``reference_step``) and chains of those
+steps over a list of row vectors (``lstm_run``), with the elementwise and
+structural ops that only this path and the tests use (``sub``, ``mul``,
+``sigmoid``, ``log``, ``sum_all``, ``stack_rows``), and weights drawn as
+``Model.build`` draws them (``lstm_cell``).
 
 The model scores all spans of a sentence as the rows of matrices: one
 coefficient-matrix product per bag-of-words or forgetting encoding and one
@@ -170,6 +173,20 @@ def vconcat(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def stack_rows(rows: list[Tensor]) -> Tensor:
+    """Vectors as the rows of a matrix."""
+    if not rows:
+        raise ShapeError("stack_rows: empty row list")
+    out, tape = _begin(np.stack([r.values for r in rows]), *rows)
+    if tape:
+        def backward():
+            for i, r in enumerate(rows):
+                if r.tracked:
+                    r.grad += out.grad[i]
+        tape.record(backward)
+    return out
+
+
 def lookup(table: Tensor, index: int) -> Tensor:
     """Embedding row fetch; gradient scatters back into the table row."""
     out, tape = _begin(table.values[index].copy(), table)
@@ -202,11 +219,21 @@ def softmax(x: Tensor) -> Tensor:
 # per-step LSTM
 
 
+def lstm_cell(d_in: int, hidden: int, rng: np.random.Generator):
+    """LSTM weights ``(wx, wh, b)`` drawn as ``Model.build`` draws them:
+    gate weights uniform in +-1/sqrt(hidden), zero biases."""
+    bound = 1.0 / np.sqrt(hidden)
+    return (ad.parameter(rng.uniform(-bound, bound, (4 * hidden, d_in))),
+            ad.parameter(rng.uniform(-bound, bound, (4 * hidden, hidden))),
+            ad.parameter(np.zeros(4 * hidden)))
+
+
 def reference_step(cell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step ``(h_new, c_new)`` of per-op tape nodes; gate rows in
-    i, f, g, o order."""
-    hid = cell.wh.shape[1]
-    pre = ad.add(ad.add(matvec(cell.wx, x), matvec(cell.wh, h)), cell.b)
+    """One LSTM step ``(h_new, c_new)`` of per-op tape nodes; ``cell`` is
+    ``(wx, wh, b)`` with gate rows in i, f, g, o order."""
+    wx, wh, b = cell
+    hid = wh.shape[1]
+    pre = ad.add(ad.add(matvec(wx, x), matvec(wh, h)), b)
     i = sigmoid(vslice(pre, 0, hid))
     f = sigmoid(vslice(pre, hid, 2 * hid))
     g = ad.tanh(vslice(pre, 2 * hid, 3 * hid))
@@ -219,7 +246,7 @@ def reference_step(cell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tenso
 def lstm_run(xs: list[Tensor], cell, reverse: bool = False) -> list[Tensor]:
     """Hidden states aligned with ``xs``, one ``reference_step`` per
     vector from zero state; ``reverse`` runs right to left."""
-    h = c = ad.constant(np.zeros(cell.wh.shape[1]))
+    h = c = ad.constant(np.zeros(cell[1].shape[1]))
     states: list[Tensor] = [None] * len(xs)
     order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
     for k in order:
@@ -241,9 +268,7 @@ def char_feature_vectors(char_ids, seg_ids, pos_ids, emb_char, emb_seg, emb_pos,
     return out
 
 
-def encode_characters(w: list[Tensor], mode, layers) -> list[Tensor]:
-    if mode == "baseline":
-        return w
+def encode_characters(w: list[Tensor], layers) -> list[Tensor]:
     xs = w
     for fwd, bwd in layers:
         f_states = lstm_run(xs, fwd)
@@ -319,13 +344,18 @@ def score_spans(model, sent, layouts, spans, dropout_rate=0.0, rng=None,
     w = char_feature_vectors(sent.char_ids, sent.seg_ids, sent.pos_ids,
                              p["emb_char"], p["emb_seg"], p["emb_pos"],
                              dropout_rate=dropout_rate, rng=rng, training=training)
-    t = encode_characters(w, cfg.char_encoder, model._char_cells)
+
+    def cell(prefix):
+        return tuple(p[f"{prefix}_{part}"] for part in ("wx", "wh", "b"))
+
+    layers = range(cfg.char_layers) if cfg.char_encoder == "birnn" else []
+    t = encode_characters(w, [(cell(f"char_l{l}_f"), cell(f"char_l{l}_b")) for l in layers])
     if cfg.fragment_encoder == "bow":
         frags = encode_fragments_bow(t, spans)
     elif cfg.fragment_encoder == "fofe":
         frags = encode_fragments_fofe(t, spans, cfg.fofe_alpha)
     else:
-        frags = encode_fragments_birnn(t, spans, *model._frag_cells)
+        frags = encode_fragments_birnn(t, spans, cell("frag_f"), cell("frag_b"))
     rows, attn_dump = [], []
     for span, layout in zip(spans, layouts):
         memory = assemble_memory(layout, p["emb_lex"], p["emb_mod"], p["null_rows"])
@@ -333,7 +363,7 @@ def score_spans(model, sent, layouts, spans, dropout_rate=0.0, rng=None,
         rows.append(concat([frags[span], ctx]))
         attn_dump.append((weights.values.copy(), layout.row_labels(cfg.k_cut))
                          if want_attention else None)
-    r = ad.stack_rows(rows)
+    r = stack_rows(rows)
     for layer in range(cfg.head_layers):
         r = ad.tanh(ad.linear(r, p[f"head_w{layer}"], p[f"head_b{layer}"]))
     logits = ad.linear(r, p["head_out_w"], p["head_out_b"])

@@ -5,6 +5,7 @@ terminal (bypassing capture) before asserting, so the scorecard is visible
 even in a longer pytest run.
 """
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from lexner.autodiff import Tape
 from lexner.corpus import Vocab
 from lexner.decode import ScoredSpan, filter_threshold, resolve
 from lexner.encoders import (encode_fragments_birnn, encode_fragments_fofe,
-                             enumerate_fragments, fragment_count, lstm_init,
-                             lstm_run)
+                             enumerate_fragments, fragment_count)
 from lexner.lexicon import Lexicon, match_fragment
 from lexner.model import (Model, ModelConfig, SPARSE_TABLES, TrainSettings,
                           _prepare, train_model)
 from lexner.optim import Adam
 from lexner.synth import make_corpus
+
+from span_reference import lstm_cell, lstm_run
 
 
 def report(capsys, number, name, ok, detail=""):
@@ -115,21 +117,22 @@ def test_3_incremental_encoder_equivalence(capsys):
     for seed in range(200):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
-        t = [ad.Tensor(rng.normal(size=3)) for _ in range(n)]
+        t = ad.Tensor(rng.normal(size=(n, 3)))
+        rows = [ad.Tensor(row) for row in t.values]
         spans = enumerate_fragments(n, n)
         alpha = float(rng.uniform(0.1, 0.9))
-        fwd, bwd = lstm_init(3, 3, rng), lstm_init(3, 3, rng)
+        fwd, bwd = lstm_cell(3, 3, rng), lstm_cell(3, 3, rng)
         with Tape():
             fofe = encode_fragments_fofe(t, spans, alpha)
             birnn = encode_fragments_birnn(t, spans, fwd, bwd)
             for s, (i, j) in enumerate(spans):
                 z = np.zeros(3)
                 for k in range(i, j + 1):
-                    z = alpha * z + t[k].values
+                    z = alpha * z + t.values[k]
                 worst_fofe = max(worst_fofe,
                                  float(np.abs(fofe.values[s] - z).max()))
-                f = lstm_run(t[i:j + 1], fwd)[-1].values
-                b = lstm_run(t[i:j + 1], bwd, reverse=True)[0].values
+                f = lstm_run(rows[i:j + 1], fwd)[-1].values
+                b = lstm_run(rows[i:j + 1], bwd, reverse=True)[0].values
                 direct = np.concatenate([f, b])
                 worst_birnn = max(worst_birnn,
                                   float(np.abs(birnn.values[s] - direct).max()))
@@ -320,7 +323,7 @@ def test_10_determinism(capsys, tmp_path):
         model.restore(best)
         path = str(tmp_path / f"run{run}.ckpt")
         checkpoint.save(path, model)
-        artifacts.append((open(path, "rb").read(),
+        artifacts.append((Path(path).read_bytes(),
                           [(r.epoch, r.split, r.precision, r.recall, r.f1,
                             r.loss) for r in rows]))
     (bytes_a, log_a), (bytes_b, log_b) = artifacts

@@ -244,7 +244,7 @@ class TestGradients:
                 (lambda: ref.sum_all(ref.concat([x, y])), [x, y]),
                 (lambda: ref.sum_all(ad.tanh(ref.vslice(ref.concat([x, y]), 1, n + 1))),
                  [x, y]),
-                (lambda: ref.sum_all(ad.stack_rows([x, y])), [x, y]),
+                (lambda: ref.sum_all(ref.stack_rows([x, y])), [x, y]),
                 (lambda: ref.sum_all(ad.hconcat(a, a)), [a]),
                 (lambda: ref.sum_all(ad.tanh(ad.hconcat(a, ad.scale(a, 0.5), a))), [a]),
                 (lambda: ref.sum_all(ref.vconcat(a, a)), [a]),

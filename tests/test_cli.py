@@ -72,6 +72,37 @@ class TestTrain:
         assert "multichar.txt:5" in err and "'ab'" in err
         assert not (workdir / "x.ckpt").exists()
 
+    def test_non_numeric_lexicon_frequency_exits_2(self, workdir, capsys):
+        lines = (workdir / "lex.txt").read_text(encoding="utf-8").splitlines()
+        lines[2] = "word abc"
+        (workdir / "badlex.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = train_args(workdir, train="tiny.txt", ckpt="x.ckpt", log="x.csv")
+        args[args.index("--lexicon") + 1] = str(workdir / "badlex.txt")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "badlex.txt:3" in err and "'abc'" in err
+        assert not (workdir / "x.ckpt").exists()
+
+    def test_non_numeric_char_embedding_exits_2(self, workdir, capsys):
+        char = (workdir / "tiny.txt").read_text(encoding="utf-8")[0]
+        values = ["0.1"] * 16
+        rows = [f"{char} {' '.join(values)}", f"{char} abc {' '.join(values[1:])}"]
+        (workdir / "bademb.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        args = train_args(workdir, train="tiny.txt", ckpt="x.ckpt", log="x.csv")
+        assert main(args + ["--char-embeddings", str(workdir / "bademb.txt")]) == 2
+        assert "bademb.txt:2" in capsys.readouterr().err
+        assert not (workdir / "x.ckpt").exists()
+
+    def test_corpus_not_utf8_exits_2(self, workdir, capsys):
+        lines = (workdir / "tiny.txt").read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        (workdir / "latin.txt").write_bytes(b"\n".join(lines))
+        args = train_args(workdir, train="latin.txt", ckpt="x.ckpt", log="x.csv")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "latin.txt:3" in err and "UTF-8" in err
+        assert not (workdir / "x.ckpt").exists()
+
     def test_artifacts_written(self, trained):
         assert (trained / "m.ckpt").exists()
         header, *rows = (trained / "log.csv").read_text().splitlines()
@@ -154,8 +185,8 @@ class TestPredict:
 
     def test_raw_input_truncated(self, trained, caplog):
         raw = trained / "long_raw.txt"
-        raw.write_text("".join(open(trained / "raw.txt", encoding="utf-8")
-                               .read().split()) * 20 + "\n", encoding="utf-8")
+        raw.write_text("".join((trained / "raw.txt").read_text(encoding="utf-8")
+                               .split()) * 20 + "\n", encoding="utf-8")
         out = trained / "pred_long_raw.txt"
         code = main(["predict", "--checkpoint", str(trained / "m.ckpt"),
                      "--input", str(raw), "--raw", "--max-sentence-len", "50",

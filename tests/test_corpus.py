@@ -97,6 +97,16 @@ class TestReadCorpus:
         with pytest.raises(corpus.ParseError, match=r":3: .*'ab'"):
             read_corpus(path)
 
+    def test_not_utf8_reports_line(self, tmp_path):
+        p = tmp_path / "corp.txt"
+        p.write_bytes(b"a\tS\tX\tO\n\n\xe7\x94\tS\tX\tO\n")
+        with pytest.raises(corpus.ParseError, match=r":3: not valid UTF-8"):
+            read_corpus(str(p))
+
+    def test_crlf_and_cr_line_ends(self, tmp_path):
+        path = self.write(tmp_path, "a\tS\tX\tO\r\n\r\nb\tS\tX\tO\rc\tS\tX\tO\r\n")
+        assert [s.chars for s in read_corpus(path)] == [["a"], ["b", "c"]]
+
     def test_truncation(self, tmp_path):
         path = self.write(tmp_path, "".join(f"c\tS\tX\tO\n" for _ in range(10)))
         sents = read_corpus(path, max_len=4)
@@ -125,10 +135,40 @@ class TestReadCorpus:
                                   data.draw(st.lists(tag, min_size=n, max_size=n)),
                                   entities=entities))
         path = str(tmp_path_factory.mktemp("roundtrip") / "c.txt")
+        if sents and data.draw(st.booleans(), label="whitespace"):
+            # a whitespace character, or a tag holding one, cannot be read back
+            s = data.draw(st.sampled_from(sents))
+            k = data.draw(st.integers(0, len(s) - 1))
+            space = data.draw(st.sampled_from(" \t\r\x0b\x1c\x85\u2028\u3000"))
+            if data.draw(st.booleans(), label="in the character column"):
+                s.chars[k] = space
+            else:
+                s.pos_tags[k] = s.pos_tags[k][:1] + space + s.pos_tags[k][1:]
+            with pytest.raises(corpus.ParseError, match="would not read back"):
+                corpus.write_corpus(path, sents, fmt)
+            return
         corpus.write_corpus(path, sents, fmt)
         back = read_corpus(path, fmt)
         assert [(s.chars, s.seg_labels, s.pos_tags, s.entities) for s in back] == \
             [(s.chars, s.seg_labels, s.pos_tags, s.entities) for s in sents]
+
+    @pytest.mark.parametrize("chars, pos", [
+        (["甲", "\u3000", "乙"], ["N", "N", "N"]),   # ideographic space
+        (["ab", "c"], ["N", "N"]),                  # not one character
+        (["甲", "乙"], ["N", "N N"]),               # a POS tag with a space
+    ])
+    def test_write_rejects_row_that_would_not_read_back(self, tmp_path, chars, pos):
+        path = tmp_path / "w.txt"
+        s = Sentence(chars, ["S"] * len(chars), pos)
+        with pytest.raises(corpus.ParseError, match="would not read back"):
+            corpus.write_corpus(str(path), [Sentence(["a"], ["S"], ["N"]), s])
+        assert not path.exists()
+
+    def test_write_unknown_format(self, tmp_path):
+        s = Sentence(list("ab"), ["B", "E"], ["N", "N"], entities={(0, 1, "PER")})
+        with pytest.raises(ConfigError, match="column-bogus"):
+            corpus.write_corpus(str(tmp_path / "w.txt"), [s], fmt="column-bogus")
+        assert not (tmp_path / "w.txt").exists()
 
     def test_roundtrip_file(self, tmp_path):
         s = Sentence(list("abcd"), ["B", "E", "S", "S"], ["NN", "NN", "X", "X"],
@@ -149,6 +189,11 @@ class TestReadRaw:
         assert sents[1].seg_labels == ["S"] * 4
         assert sents[1].pos_tags == [corpus.UNK] * 4
         assert sents[1].entities == set()
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        path.write_bytes("希尔顿\r\nab\r\n".encode("utf-8"))
+        assert [s.chars for s in corpus.read_raw(str(path))] == [list("希尔顿"), list("ab")]
 
     def test_truncation_warns(self, tmp_path, caplog):
         path = tmp_path / "raw.txt"
@@ -214,6 +259,13 @@ class TestEmbeddings:
         with pytest.raises(ConfigError):
             load_embeddings(str(f), table, 2, np.random.default_rng(0),
                             report=None)
+
+    def test_non_numeric_value_reports_line(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_text("1 2\na 1 2\nb 1 x\n")
+        with pytest.raises(corpus.ParseError, match=r"emb.txt:3: .*'b'"):
+            load_embeddings(str(f), self.make_table(["a", "b"]), 2,
+                            np.random.default_rng(0), report=None)
 
     def test_coverage_report_written(self, tmp_path):
         table = self.make_table(["a"])

@@ -4,17 +4,13 @@ from hypothesis import given, strategies as st
 
 import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, Tape, Tensor
-from lexner.encoders import (LSTMCell, char_feature_vectors,
-                             encode_characters, encode_fragments_birnn,
-                             encode_fragments_bow, encode_fragments_fofe,
-                             enumerate_fragments, fragment_count, lstm_init,
-                             lstm_run)
+from lexner.encoders import (char_feature_vectors, encode_characters,
+                             encode_fragments_birnn, encode_fragments_bow,
+                             encode_fragments_fofe, enumerate_fragments,
+                             fragment_count)
 
 import span_reference as ref
-
-
-def rand_vecs(rng, n, d):
-    return [Tensor(rng.normal(size=d)) for _ in range(n)]
+from span_reference import lstm_cell
 
 
 def rand_matrix(rng, n, d):
@@ -68,41 +64,39 @@ class TestCharFeatures:
 
 class TestLSTM:
     def test_init_shapes(self):
-        cell = lstm_init(3, 5, np.random.default_rng(0))
-        assert cell.wx.shape == (20, 3)
-        assert cell.wh.shape == (20, 5)
-        assert cell.b.shape == (20,)
+        wx, wh, b = lstm_cell(3, 5, np.random.default_rng(0))
+        assert wx.shape == (20, 3)
+        assert wh.shape == (20, 5)
+        assert b.shape == (20,)
 
     def test_zero_weights_zero_output(self):
-        cell = LSTMCell(Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 2))),
-                        Tensor(np.zeros(8)))
-        xs = rand_vecs(np.random.default_rng(1), 4, 3)
+        cell = (Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 2))), Tensor(np.zeros(8)))
+        x = rand_matrix(np.random.default_rng(1), 4, 3)
         with Tape():
-            states = lstm_run(xs, cell)
-        for h in states:
-            assert np.all(h.values == 0.0)
+            states = ad.lstm_sequence(x, np.arange(4)[None], *cell)
+        assert np.all(states.values == 0.0)
 
     def test_reverse_matches_reversed_input(self):
         rng = np.random.default_rng(2)
-        cell = lstm_init(3, 4, rng)
-        xs = rand_vecs(rng, 5, 3)
+        cell = lstm_cell(3, 4, rng)
+        x = rand_matrix(rng, 5, 3)
         with Tape():
-            rev_states = lstm_run(xs, cell, reverse=True)
-            fwd_on_reversed = lstm_run(xs[::-1], cell)
-        for a, b in zip(rev_states, fwd_on_reversed[::-1]):
-            assert np.allclose(a.values, b.values)
+            rev_states = ad.lstm_sequence(x, np.arange(5)[None, ::-1], *cell)
+            fwd_on_reversed = ad.lstm_sequence(Tensor(x.values[::-1]), np.arange(5)[None],
+                                               *cell)
+        assert np.allclose(rev_states.values, fwd_on_reversed.values)
 
     def test_reference_step(self):
         # one step against a direct numpy transcription of the gate math
         rng = np.random.default_rng(3)
-        cell = lstm_init(2, 3, rng)
+        wx, wh, b = cell = lstm_cell(2, 3, rng)
         x = rng.normal(size=2)
         with Tape():
-            h = lstm_run([Tensor(x)], cell)[0]
-        pre = cell.wx.values @ x + cell.b.values
+            h = ad.lstm_sequence(Tensor(x[None]), np.zeros((1, 1), dtype=np.intp), *cell)
+        pre = wx.values @ x + b.values
         sig = lambda z: 1.0 / (1.0 + np.exp(-z))
         i, f, g, o = sig(pre[:3]), sig(pre[3:6]), np.tanh(pre[6:9]), sig(pre[9:])
-        assert np.allclose(h.values, o * np.tanh(i * g))
+        assert np.allclose(h.values[0], o * np.tanh(i * g))
 
     @given(st.data())
     def test_sequence_matches_per_step_reference(self, data):
@@ -118,10 +112,10 @@ class TestLSTM:
         hid = data.draw(st.integers(1, 9), label="hidden")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         index = rng.integers(0, n, size=(n_seq, steps))
-        cell = lstm_init(d, hid, rng)
-        cell.b.values[:] = rng.normal(size=4 * hid)
+        cell = lstm_cell(d, hid, rng)
+        cell[2].values[:] = rng.normal(size=4 * hid)
         x = ad.parameter(rng.normal(size=(n, d)))
-        params = [x, cell.wx, cell.wh, cell.b]
+        params = [x, *cell]
         read = [c * steps + t for c in range(n_seq) for t in range(lengths[c])]
         probe = ad.constant(rng.normal(size=(len(read), hid)))
 
@@ -130,10 +124,9 @@ class TestLSTM:
                 p.grad = None
             with Tape() as tape:
                 if batched:
-                    states = ad.gather_rows(
-                        ad.lstm_sequence(x, index, cell.wx, cell.wh, cell.b), read)
+                    states = ad.gather_rows(ad.lstm_sequence(x, index, *cell), read)
                 else:
-                    states = ad.stack_rows([
+                    states = ref.stack_rows([
                         h for c in range(n_seq) for h in ref.lstm_run(
                             [ref.lookup(x, k) for k in index[c, :lengths[c]]], cell)])
                 tape.backward(ref.sum_all(ref.mul(states, probe)))
@@ -146,11 +139,11 @@ class TestLSTM:
             np.testing.assert_allclose(g, w, rtol=1e-10)
 
     def test_rejects_bad_shapes(self):
-        cell = lstm_init(3, 2, np.random.default_rng(0))
+        cell = lstm_cell(3, 2, np.random.default_rng(0))
         x = Tensor(np.zeros((4, 3)))
 
         def run(x, index):
-            return ad.lstm_sequence(x, index, cell.wx, cell.wh, cell.b)
+            return ad.lstm_sequence(x, index, *cell)
 
         with pytest.raises(ad.ShapeError, match="incompatible"):
             run(x, np.arange(4))
@@ -163,15 +156,15 @@ class TestLSTM:
 class TestEncodeCharacters:
     def test_baseline_identity(self):
         w = rand_matrix(np.random.default_rng(0), 3, 4)
-        assert encode_characters(w, "baseline") is w
+        assert encode_characters(w, []) is w
 
     def test_birnn_dims(self):
         rng = np.random.default_rng(1)
-        layers = [(lstm_init(4, 3, rng), lstm_init(4, 3, rng)),
-                  (lstm_init(6, 3, rng), lstm_init(6, 3, rng))]
+        layers = [(lstm_cell(4, 3, rng), lstm_cell(4, 3, rng)),
+                  (lstm_cell(6, 3, rng), lstm_cell(6, 3, rng))]
         w = rand_matrix(rng, 5, 4)
         with Tape():
-            out = encode_characters(w, "birnn", layers)
+            out = encode_characters(w, layers)
         assert out.shape == (5, 6)
         # the top layer's per-step forward and backward states, side by side
         with Tape():
@@ -181,14 +174,6 @@ class TestEncodeCharacters:
                       zip(ref.lstm_run(xs, fwd), ref.lstm_run(xs, bwd, reverse=True))]
         np.testing.assert_allclose(out.values, np.stack([x.values for x in xs]),
                                    rtol=0, atol=1e-12)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            encode_characters([], "transformer")
-
-    def test_birnn_needs_layers(self):
-        with pytest.raises(ConfigError):
-            encode_characters([], "birnn", None)
 
 
 class TestBOW:
@@ -211,8 +196,8 @@ class TestBOW:
     def test_order_insensitive(self):
         # the mean cannot distinguish a span from its reversal
         rng = np.random.default_rng(6)
-        t = rand_vecs(rng, 4, 3)
-        rev = t[::-1]
+        t = rand_matrix(rng, 4, 3)
+        rev = Tensor(t.values[::-1])
         with Tape():
             a = encode_fragments_bow(t, [(0, 3)])
             b = encode_fragments_bow(rev, [(0, 3)])
@@ -250,10 +235,10 @@ class TestFOFE:
                 assert np.allclose(row, self.direct(t, i, j, alpha), atol=1e-10)
 
     def test_encodes_order(self):
-        t = [Tensor(np.array([1.0])), Tensor(np.array([2.0]))]
+        t = Tensor(np.array([[1.0], [2.0]]))
         with Tape():
             ab = encode_fragments_fofe(t, [(0, 1)], 0.5)
-            ba = encode_fragments_fofe(t[::-1], [(0, 1)], 0.5)
+            ba = encode_fragments_fofe(Tensor(t.values[::-1]), [(0, 1)], 0.5)
         assert ab.values[0, 0] == 2.5
         assert ba.values[0, 0] == 2.0
 
@@ -266,29 +251,28 @@ class TestFOFE:
 
 class TestFragmentBiRNN:
     def direct(self, t, i, j, fwd, bwd):
+        xs = [Tensor(row) for row in t.values[i:j + 1]]
         with Tape():
-            f = ref.lstm_run(t[i:j + 1], fwd)[-1]
-            b = ref.lstm_run(t[i:j + 1], bwd, reverse=True)[0]
+            f = ref.lstm_run(xs, fwd)[-1]
+            b = ref.lstm_run(xs, bwd, reverse=True)[0]
         return np.concatenate([f.values, b.values])
 
     def test_matches_span_local_run(self):
         rng = np.random.default_rng(8)
-        fwd, bwd = lstm_init(3, 4, rng), lstm_init(3, 4, rng)
-        t = rand_vecs(rng, 6, 3)
+        fwd, bwd = lstm_cell(3, 4, rng), lstm_cell(3, 4, rng)
+        t = rand_matrix(rng, 6, 3)
         spans = enumerate_fragments(6, 4)
         with Tape():
             enc = encode_fragments_birnn(t, spans, fwd, bwd)
-            from_matrix = encode_fragments_birnn(ad.stack_rows(t), spans, fwd, bwd)
-        assert np.array_equal(enc.values, from_matrix.values)
         for row, (i, j) in zip(enc.values, spans):
             assert np.allclose(row, self.direct(t, i, j, fwd, bwd), atol=1e-10)
 
     def test_many_seeds(self):
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
-            fwd, bwd = lstm_init(2, 3, rng), lstm_init(2, 3, rng)
+            fwd, bwd = lstm_cell(2, 3, rng), lstm_cell(2, 3, rng)
             n = int(rng.integers(2, 8))
-            t = rand_vecs(rng, n, 2)
+            t = rand_matrix(rng, n, 2)
             spans = enumerate_fragments(n, n)
             with Tape():
                 enc = encode_fragments_birnn(t, spans, fwd, bwd)
@@ -297,16 +281,16 @@ class TestFragmentBiRNN:
 
     def test_distinguishes_order(self):
         rng = np.random.default_rng(9)
-        fwd, bwd = lstm_init(2, 3, rng), lstm_init(2, 3, rng)
-        t = rand_vecs(rng, 2, 2)
+        fwd, bwd = lstm_cell(2, 3, rng), lstm_cell(2, 3, rng)
+        t = rand_matrix(rng, 2, 2)
         with Tape():
             ab = encode_fragments_birnn(t, [(0, 1)], fwd, bwd)
-            ba = encode_fragments_birnn(t[::-1], [(0, 1)], fwd, bwd)
+            ba = encode_fragments_birnn(Tensor(t.values[::-1]), [(0, 1)], fwd, bwd)
         assert not np.allclose(ab.values, ba.values)
 
     def test_output_dim(self):
         rng = np.random.default_rng(10)
-        fwd, bwd = lstm_init(5, 7, rng), lstm_init(5, 7, rng)
+        fwd, bwd = lstm_cell(5, 7, rng), lstm_cell(5, 7, rng)
         t = rand_matrix(rng, 3, 5)
         with Tape():
             enc = encode_fragments_birnn(t, [(0, 2)], fwd, bwd)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, Tape, Tensor
+from lexner.corpus import ParseError
 from lexner.encoders import enumerate_fragments
 from lexner.lexicon import (MODES, Lexicon, Match, SentenceLayout, Trie,
                             bucket_count, bucket_name, bucket_of, match_fragment)
@@ -75,6 +76,12 @@ class TestLexicon:
         assert set(lex.words) == {"ab", "cd"}
         assert lex.freq("ab") == 5.0
         assert lex.freq("cd") == 0.0
+
+    def test_from_file_bad_frequency_reports_line(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_text("ab 5\n\ncd abc\n")
+        with pytest.raises(ParseError, match=r"lex.txt:3: .*'abc'"):
+            Lexicon.from_file(str(p))
 
 
 class TestMatchFragment:

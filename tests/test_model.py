@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -445,10 +446,27 @@ class TestCheckpoint:
 
     def test_file_bytes_deterministic(self, tmp_path):
         model, _, _ = tiny_world(seed=2)
-        p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
-        checkpoint.save(p1, model)
-        checkpoint.save(p2, model)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        checkpoint.save(str(p1), model)
+        checkpoint.save(str(p2), model)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_build_init_pinned(self, tmp_path):
+        # SHA-256 of the checkpoint of a freshly built model with both LSTM
+        # encoders at a fixed seed: a refactor of parameter init must draw
+        # the same numbers in the same order
+        sents = [Sentence(list("abcd"), ["B", "E", "S", "S"], ["N", "V", "N", "N"],
+                          entities={(0, 1, "PER")})]
+        config = ModelConfig(d_char=4, d_seg=2, d_pos=2, d_lex=3, d_mod=2, char_hidden=3,
+                             frag_hidden=2, fragment_encoder="birnn", head_hidden=5,
+                             head_layers=1)
+        assert (config.char_encoder, config.char_layers) == ("birnn", 2)
+        model = Model.build(config, Vocab.build(sents, ["ab", "cd"]),
+                            np.random.default_rng(20))
+        path = tmp_path / "init.ckpt"
+        checkpoint.save(str(path), model)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "07683cfaba82028265a292ba0d93db3ba828a07aa4fce3b496a2ae9e65e8329d"
 
     def test_failed_save_keeps_old_file(self, tmp_path):
         model, _, _ = tiny_world()
