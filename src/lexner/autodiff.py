@@ -159,21 +159,6 @@ def exp(x: Tensor) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out, tape = _begin(a.values @ b.values, a, b)
-    if tape:
-        av, bv = a.values.copy(), b.values.copy()
-        def backward():
-            if a.tracked:
-                a.grad += out.grad @ bv.T
-            if b.tracked:
-                b.grad += av.T @ out.grad
-        tape.record(backward)
-    return out
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row-batched affine map: (n, d_in) @ (d_out, d_in)^T + (d_out,)."""
     if x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[1]:
@@ -190,6 +175,54 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 w.grad += out.grad.T @ xv
             if b.tracked:
                 b.grad += out.grad.sum(axis=0)
+        tape.record(backward)
+    return out
+
+
+def span_sums(x: Tensor, starts: np.ndarray, lengths: np.ndarray,
+              decay: float = 1.0, mean: bool = False) -> Tensor:
+    """Weighted sums of distinct runs of rows of ``x``, one tape node.
+
+    Row ``s`` of the result sums the ``lengths[s]`` rows of ``x`` from row
+    ``starts[s]`` on, the row ``k`` places before the last weighted
+    ``decay ** k``, and divides the sum by the length when ``mean``. The
+    runs of every length are built at once over shifted slices of the
+    rows, one length from the one before (``acc_k = decay * acc_{k-1} +
+    x`` shifted by k - 1 rows), and each run reads one row of them. So the
+    cost is a pass over ``x`` per length, never a runs x rows matrix.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if x.values.ndim != 2 or starts.ndim != 1 or starts.shape != lengths.shape:
+        raise ShapeError(f"span_sums: incompatible shapes x {x.shape}, "
+                         f"starts {starts.shape}, lengths {lengths.shape}")
+    n, d = x.shape
+    if len(starts) and (starts.min() < 0 or lengths.min() < 1
+                        or (starts + lengths).max() > n):
+        raise ShapeError("span_sums: run out of range")
+    longest = int(lengths.max(initial=1))
+    # run (i, k) is acc[k - 1, i], row ``flat`` of acc seen as a matrix;
+    # acc[k - 1, i] for i > n - k is never set or read
+    flat = (lengths - 1) * n + starts
+    if np.bincount(flat, minlength=1).max() > 1:
+        raise ShapeError("span_sums: a run is given twice")
+    acc = np.empty((longest, n, d))
+    acc[0] = x.values
+    for k in range(1, longest):
+        np.multiply(acc[k - 1, :n - k], decay, out=acc[k, :n - k])
+        acc[k, :n - k] += x.values[k:]
+    sums = acc.reshape(-1, d)[flat]
+    if mean:
+        sums /= lengths[:, None]
+    out, tape = _begin(sums, x)
+    if tape:
+        def backward():
+            d_acc = np.zeros((longest, n, d))
+            d_acc.reshape(-1, d)[flat] = out.grad / lengths[:, None] if mean else out.grad
+            for k in range(longest - 1, 0, -1):
+                d_acc[k - 1, :n - k] += decay * d_acc[k, :n - k]
+                x.grad[k:] += d_acc[k, :n - k]
+            x.grad += d_acc[0]
         tape.record(backward)
     return out
 
@@ -352,12 +385,14 @@ def memory_attention(f: Tensor, w_attn: Tensor, memory: Tensor, row_span: np.nda
                          f"{len(row_span)} row spans, null_rows {null_rows.shape}, "
                          f"null_mask {null_mask.shape}")
     if len(row_span) and (row_span[0] < 0 or row_span[-1] >= n
-                          or np.any(row_span[1:] < row_span[:-1])):
+                          or (row_span[1:] < row_span[:-1]).any()):
         raise ShapeError("memory_attention: row span ids must be sorted and in range")
-    if np.any(np.bincount(row_span, minlength=n) + null_mask.sum(axis=1) == 0):
+    counts = np.bincount(row_span, minlength=n)
+    if (counts + null_mask.sum(axis=1) == 0).any():
         raise ShapeError("memory_attention: a span has no memory row")
-    starts = np.flatnonzero(np.diff(row_span, prepend=-1))
-    ids = row_span[starts]
+    # the spans with real rows, and where the run of rows of each begins
+    ids = np.flatnonzero(counts)
+    starts = np.cumsum(counts)[ids] - counts[ids]
     inv = 1.0 / math.sqrt(d_m)
     mem, nul = memory.values, null_rows.values
     q = f.values @ w_attn.values

@@ -57,9 +57,10 @@ def _load_checkpoint(path: str, cfg: RunConfig, explicit: set[str]):
     return model, Lexicon(words, freqs)
 
 
-def _score_sentences(model: Model, lex: Lexicon | None, sents, want_attention=False):
+def _score_sentences(model: Model, lex: Lexicon | None, sents, batch_size: int,
+                     want_attention=False):
     return score_corpus(model, [_prepare(model, s, lex) for s in sents],
-                        want_attention)
+                        want_attention, batch_size)
 
 
 def _prf(p: float, r: float, f1: float) -> str:
@@ -117,7 +118,7 @@ def cmd_eval(args) -> int:
     _require_file(path, f"{args.split} corpus")
     sents = read_corpus(path, cfg.corpus_format, cfg.max_sentence_len)
     pred_sets = decode.key_sets(decode.decode_corpus(
-        _score_sentences(model, lex, sents), cfg.rho, cfg.nested))
+        _score_sentences(model, lex, sents, cfg.batch_size), cfg.rho, cfg.nested))
     gold_sets = [s.entities for s in sents]
     print("micro " + _prf(*decode.evaluate(pred_sets, gold_sets)))
     for etype, prf in decode.evaluate_by_type(pred_sets, gold_sets).items():
@@ -133,7 +134,8 @@ def cmd_predict(args) -> int:
     sents = (read_raw(path, cfg.max_sentence_len) if args.raw else
              read_corpus(path, cfg.corpus_format, cfg.max_sentence_len))
     kept = decode.decode_corpus(
-        _score_sentences(model, lex, sents, want_attention=args.dump_attention),
+        _score_sentences(model, lex, sents, cfg.batch_size,
+                         want_attention=args.dump_attention),
         cfg.rho, cfg.nested)
     lines = []
     for sid, spans in enumerate(kept):
@@ -171,7 +173,7 @@ def cmd_sweep(args) -> int:
         model, lex = _load_checkpoint(path, cfg, explicit)
         # read per checkpoint: _prepare caches vocabulary ids on each sentence
         sents = read_corpus(cfg.dev, cfg.corpus_format, cfg.max_sentence_len)
-        scored = _score_sentences(model, lex, sents)
+        scored = _score_sentences(model, lex, sents, cfg.batch_size)
         golds = [s.entities for s in sents]
         for rho in rhos:
             preds = decode.key_sets(decode.decode_corpus(scored, rho, cfg.nested))

@@ -27,7 +27,12 @@ Span = tuple[int, int, str]  # start, end inclusive, type
 
 
 class ParseError(ValueError):
-    pass
+    """Malformed input; ``position`` is the index of the row of a sentence
+    to blame, when one is."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 def open_text(path: str) -> io.StringIO:
@@ -58,9 +63,9 @@ class Sentence:
         n = len(self.chars)
         if len(self.seg_labels) != n or len(self.pos_tags) != n:
             raise ParseError(f"label sequences do not all have length {n}")
-        for lab in self.seg_labels:
+        for i, lab in enumerate(self.seg_labels):
             if lab not in SEG_LABELS:
-                raise ParseError(f"invalid segmentation label {lab!r}")
+                raise ParseError(f"invalid segmentation label {lab!r} at position {i}", i)
         for start, end, _ in self.entities:
             if not 0 <= start <= end < n:
                 raise ParseError(f"entity span ({start},{end}) outside sentence of length {n}")
@@ -90,8 +95,14 @@ def derive_soft_word_labels(words: list[str]) -> list[str]:
 # tag scheme <-> span conversion
 
 
+def _unknown_tag(tag: str, i: int) -> ParseError:
+    return ParseError(f"unknown entity tag {tag!r} at position {i}", i)
+
+
 def bio_tags_to_spans(tags: list[str]) -> set[Span]:
-    """BIO tags to spans; an I- continuing nothing is repaired to B- and logged."""
+    """BIO tags to spans; an I- continuing nothing is repaired to B- and
+    logged, and a tag that is neither O nor B-/I- with a type is a
+    ParseError."""
     spans: set[Span] = set()
     start, cur = -1, None
     for i, tag in enumerate(tags):
@@ -101,6 +112,8 @@ def bio_tags_to_spans(tags: list[str]) -> set[Span]:
                 cur = None
             continue
         kind, _, etype = tag.partition("-")
+        if kind not in ("B", "I") or not etype:
+            raise _unknown_tag(tag, i)
         if kind == "I" and cur == etype:
             continue
         if kind == "I":
@@ -114,7 +127,8 @@ def bio_tags_to_spans(tags: list[str]) -> set[Span]:
 
 
 def bmes_tags_to_spans(tags: list[str]) -> set[Span]:
-    """BMES tags to spans; dangles and mid-segment type switches are repaired."""
+    """BMES tags to spans; dangles and mid-segment type switches are repaired,
+    and a tag that is neither O nor S-/B-/M-/E- with a type is a ParseError."""
     spans: set[Span] = set()
     start, cur = -1, None
 
@@ -131,6 +145,8 @@ def bmes_tags_to_spans(tags: list[str]) -> set[Span]:
             close(i - 1)
             continue
         kind, _, etype = tag.partition("-")
+        if not etype:
+            raise _unknown_tag(tag, i)
         if kind == "S":
             close(i - 1)
             spans.add((i, i, etype))
@@ -145,7 +161,7 @@ def bmes_tags_to_spans(tags: list[str]) -> set[Span]:
             if kind == "E":
                 close(i)
         else:
-            raise ParseError(f"unknown entity tag {tag!r}")
+            raise _unknown_tag(tag, i)
     close(len(tags) - 1)
     return spans
 
@@ -195,13 +211,19 @@ def read_corpus(path: str, fmt: str = "column-bmes",
     to_spans = FORMATS[fmt][0]
     sentences: list[Sentence] = []
     rows: list[tuple[str, str, str, str]] = []
+    linenos: list[int] = []
 
     def flush():
         if not rows:
             return
         chars, segs, pos, tags = (list(col) for col in zip(*_truncate(rows, max_len)))
-        sentences.append(Sentence(chars, segs, pos, to_spans(tags)))
+        try:
+            sentences.append(Sentence(chars, segs, pos, to_spans(tags)))
+        except ParseError as exc:
+            row = 0 if exc.position is None else exc.position
+            raise ParseError(f"{path}:{linenos[row]}: {exc}") from None
         rows.clear()
+        linenos.clear()
 
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -217,6 +239,7 @@ def read_corpus(path: str, fmt: str = "column-bmes",
                 raise ParseError(f"{path}:{lineno}: expected one character in the "
                                  f"first column, got {cols[0]!r}")
             rows.append(tuple(cols))
+            linenos.append(lineno)
     flush()
     return sentences
 

@@ -1,11 +1,14 @@
 """Character-level context encoders and fixed-size fragment encoders.
 
 All take the character vectors as the rows of one matrix and LSTM weights
-as ``(wx, wh, b)`` parameter triples. Every span of length at most ``m``
-gets one vector: bag-of-words and forgetting encoding, linear in the
-character vectors, as a span coefficient matrix times that matrix; the
-span-local BiLSTM as forward chains from every start and backward chains
-from every end, in two sequence ops, each span reading one state of each.
+as ``(wx, wh, b)`` parameter triples. The matrix may stack the characters
+of several sentences, sentence after sentence; an encoder that runs chains
+is told their row counts and never lets a chain cross from one sentence
+into the next. Every span of length at most ``m`` gets one vector:
+bag-of-words and forgetting encoding, linear in the character vectors, as
+weighted sums of runs of rows; the span-local BiLSTM as forward chains
+from every start and backward chains from every end, in two sequence ops,
+each span reading one state of each.
 """
 from __future__ import annotations
 
@@ -51,21 +54,38 @@ def char_feature_vectors(char_ids, seg_ids, pos_ids, emb_char: Tensor,
 # character encoders
 
 
-def encode_characters(w: Tensor, layers: list[tuple[Cell, Cell]]) -> Tensor:
+def encode_characters(w: Tensor, layers: list[tuple[Cell, Cell]],
+                      lengths: np.ndarray | None = None) -> Tensor:
     """Context-aware character vectors, one row per character.
 
-    With no layers this is the baseline encoder: the embedding matrix
-    unchanged. Otherwise it stacks bidirectional LSTM layers (forward cell,
-    backward cell per layer) and concatenates the two top-layer states per
-    position.
+    ``lengths`` gives the row counts of the sentences stacked in ``w``
+    (default: all rows are one sentence). With no layers this is the
+    baseline encoder: the embedding matrix unchanged. Otherwise it stacks
+    bidirectional LSTM layers (forward cell, backward cell per layer), each
+    direction one chain per sentence, and concatenates the two top-layer
+    states per position.
     """
-    right = np.arange(w.shape[0])[None]
-    left = right[:, ::-1]
+    if not layers:
+        return w
+    lengths = np.array([w.shape[0]]) if lengths is None else np.asarray(lengths)
+    first = np.cumsum(lengths) - lengths
+    steps = np.arange(lengths.max())
+    # a chain that has read its whole sentence repeats the row it ended on;
+    # no position reads those states
+    right = first[:, None] + np.minimum(steps, lengths[:, None] - 1)
+    left = first[:, None] + np.maximum(lengths[:, None] - 1 - steps, 0)
+    # position p of sentence k is state p of its rightward chain and state
+    # n_k - 1 - p of its leftward one
+    sent = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(w.shape[0]) - first[sent]
+    f_rows = sent * len(steps) + pos
+    b_rows = sent * len(steps) + lengths[sent] - 1 - pos
     for fwd, bwd in layers:
-        # state t of the leftward chain belongs to position n - 1 - t
         f = ad.lstm_sequence(w, right, *fwd)
         b = ad.lstm_sequence(w, left, *bwd)
-        w = ad.hconcat(f, ad.gather_rows(b, left[0]))
+        if len(lengths) > 1:   # a lone sentence's states are its rows already
+            f = ad.gather_rows(f, f_rows)
+        w = ad.hconcat(f, ad.gather_rows(b, b_rows))
     return w
 
 
@@ -73,39 +93,19 @@ def encode_characters(w: Tensor, layers: list[tuple[Cell, Cell]]) -> Tensor:
 # fragment encoders
 #
 # Each takes the character vectors as the rows of an n x d matrix ``t`` and
-# returns the span vectors as the rows of a matrix, in the order of
-# ``spans``.
+# the spans as (first row, last row) pairs, and returns the span vectors as
+# the rows of a matrix, in the order of ``spans``.
 
 
-def _span_bounds(spans: list[Span]) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end of every span, as two index arrays."""
-    return (np.array([i for i, _ in spans], dtype=np.intp),
-            np.array([j for _, j in spans], dtype=np.intp))
-
-
-def _span_cells(spans: list[Span]):
-    """(span index, character index, span end, span length) of every
-    character of every span, as parallel arrays."""
-    starts, ends = _span_bounds(spans)
-    lengths = ends - starts + 1
-    rows = np.repeat(np.arange(len(spans)), lengths)
-    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    cols = np.arange(len(rows)) - first + starts[rows]
-    return rows, cols, ends[rows], lengths[rows]
-
-
-def _combine(t: Tensor, spans: list[Span], coefficient) -> Tensor:
-    """``C @ T`` for the span coefficient matrix ``C[s, k]`` =
-    ``coefficient(end of s, k, length of s)`` over the characters k of s."""
-    rows, cols, ends, lengths = _span_cells(spans)
-    c = np.zeros((len(spans), t.shape[0]))
-    c[rows, cols] = coefficient(ends, cols, lengths)
-    return ad.matmul(ad.constant(c), t)
+def _span_bounds(spans) -> np.ndarray:
+    """Start and end of every span, as the two rows of an index array."""
+    return np.asarray(spans, dtype=np.intp).reshape(-1, 2).T
 
 
 def encode_fragments_bow(t: Tensor, spans: list[Span]) -> Tensor:
     """Mean of the span's character vectors."""
-    return _combine(t, spans, lambda ends, k, lengths: 1.0 / lengths)
+    starts, ends = _span_bounds(spans)
+    return ad.span_sums(t, starts, ends - starts + 1, mean=True)
 
 
 def encode_fragments_fofe(t: Tensor, spans: list[Span],
@@ -114,24 +114,30 @@ def encode_fragments_fofe(t: Tensor, spans: list[Span],
     span (i, j) is the sum of alpha^(j-k) t_k over i <= k <= j."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"forgetting factor must lie in (0, 1), got {alpha}")
-    return _combine(t, spans, lambda ends, k, lengths: alpha ** (ends - k))
+    starts, ends = _span_bounds(spans)
+    return ad.span_sums(t, starts, ends - starts + 1, alpha)
 
 
-def encode_fragments_birnn(t: Tensor, spans: list[Span],
-                           fwd: Cell, bwd: Cell) -> Tensor:
+def encode_fragments_birnn(t: Tensor, spans: list[Span], fwd: Cell, bwd: Cell,
+                           lengths: np.ndarray | None = None) -> Tensor:
     """Final forward state ++ final backward state of a span-local BiLSTM.
 
-    One batch of forward chains runs from every start and one of backward
-    chains from every end, each as long as the longest span; span (i, j)
+    One batch of forward chains runs from every row and one of backward
+    chains from every row, each as long as the longest span; span (i, j)
     reads step j - i of the chain from i and of the chain from j. A chain
-    that runs past the sentence's edge repeats the edge character; no span
-    reads those states.
+    that runs past its sentence's edge repeats the edge character, so it
+    reads no row of another sentence; no span reads those states.
+    ``lengths`` gives the row counts of the sentences stacked in ``t``
+    (default: all rows are one sentence).
     """
     n = t.shape[0]
+    lengths = np.array([n]) if lengths is None else np.asarray(lengths)
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    last = first + np.repeat(lengths, lengths) - 1
     starts, ends = _span_bounds(spans)
     steps = int((ends - starts).max()) + 1
     origin, step = np.arange(n)[:, None], np.arange(steps)
-    f = ad.lstm_sequence(t, np.minimum(origin + step, n - 1), *fwd)
-    b = ad.lstm_sequence(t, np.maximum(origin - step, 0), *bwd)
+    f = ad.lstm_sequence(t, np.minimum(origin + step, last[:, None]), *fwd)
+    b = ad.lstm_sequence(t, np.maximum(origin - step, first[:, None]), *bwd)
     return ad.hconcat(ad.gather_rows(f, starts * steps + ends - starts),
                       ad.gather_rows(b, ends * steps + ends - starts))

@@ -234,6 +234,22 @@ class SentenceLayout:
             words=np.array(words, dtype=object)[word[kept]],
         )
 
+    @classmethod
+    def concat(cls, layouts: list["SentenceLayout"]) -> "SentenceLayout":
+        """One layout of the spans of several layouts, layout after layout."""
+        if len(layouts) == 1:
+            return layouts[0]
+        counts = [len(layout.null_mask) for layout in layouts]
+        offsets = np.cumsum(counts) - counts
+        return cls(
+            lex_ids=np.concatenate([layout.lex_ids for layout in layouts]),
+            mode_ids=np.concatenate([layout.mode_ids for layout in layouts]),
+            row_span=np.concatenate([layout.row_span + offset
+                                     for layout, offset in zip(layouts, offsets)]),
+            null_mask=np.concatenate([layout.null_mask for layout in layouts]),
+            words=np.concatenate([layout.words for layout in layouts]),
+        )
+
     def attention_rows(self, p_real: np.ndarray, p_null: np.ndarray, k_cut: int
                        ) -> list[tuple[np.ndarray, list[str]]]:
         """Per span, its attention weights and row labels in memory row

@@ -2,14 +2,17 @@
 
 Each candidate span is encoded, attends over its lexicon memory with a
 scaled bilinear score, and the concatenated representation goes through a
-feed-forward head to a distribution over entity types plus NONE. A
-sentence's spans move through these stages together, as the rows of
-matrices. Training minimizes focal loss with a per-class positive weight
-vector, optionally learned (stored as exponentials of free parameters).
+feed-forward head to a distribution over entity types plus NONE. The
+sentences of a training minibatch or an evaluation chunk are stacked into
+a ``Batch`` and move through these stages together: their characters as
+the rows of one matrix, their spans as the rows of others. Training
+minimizes focal loss with a per-class positive weight vector, optionally
+learned (stored as exponentials of free parameters).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -203,10 +206,21 @@ class Model:
         Returns (probs Tensor, attention list); attention entries are
         (weights array, row labels) when requested, else None.
         """
+        return self.score_batch(Batch.of([(sent, spans, layout)]), dropout_rate, rng,
+                                training, want_attention)
+
+    def score_batch(self, batch: "Batch", dropout_rate: float = 0.0,
+                    rng: np.random.Generator | None = None,
+                    training: bool = False,
+                    want_attention: bool = False):
+        """``score_spans`` of every sentence of ``batch`` in one pass: the
+        probability rows and attention entries of all spans, sentence after
+        sentence. The dropout masks are the ones that ``score_spans`` draws
+        from ``rng`` for the sentences in turn."""
         cfg = self.config
         p = self.params
         w = encoders.char_feature_vectors(
-            sent.char_ids, sent.seg_ids, sent.pos_ids,
+            batch.char_ids, batch.seg_ids, batch.pos_ids,
             p["emb_char"], p["emb_seg"], p["emb_pos"],
             dropout_rate=dropout_rate, rng=rng, training=training)
 
@@ -215,13 +229,16 @@ class Model:
 
         layers = cfg.char_layers if cfg.char_encoder == "birnn" else 0
         t = encoders.encode_characters(
-            w, [(cell(f"char_l{l}_f"), cell(f"char_l{l}_b")) for l in range(layers)])
+            w, [(cell(f"char_l{l}_f"), cell(f"char_l{l}_b")) for l in range(layers)],
+            batch.lengths)
+        spans, layout = batch.spans, batch.layout
         if cfg.fragment_encoder == "bow":
             frags = encoders.encode_fragments_bow(t, spans)
         elif cfg.fragment_encoder == "fofe":
             frags = encoders.encode_fragments_fofe(t, spans, cfg.fofe_alpha)
         else:
-            frags = encoders.encode_fragments_birnn(t, spans, cell("frag_f"), cell("frag_b"))
+            frags = encoders.encode_fragments_birnn(t, spans, cell("frag_f"),
+                                                    cell("frag_b"), batch.lengths)
         memory = ad.hconcat(ad.gather_rows(p["emb_lex"], layout.lex_ids),
                             ad.gather_rows(p["emb_mod"], layout.mode_ids))
         ctx, (p_real, p_null) = ad.memory_attention(
@@ -234,6 +251,50 @@ class Model:
             r = ad.tanh(ad.linear(r, p[f"head_w{layer}"], p[f"head_b{layer}"]))
         logits = ad.linear(r, p["head_out_w"], p["head_out_b"])
         return ad.softmax_rows(logits), attn_dump
+
+
+@dataclass
+class Batch:
+    """Sentences stacked for one forward pass.
+
+    The characters of all sentences are the rows of one matrix, sentence
+    after sentence; ``lengths`` gives each sentence's row count. ``spans``
+    holds every span's first and last row in that matrix, sentence after
+    sentence, ``span_counts`` the spans of each sentence, and ``layout``
+    the memory of every span.
+    """
+
+    char_ids: np.ndarray
+    seg_ids: np.ndarray
+    pos_ids: np.ndarray
+    lengths: np.ndarray
+    spans: np.ndarray
+    span_counts: np.ndarray
+    layout: lx.SentenceLayout
+
+    @classmethod
+    def of(cls, items) -> "Batch":
+        """Stack items that begin (encoded sentence, its spans, its layout),
+        such as ``_prepare``d sentences."""
+        sents, spans, layouts, *_ = zip(*items)
+        lengths = np.array([len(s) for s in sents])
+        offsets = np.cumsum(lengths) - lengths
+        return cls(
+            char_ids=np.concatenate([s.char_ids for s in sents]),
+            seg_ids=np.concatenate([s.seg_ids for s in sents]),
+            pos_ids=np.concatenate([s.pos_ids for s in sents]),
+            lengths=lengths,
+            spans=np.concatenate([
+                np.fromiter(chain.from_iterable(sp), np.intp, 2 * len(sp)).reshape(-1, 2)
+                + offset for sp, offset in zip(spans, offsets)]),
+            span_counts=np.array([len(sp) for sp in spans]),
+            layout=lx.SentenceLayout.concat(layouts),
+        )
+
+    def split(self, rows):
+        """Per sentence, its spans' part of a sequence with one item per span."""
+        ends = np.cumsum(self.span_counts).tolist()
+        return [rows[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def span_labels(sent: Sentence, spans: list[tuple[int, int]],
@@ -324,18 +385,14 @@ def _train_epochs(model, prepared, dev_prepared, opt, rng, settings, log_fn):
         order = rng.permutation(len(prepared))
         epoch_loss, epoch_frags = 0.0, 0
         for b0 in range(0, len(order), settings.batch_size):
-            batch = [prepared[k] for k in order[b0:b0 + settings.batch_size]]
+            items = [prepared[k] for k in order[b0:b0 + settings.batch_size]]
+            batch = Batch.of(items)
+            targets = np.concatenate([item[3] for item in items])
             with ad.Tape() as tape:
-                alpha = model.alpha()
-                total, n_frags = None, 0
-                for sent, spans, layout, targets in batch:
-                    probs, _ = model.score_spans(
-                        sent, layout, spans, dropout_rate=settings.dropout,
-                        rng=rng, training=True)
-                    loss_s = ad.focal_loss_rows(probs, targets, alpha, cfg.gamma)
-                    total = loss_s if total is None else ad.add(total, loss_s)
-                    n_frags += len(spans)
-                loss = ad.scale(total, 1.0 / n_frags)
+                probs, _ = model.score_batch(batch, dropout_rate=settings.dropout,
+                                             rng=rng, training=True)
+                loss = ad.scale(ad.focal_loss_rows(probs, targets, model.alpha(),
+                                                   cfg.gamma), 1.0 / len(targets))
                 if not np.isfinite(loss.values):
                     raise DivergenceError(
                         f"non-finite loss in epoch {epoch}, batch {b0 // settings.batch_size}")
@@ -343,13 +400,14 @@ def _train_epochs(model, prepared, dev_prepared, opt, rng, settings, log_fn):
             clip_global_norm(opt.params, settings.clip_norm)
             opt.step()
             opt.zero_grad()
-            epoch_loss += float(loss.values) * n_frags
-            epoch_frags += n_frags
+            epoch_loss += float(loss.values) * len(targets)
+            epoch_frags += len(targets)
         mean_loss = epoch_loss / max(epoch_frags, 1)
 
         def eval_split(name, items):
-            kept = decode.decode_corpus(score_corpus(model, items),
-                                        settings.rho, settings.nested)
+            kept = decode.decode_corpus(
+                score_corpus(model, items, batch_size=settings.batch_size),
+                settings.rho, settings.nested)
             p, r, f1 = decode.evaluate(decode.key_sets(kept),
                                        [it[0].entities for it in items])
             rows.append(EpochRow(epoch, name, p, r, f1, mean_loss))
@@ -387,15 +445,28 @@ def _score(model: Model, prepared, want_attention: bool = False):
     sent, spans, layout, _ = prepared
     probs, attn = model.score_spans(sent, layout, spans,
                                     want_attention=want_attention)
+    return _scored(model, spans, probs.values, attn)
+
+
+def _scored(model: Model, spans, probs: np.ndarray, attn) -> list[ScoredSpan]:
+    """Each span with its most probable type, from its probability row."""
     none, types = model.vocab.none_id, model.vocab.types
-    best = probs.values.argmax(axis=1)
-    chosen = probs.values[np.arange(len(spans)), best]
+    best = probs.argmax(axis=1)
+    chosen = probs[np.arange(len(spans)), best]
     return [ScoredSpan(start=i, end=j, type=types.sym(b), prob=p,
                        is_none=(b == none), attention=a)
             for (i, j), b, p, a in zip(spans, best.tolist(), chosen.tolist(), attn)]
 
 
-def score_corpus(model: Model, prepared: list, want_attention: bool = False
-                 ) -> list[list[ScoredSpan]]:
-    """Decode-ready scored spans of each ``_prepare``d sentence."""
-    return [_score(model, item, want_attention) for item in prepared]
+def score_corpus(model: Model, prepared: list, want_attention: bool = False,
+                 batch_size: int = TrainSettings.batch_size) -> list[list[ScoredSpan]]:
+    """Decode-ready scored spans of each ``_prepare``d sentence, scored
+    ``batch_size`` sentences at a time."""
+    out = []
+    for c0 in range(0, len(prepared), batch_size):
+        chunk = prepared[c0:c0 + batch_size]
+        batch = Batch.of(chunk)
+        probs, attn = model.score_batch(batch, want_attention=want_attention)
+        out += [_scored(model, item[1], p, a) for item, p, a in
+                zip(chunk, batch.split(probs.values), batch.split(attn))]
+    return out

@@ -6,12 +6,12 @@ parameters. This module keeps the per-step path it replaced: one LSTM step
 composed of per-op tape nodes (``reference_step``) and chains of those
 steps over a list of row vectors (``lstm_run``), with the elementwise and
 structural ops that only this path and the tests use (``sub``, ``mul``,
-``sigmoid``, ``log``, ``sum_all``, ``stack_rows``), and weights drawn as
-``Model.build`` draws them (``lstm_cell``).
+``sigmoid``, ``log``, ``sum_all``, ``stack_rows``, ``matmul``), and weights
+drawn as ``Model.build`` draws them (``lstm_cell``).
 
-The model scores all spans of a sentence as the rows of matrices: one
-coefficient-matrix product per bag-of-words or forgetting encoding and one
-fused memory-attention op. This module keeps the per-span path that it
+The model scores all spans of a minibatch of sentences as the rows of
+matrices: one ``span_sums`` op per bag-of-words or forgetting encoding and
+one fused memory-attention op. This module keeps the per-span path that it
 replaced, for the tests to compare against: per-vector tape ops, one
 feature vector per character, incremental fragment encoders that return a
 dict, a memory matrix per span (``assemble_memory``) and one attention per
@@ -93,6 +93,21 @@ def sum_all(x: Tensor) -> Tensor:
     if tape:
         def backward():
             x.grad += out.grad
+        tape.record(backward)
+    return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    out, tape = _begin(a.values @ b.values, a, b)
+    if tape:
+        av, bv = a.values.copy(), b.values.copy()
+        def backward():
+            if a.tracked:
+                a.grad += out.grad @ bv.T
+            if b.tracked:
+                b.grad += av.T @ out.grad
         tape.record(backward)
     return out
 

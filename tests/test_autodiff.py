@@ -42,30 +42,65 @@ def check_grad(build, params, tol=1e-4):
 
 class TestMatmul:
     def test_identity(self):
-        out = ad.matmul(ad.constant([[1.0, 0.0], [0.0, 1.0]]),
-                        ad.constant([[3.0], [4.0]]))
+        out = ref.matmul(ad.constant([[1.0, 0.0], [0.0, 1.0]]),
+                         ad.constant([[3.0], [4.0]]))
         assert np.array_equal(out.values, [[3.0], [4.0]])
 
     def test_hand_arithmetic(self):
-        out = ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[3.0], [4.0]]))
+        out = ref.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[3.0], [4.0]]))
         assert np.array_equal(out.values, [[11.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ad.ShapeError, match=r"\(1, 2\).*\(3, 1\)"):
-            ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[1.0], [2.0], [3.0]]))
+            ref.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[1.0], [2.0], [3.0]]))
 
     def test_grad_of_sum_wrt_left_is_b_rows(self):
         rng = np.random.default_rng(0)
         a = ad.parameter(rng.normal(size=(3, 4)))
         b = ad.parameter(rng.normal(size=(4, 2)))
         with ad.Tape() as tape:
-            out = ref.sum_all(ad.matmul(a, b))
+            out = ref.sum_all(ref.matmul(a, b))
             tape.backward(out)
         # each row of d/da is the row-sum vector of b
         expect = np.tile(b.values.sum(axis=1), (3, 1))
         assert np.allclose(a.grad, expect)
         a.zero_grad(), b.zero_grad()
-        check_grad(lambda: ref.sum_all(ad.matmul(a, b)), [a, b])
+        check_grad(lambda: ref.sum_all(ref.matmul(a, b)), [a, b])
+
+
+class TestSpanSums:
+    def test_matches_coefficient_matrix(self):
+        # every run of length 1-4 of 6 rows, in shuffled order, against the
+        # runs x rows coefficient matrix the op never builds
+        rng = np.random.default_rng(1)
+        x = ad.parameter(rng.normal(size=(6, 3)))
+        runs = rng.permutation([(i, k) for k in range(1, 5) for i in range(7 - k)])
+        starts, lengths = runs.T
+        for decay, mean in ((0.3, False), (1.0, True)):
+            c = np.zeros((len(runs), 6))
+            for s, (i, k) in enumerate(runs):
+                c[s, i:i + k] = decay ** np.arange(k - 1, -1, -1) / (k if mean else 1)
+            with ad.Tape():
+                out = ad.span_sums(x, starts, lengths, decay, mean)
+            np.testing.assert_allclose(out.values, c @ x.values, rtol=0, atol=1e-14)
+            check_grad(lambda: ref.sum_all(ad.tanh(ad.span_sums(x, starts, lengths,
+                                                                decay, mean))), [x])
+
+    def test_no_runs(self):
+        x = ad.parameter(np.ones((3, 2)))
+        with ad.Tape() as tape:
+            out = ad.span_sums(x, [], [])
+            tape.backward(ref.sum_all(out))
+        assert out.shape == (0, 2)
+        assert np.array_equal(x.grad, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("starts, lengths, match", [
+        ([0, 2], [2, 2], "out of range"), ([-1], [1], "out of range"),
+        ([0], [0], "out of range"), ([1, 1], [2, 2], "given twice"),
+        ([[0]], [[1]], "incompatible"), ([0, 1], [1], "incompatible")])
+    def test_bad_runs_rejected(self, starts, lengths, match):
+        with pytest.raises(ad.ShapeError, match=match):
+            ad.span_sums(ad.constant(np.ones((3, 2))), starts, lengths)
 
 
 class TestSoftmax:
@@ -222,6 +257,11 @@ class TestGradients:
             mem_b = ad.parameter(rng.normal(size=(len(no_null), d_m)))
             nul = ad.parameter(rng.normal(size=(4, d_m)))
             probe = ad.constant(rng.normal(size=(3, d_m)))
+            # distinct runs of rows of ``a``, of lengths 1 to n
+            run_len = rng.integers(1, n + 1, size=4)
+            run_start = rng.integers(0, n - run_len + 1)
+            _, distinct = np.unique(run_start * (n + 1) + run_len, return_index=True)
+            run_start, run_len = run_start[distinct], run_len[distinct]
 
             def attention(f, mem, rows, mask):
                 ctx, _ = ad.memory_attention(f, w_att, mem, rows, nul, mask)
@@ -236,7 +276,7 @@ class TestGradients:
                 (lambda: ref.sum_all(ref.sigmoid(x)), [x]),
                 (lambda: ref.sum_all(ad.exp(ad.scale(x, 0.3))), [x]),
                 (lambda: ref.sum_all(ref.log(ad.exp(x))), [x]),
-                (lambda: ref.sum_all(ad.tanh(ad.matmul(a, b))), [a, b]),
+                (lambda: ref.sum_all(ad.tanh(ref.matmul(a, b))), [a, b]),
                 (lambda: ref.sum_all(ad.tanh(ref.matvec(a, ref.vecmat(x, a)))), [a, x]),
                 (lambda: ref.sum_all(ref.softmax(ref.mul(x, y))), [x, y]),
                 (lambda: ref.sum_all(ad.tanh(ad.linear(
@@ -258,6 +298,10 @@ class TestGradients:
                 (lambda: attention(f_const, mem_a, no_real, no_real_mask),
                  [w_att, nul] + ([mem_a] if len(no_real) else [])),
                 (lambda: lstm(a), [a, wx, wh, b_gate]),
+                (lambda: ref.sum_all(ad.tanh(ad.span_sums(a, run_start, run_len, 0.6))),
+                 [a]),
+                (lambda: ref.sum_all(ad.tanh(ad.span_sums(a, run_start, run_len,
+                                                          mean=True))), [a]),
                 (lambda: lstm(a_const), [wx, wh, b_gate]),
             ]
             for build, params in cases:
@@ -342,7 +386,7 @@ class TestDeterminism:
             w = ad.parameter(rng.normal(size=(6, 6)))
             with ad.Tape() as tape:
                 out = ref.sum_all(
-                    ad.softmax_rows(ad.matmul(w, ad.dropout(
+                    ad.softmax_rows(ref.matmul(w, ad.dropout(
                         ad.tanh(x), 0.3, np.random.default_rng(1), True))))
                 tape.backward(out)
             return out.values.copy(), x.grad.copy(), w.grad.copy()

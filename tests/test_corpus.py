@@ -37,6 +37,18 @@ class TestTagConversion:
     def test_bio_orphan_i_repaired(self):
         assert bio_tags_to_spans(["O", "I-LOC", "I-LOC"]) == {(1, 2, "LOC")}
 
+    @pytest.mark.parametrize("tag", ["Z-PER", "E-PER", "S-PER", "PER", "B", "I-"])
+    def test_bio_unknown_prefix_rejected(self, tag, caplog):
+        # a BMES tag or a typo is an error naming its position, not a B-
+        with pytest.raises(corpus.ParseError, match=f"'{tag}' at position 2"):
+            bio_tags_to_spans(["O", "I-PER", tag, "I-PER"])
+        assert "repairing I-PER at position 1" in caplog.text
+
+    @pytest.mark.parametrize("tag", ["Z-PER", "S", "B-"])
+    def test_bmes_unknown_tag_names_position(self, tag):
+        with pytest.raises(corpus.ParseError, match=f"'{tag}' at position 1"):
+            bmes_tags_to_spans(["S-PER", tag])
+
     def test_roundtrip_property(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -96,6 +108,19 @@ class TestReadCorpus:
         path = self.write(tmp_path, "a\tS\tX\tO\n\nab\tS\tX\tO\nc\tS\tX\tO\n")
         with pytest.raises(corpus.ParseError, match=r":3: .*'ab'"):
             read_corpus(path)
+
+    def test_bad_segmentation_label_reports_line(self, tmp_path):
+        path = self.write(tmp_path, "a\tS\tX\tO\n\nb\tB\tX\tO\nc\tQ\tX\tO\n")
+        with pytest.raises(corpus.ParseError,
+                           match=r":4: invalid segmentation label 'Q' at position 1"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("fmt", ["column-bmes", "column-bio"])
+    def test_unknown_entity_tag_reports_line(self, tmp_path, fmt):
+        path = self.write(tmp_path, "a\tS\tX\tO\n\nb\tS\tX\tO\na\tS\tX\tZ-PER\n")
+        with pytest.raises(corpus.ParseError,
+                           match=r"corp.txt:4: unknown entity tag 'Z-PER' at position 1"):
+            read_corpus(path, fmt)
 
     def test_not_utf8_reports_line(self, tmp_path):
         p = tmp_path / "corp.txt"

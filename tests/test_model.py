@@ -1,18 +1,21 @@
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import lexner.autodiff as ad
-from lexner import checkpoint
+from lexner import checkpoint, decode
 from lexner.autodiff import ConfigError, Tape, Tensor
 from lexner.corpus import Sentence, Vocab
 from lexner.encoders import enumerate_fragments
 from lexner.lexicon import (EXACT, INFIX, PREFIX, SUFFIX, Lexicon, Match,
                             SentenceLayout, bucket_count)
-from lexner.model import (Model, ModelConfig, SPARSE_TABLES, TrainSettings,
-                          _prepare, param_shapes, span_labels, train_model)
+from lexner.model import (Batch, Model, ModelConfig, SPARSE_TABLES, TrainSettings,
+                          _prepare, param_shapes, score_corpus, span_labels,
+                          train_model)
 from lexner.optim import Adam, DivergenceError
 from lexner.synth import make_corpus
 
@@ -260,6 +263,118 @@ class TestBatchedMatchesPerSpan:
                        spans, dropout=0.3, training=True)
 
 
+ENCODERS = [(char, frag) for char in ("baseline", "birnn")
+            for frag in ("bow", "fofe", "birnn")]
+
+
+class TestBatchMatchesSentences:
+    """``Model.score_batch`` over 1-5 stacked sentences against one
+    ``score_spans`` call per sentence: probabilities within 1e-12, every
+    parameter gradient within 1e-10 (relative, and of its largest entry),
+    the same dropout draws, sparse rows and attention dumps, and no LSTM
+    chain that reads a row of another sentence."""
+
+    @staticmethod
+    def world(char, frag, picks, use_lex):
+        train, _, words = make_corpus(11, n_train=6, n_dev=0)
+        lex = Lexicon(words)
+        cfg = ModelConfig(**{**SMALL, "char_encoder": char, "fragment_encoder": frag,
+                             "char_hidden": 3, "char_layers": 2, "frag_hidden": 3})
+        model = Model.build(cfg, Vocab.build(train, lex.words), np.random.default_rng(11))
+        sents = []
+        for k, n in picks:   # the first n characters of a corpus sentence
+            s = train[k]
+            sents.append(Sentence(s.chars[:n], s.seg_labels[:n], s.pos_tags[:n],
+                                  {e for e in s.entities if e[1] < n}))
+        return model, [_prepare(model, s, lex if use_lex else None) for s in sents]
+
+    @staticmethod
+    def run(model, prepared, batched, training):
+        """Probabilities, attention, gradients, touched rows and the
+        generator's state after one forward and backward, and the chain
+        indices of every LSTM sequence op."""
+        for t in model.params.values():
+            t.grad = None
+            t.zero_grad()
+        rng = np.random.default_rng(3)
+        dropout = 0.3 if training else 0.0
+        chains, lstm_sequence = [], ad.lstm_sequence
+
+        def spy(x, index, *cell):
+            chains.append(np.asarray(index))
+            return lstm_sequence(x, index, *cell)
+
+        with Tape() as tape, mock.patch.object(ad, "lstm_sequence", spy):
+            alpha = model.alpha()
+            if batched:
+                batch = Batch.of(prepared)
+                probs, attn = model.score_batch(batch, dropout, rng, training,
+                                                want_attention=True)
+                loss = ad.focal_loss_rows(probs, np.concatenate([it[3] for it in prepared]),
+                                          alpha, model.config.gamma)
+                probs, attn = batch.split(probs.values), batch.split(attn)
+            else:
+                probs, attn, loss = [], [], None
+                for sent, spans, layout, targets in prepared:
+                    p, a = model.score_spans(sent, layout, spans, dropout, rng, training,
+                                             want_attention=True)
+                    part = ad.focal_loss_rows(p, targets, alpha, model.config.gamma)
+                    loss = part if loss is None else ad.add(loss, part)
+                    probs.append(p.values)
+                    attn.append(a)
+            tape.backward(loss)
+        grads = {k: np.zeros_like(v.values) if v.grad is None else v.grad.copy()
+                 for k, v in model.params.items()}
+        touched = {k: set(np.flatnonzero(model.params[k].touched_rows).tolist())
+                   if model.params[k].touched_rows is not None else set()
+                   for k in SPARSE_TABLES}
+        return probs, attn, grads, touched, rng.bit_generator.state, chains
+
+    @given(encoders=st.sampled_from(ENCODERS),
+           picks=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 7)),
+                          min_size=1, max_size=5),
+           use_lex=st.booleans(), training=st.booleans())
+    def test_batch_equals_sentence_by_sentence(self, encoders, picks, use_lex, training):
+        model, prepared = self.world(*encoders, picks, use_lex)
+        probs, attn, grads, touched, state, chains = self.run(model, prepared, True,
+                                                              training)
+        want = self.run(model, prepared, False, training)
+        for p, want_p in zip(probs, want[0], strict=True):
+            np.testing.assert_allclose(p, want_p, rtol=0, atol=1e-12)
+        for a, want_a in zip(attn, want[1], strict=True):
+            for (w, labels), (want_w, want_labels) in zip(a, want_a, strict=True):
+                assert labels == want_labels
+                assert np.array_equal(w, want_w)
+        for k, g in grads.items():
+            np.testing.assert_allclose(g, want[2][k], rtol=1e-10,
+                                       atol=1e-10 * np.abs(want[2][k]).max(), err_msg=k)
+        assert touched == want[3]
+        assert state == want[4]   # the same number of dropout draws
+        # every chain stays inside one sentence
+        lengths = [len(item[0]) for item in prepared]
+        sentence = np.repeat(np.arange(len(lengths)), lengths)
+        assert len(chains) == (4 if encoders[0] == "birnn" else 0) + \
+            (2 if encoders[1] == "birnn" else 0)
+        for index in chains:
+            assert np.all(sentence[index] == sentence[index[:, :1]])
+        # scoring in chunks of 1 and of 16 sentences decodes the same
+        by_one, by_16 = (score_corpus(model, prepared, batch_size=size) for size in (1, 16))
+        for nested in (False, True):
+            assert decode.key_sets(decode.decode_corpus(by_one, 0.0, nested)) == \
+                decode.key_sets(decode.decode_corpus(by_16, 0.0, nested))
+
+    def test_split_follows_span_counts(self):
+        model, sents, lex = tiny_world()
+        prepared = [_prepare(model, s, lex) for s in (sents[0], sents[1], sents[0])]
+        batch = Batch.of(prepared)
+        assert batch.lengths.tolist() == [4, 4, 4]
+        assert batch.spans.tolist() == [[i + 4 * k, j + 4 * k]
+                                        for k, item in enumerate(prepared)
+                                        for i, j in item[1]]
+        assert [len(part) for part in batch.split(list(range(len(batch.spans))))] == \
+            [len(item[1]) for item in prepared]
+
+
 class TestTapeSize:
     def test_nodes_per_sentence_independent_of_length(self):
         # the default config, and it with the BiLSTM fragment encoder,
@@ -283,6 +398,27 @@ class TestTapeSize:
                     ad.focal_loss_rows(probs, targets, model.alpha(), model.config.gamma)
                 counts.append(len(tape._records))
             assert counts == [want] * 3, over
+
+    def test_training_step_nodes_independent_of_batch_size(self):
+        # one forward per minibatch: a per-sentence loop in training would
+        # record nodes in proportion to the sentences of a step
+        train, _, words = make_corpus(0, n_train=16, n_dev=0)
+        lex = Lexicon(words)
+        vocab = Vocab.build(train, lex.words)
+        backward = Tape.backward
+        for over in ({}, {"fragment_encoder": "birnn"}, SMALL):
+            counts = []
+
+            def count(tape, out):
+                counts.append(len(tape._records))
+                return backward(tape, out)
+
+            for size in (2, 16):
+                model = Model.build(ModelConfig(**over), vocab, np.random.default_rng(0))
+                with mock.patch.object(Tape, "backward", count):
+                    train_model(model, train[:size], [], lex,
+                                TrainSettings(epochs=1, batch_size=size, seed=0))
+            assert len(counts) == 2 and counts[0] == counts[1], (over, counts)
 
 
 class TestFocalValues:
