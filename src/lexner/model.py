@@ -11,6 +11,7 @@ learned (stored as exponentials of free parameters).
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import chain
 
@@ -22,6 +23,8 @@ from .autodiff import ConfigError, Tensor
 from .corpus import UNK, Sentence, Vocab
 from .decode import ScoredSpan
 from .optim import Adam, DivergenceError, clip_global_norm
+
+log = logging.getLogger(__name__)
 
 SPARSE_TABLES = frozenset({"emb_char", "emb_seg", "emb_pos", "emb_lex", "emb_mod"})
 
@@ -317,7 +320,7 @@ class TrainSettings:
     weight_decay: float = 1e-7
     dropout: float = 0.3
     batch_size: int = 16
-    clip_norm: float = 5.0
+    clip_norm: float = 5.0          # 0 disables
     epochs: int = 30
     freeze_lex: bool = True
     use_lexicon: bool = True
@@ -336,6 +339,9 @@ class TrainSettings:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not self.clip_norm >= 0:
+            raise ConfigError(f"clip_norm must be >= 0 (0 disables clipping), "
+                              f"got {self.clip_norm}")
 
 
 @dataclass
@@ -357,6 +363,13 @@ def train_model(model: Model, train_sents: list[Sentence],
     The best checkpoint is chosen by dev F1 (train F1 when no dev split is
     given). Embedding tables use the sparse update mode.
     """
+    max_len = model.config.max_entity_len
+    too_long = [e - s + 1 for sent in train_sents for s, e, _ in sent.entities
+                if e - s + 1 > max_len]
+    if too_long:
+        log.warning("%d training entities are longer than max_entity_len %d (longest "
+                    "%d characters); no span covers them, so they are never learned",
+                    len(too_long), max_len, max(too_long))
     rng = np.random.default_rng(settings.seed)
     active_lex = lex if settings.use_lexicon else None
     prepared = [_prepare(model, s, active_lex) for s in train_sents]

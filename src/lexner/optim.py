@@ -46,8 +46,8 @@ class Adam:
             grad = p.grad
             if grad is None:
                 continue
-            if np.isnan(grad).any():
-                raise DivergenceError(f"NaN gradient in parameter '{name}'")
+            if not np.isfinite(grad).all():
+                raise DivergenceError(f"non-finite gradient in parameter '{name}'")
             st = self.state[name]
             st["t"] += 1
             bc1 = 1.0 - self.beta1 ** st["t"]

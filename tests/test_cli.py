@@ -62,6 +62,12 @@ class TestTrain:
         assert "bucket_cap" in capsys.readouterr().err
         assert not (workdir / "x.ckpt").exists()
 
+    def test_negative_clip_norm_exits_2(self, workdir, capsys):
+        args = train_args(workdir, ckpt="x.ckpt", log="x.csv") + ["--clip-norm", "-3"]
+        assert main(args) == 2
+        assert "clip_norm" in capsys.readouterr().err
+        assert not (workdir / "x.ckpt").exists()
+
     def test_multichar_token_exits_2(self, workdir, capsys):
         lines = (workdir / "tiny.txt").read_text(encoding="utf-8").splitlines()
         lines[4] = "ab" + lines[4][1:]

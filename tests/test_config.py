@@ -74,7 +74,8 @@ class TestSchema:
 class TestValidation:
     @pytest.mark.parametrize("over", [dict(dropout=1.0), dict(rho=1.5),
                                       dict(batch_size=0), dict(epochs=-1),
-                                      dict(lr=0.0)])
+                                      dict(lr=0.0), dict(clip_norm=-3.0),
+                                      dict(clip_norm=float("nan"))])
     def test_train_settings_rules(self, over):
         with pytest.raises(ConfigError):
             TrainSettings(**over).validate()
@@ -83,7 +84,11 @@ class TestValidation:
                                       dict(fofe_alpha=1.0), dict(k_cut=-1),
                                       dict(corpus_format="conll"),
                                       dict(max_sentence_len=0),
-                                      dict(max_sentence_len=-1)])
+                                      dict(max_sentence_len=-1),
+                                      dict(clip_norm=-0.5)])
     def test_run_config_checks_every_owner(self, over):
         with pytest.raises(ConfigError):
             load_config(None, over)
+
+    def test_zero_clip_norm_disables_clipping(self):
+        TrainSettings(clip_norm=0.0).validate()

@@ -539,6 +539,19 @@ class TestTraining:
         assert all(r.split == "train" for r in rows)
         assert all(np.isfinite(r.loss) for r in rows)
 
+    def test_entities_longer_than_max_entity_len_warn_once(self, caplog):
+        model, sents, lex = tiny_world()
+        train_model(model, sents, [], lex, self.settings(epochs=1))
+        assert "max_entity_len" not in caplog.text
+        # (0, 2, PER) is 3 characters long; (1, 2, ORG) fits in 2
+        model, sents, lex = tiny_world(max_entity_len=2)
+        sents.append(Sentence(list("abcdu"), ["B", "M", "M", "E", "S"], ["NN"] * 5,
+                              entities={(0, 3, "PER")}))
+        train_model(model, sents, [], lex, self.settings(epochs=2))
+        warned = [r.getMessage() for r in caplog.records if "max_entity_len" in r.getMessage()]
+        assert warned == ["2 training entities are longer than max_entity_len 2 (longest "
+                          "4 characters); no span covers them, so they are never learned"]
+
     def test_dev_split_monitored(self):
         model, sents, lex = tiny_world()
         _, rows = train_model(model, [sents[0]], [sents[1]], lex,

@@ -61,6 +61,20 @@ def test_nan_gradient_aborts_with_name():
         opt.step()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_gradient_aborts_with_clipping_off(bad):
+    # with clipping on, an infinite norm scales the gradient to NaN; with it
+    # off, the infinity reaches Adam and would make the weight NaN
+    p = ad.parameter(np.ones((2, 2)))
+    p.ensure_grad()
+    p.grad[0, 0] = bad
+    clip_global_norm({"weights": p}, 0.0)
+    opt = Adam({"weights": p})
+    with pytest.raises(DivergenceError, match="non-finite gradient in parameter 'weights'"):
+        opt.step()
+    assert np.array_equal(p.values, np.ones((2, 2)))
+
+
 def test_matches_reference_adam_dense():
     """One step against a direct transcription of the update rule."""
     rng = np.random.default_rng(5)
