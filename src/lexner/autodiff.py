@@ -112,20 +112,6 @@ def _begin(out_values, *inputs) -> tuple[Tensor, Tape | None]:
 # elementwise
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out, tape = _begin(a.values + b.values, a, b)
-    if tape:
-        def backward():
-            if a.tracked:
-                a.grad += out.grad
-            if b.tracked:
-                b.grad += out.grad
-        tape.record(backward)
-    return out
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     out, tape = _begin(x.values * c, x)
     if tape:
@@ -440,15 +426,15 @@ def memory_attention(f: Tensor, w_attn: Tensor, memory: Tensor, row_span: np.nda
 # regularization / loss
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
-            training: bool) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: zero with probability ``rate``, scale survivors.
+    At rate 0 it returns ``x`` and draws nothing."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     if rng is None:
-        raise ConfigError("dropout in training mode requires a seeded generator")
+        raise ConfigError("dropout at a positive rate requires a seeded generator")
     mask = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
     out, tape = _begin(x.values * mask, x)
     if tape:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 from dataclasses import asdict
 
 import numpy as np
@@ -23,6 +24,11 @@ MAGIC = b"lexner-checkpoint v1\n"
 
 # fields that must agree between a checkpoint and a requested configuration
 STRUCTURAL = [f for f in ModelConfig.__dataclass_fields__]
+
+# the JSON types a config value of each declared type may take: an int
+# field takes no bool, a float field also takes an int
+CONFIG_TYPES = {name: {float: (int, float)}.get(t, (t,))
+                for name, t in typing.get_type_hints(ModelConfig).items()}
 
 
 def save(path: str, model: Model, extra: dict | None = None):
@@ -58,12 +64,20 @@ def load(path: str) -> tuple[Model, dict]:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
             config = ModelConfig(**header["config"])
+            for name, types in CONFIG_TYPES.items():
+                value = getattr(config, name)
+                if type(value) not in types:
+                    raise ConfigError(f"{path}: config {name} must be "
+                                      f"{types[-1].__name__}, got {value!r}")
             vocab = Vocab()
             for name in Vocab.TABLES:
                 setattr(vocab, name, SymbolTable(header["vocab"][name]))
             manifest = [(entry["name"], tuple(int(d) for d in entry["shape"]))
                         for entry in header["tensors"]]
             extra = header["extra"]
+            if not isinstance(extra, dict):
+                raise ConfigError(f"{path}: checkpoint extra must be an object, "
+                                  f"got {extra!r}")
             config.validate()
             _check_manifest(path, config, vocab, manifest)
         except ConfigError:

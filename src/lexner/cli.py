@@ -53,8 +53,14 @@ def _load_checkpoint(path: str, cfg: RunConfig, explicit: set[str]):
     words = [w for w in model.vocab.lex.symbols if w not in (PAD, UNK)]
     if not (cfg.use_lexicon and words):
         return model, None
-    freqs = {k: float(v) for k, v in extra.get("lex_freqs", {}).items()}
-    return model, Lexicon(words, freqs)
+    freqs = extra.get("lex_freqs", {})
+    if not isinstance(freqs, dict):
+        raise ConfigError(f"{path}: lex_freqs must be an object, got {freqs!r}")
+    for word, freq in freqs.items():
+        if type(freq) not in (int, float):
+            raise ConfigError(f"{path}: lex_freqs[{word!r}] must be a number, "
+                              f"got {freq!r}")
+    return model, Lexicon(words, {k: float(v) for k, v in freqs.items()})
 
 
 def _score_sentences(model: Model, lex: Lexicon | None, sents, batch_size: int,

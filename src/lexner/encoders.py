@@ -40,14 +40,13 @@ def enumerate_fragments(n: int, m: int) -> list[Span]:
 def char_feature_vectors(char_ids, seg_ids, pos_ids, emb_char: Tensor,
                          emb_seg: Tensor, emb_pos: Tensor,
                          dropout_rate: float = 0.0,
-                         rng: np.random.Generator | None = None,
-                         training: bool = False) -> Tensor:
+                         rng: np.random.Generator | None = None) -> Tensor:
     """Per-character vectors as the rows of an n x d_w matrix: char ++
-    soft-word ++ POS embeddings, with dropout applied at this embedding
-    layer during training."""
+    soft-word ++ POS embeddings, with dropout at ``dropout_rate`` applied
+    at this embedding layer when the rate is positive."""
     w = ad.hconcat(ad.gather_rows(emb_char, char_ids), ad.gather_rows(emb_seg, seg_ids),
                    ad.gather_rows(emb_pos, pos_ids))
-    return ad.dropout(w, dropout_rate, rng, training)
+    return ad.dropout(w, dropout_rate, rng)
 
 
 # ---------------------------------------------------------------------------

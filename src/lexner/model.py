@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -145,7 +145,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 class Model:
-    """Parameter container plus the forward pass over one sentence."""
+    """Parameter container plus the forward pass over a batch of sentences."""
 
     def __init__(self, config: ModelConfig, vocab: Vocab,
                  params: dict[str, Tensor]):
@@ -201,31 +201,29 @@ class Model:
     def score_spans(self, sent: Sentence, layout: lx.SentenceLayout,
                     spans: list[tuple[int, int]],
                     dropout_rate: float = 0.0,
-                    rng: np.random.Generator | None = None,
-                    training: bool = False,
-                    want_attention: bool = False):
+                    rng: np.random.Generator | None = None):
         """Probability matrix (n_spans x n_types) for the given spans.
 
-        Returns (probs Tensor, attention list); attention entries are
-        (weights array, row labels) when requested, else None.
+        Returns (probs Tensor, (p_real, p_null)): the attention weights of
+        every real memory row and of every span's null rows, which
+        ``layout.attention_rows`` labels. Dropout at ``dropout_rate`` draws
+        from ``rng`` when the rate is positive.
         """
-        return self.score_batch(Batch.of([(sent, spans, layout)]), dropout_rate, rng,
-                                training, want_attention)
+        return self.score_batch(Batch.of([(sent, spans, layout)]), dropout_rate, rng)
 
     def score_batch(self, batch: "Batch", dropout_rate: float = 0.0,
-                    rng: np.random.Generator | None = None,
-                    training: bool = False,
-                    want_attention: bool = False):
+                    rng: np.random.Generator | None = None):
         """``score_spans`` of every sentence of ``batch`` in one pass: the
-        probability rows and attention entries of all spans, sentence after
-        sentence. The dropout masks are the ones that ``score_spans`` draws
-        from ``rng`` for the sentences in turn."""
+        probability rows and attention weights of all spans, sentence after
+        sentence, the weights laid out as in ``batch.layout``. The dropout
+        masks are the ones that ``score_spans`` draws from ``rng`` for the
+        sentences in turn."""
         cfg = self.config
         p = self.params
         w = encoders.char_feature_vectors(
             batch.char_ids, batch.seg_ids, batch.pos_ids,
             p["emb_char"], p["emb_seg"], p["emb_pos"],
-            dropout_rate=dropout_rate, rng=rng, training=training)
+            dropout_rate=dropout_rate, rng=rng)
 
         def cell(prefix):
             return p[f"{prefix}_wx"], p[f"{prefix}_wh"], p[f"{prefix}_b"]
@@ -244,16 +242,14 @@ class Model:
                                                     cell("frag_b"), batch.lengths)
         memory = ad.hconcat(ad.gather_rows(p["emb_lex"], layout.lex_ids),
                             ad.gather_rows(p["emb_mod"], layout.mode_ids))
-        ctx, (p_real, p_null) = ad.memory_attention(
+        ctx, weights = ad.memory_attention(
             frags, p["attn_w"], memory, layout.row_span, p["null_rows"],
             layout.null_mask)
-        attn_dump = (layout.attention_rows(p_real, p_null, cfg.k_cut)
-                     if want_attention else [None] * len(spans))
         r = ad.hconcat(frags, ctx)
         for layer in range(cfg.head_layers):
             r = ad.tanh(ad.linear(r, p[f"head_w{layer}"], p[f"head_b{layer}"]))
         logits = ad.linear(r, p["head_out_w"], p["head_out_b"])
-        return ad.softmax_rows(logits), attn_dump
+        return ad.softmax_rows(logits), weights
 
 
 @dataclass
@@ -403,7 +399,7 @@ def _train_epochs(model, prepared, dev_prepared, opt, rng, settings, log_fn):
             targets = np.concatenate([item[3] for item in items])
             with ad.Tape() as tape:
                 probs, _ = model.score_batch(batch, dropout_rate=settings.dropout,
-                                             rng=rng, training=True)
+                                             rng=rng)
                 loss = ad.scale(ad.focal_loss_rows(probs, targets, model.alpha(),
                                                    cfg.gamma), 1.0 / len(targets))
                 if not np.isfinite(loss.values):
@@ -453,33 +449,29 @@ def _prepare(model: Model, sent: Sentence, lex):
     return sent, spans, layout, targets
 
 
-def _score(model: Model, prepared, want_attention: bool = False):
-    """Inference pass producing decode-ready scored spans."""
-    sent, spans, layout, _ = prepared
-    probs, attn = model.score_spans(sent, layout, spans,
-                                    want_attention=want_attention)
-    return _scored(model, spans, probs.values, attn)
-
-
-def _scored(model: Model, spans, probs: np.ndarray, attn) -> list[ScoredSpan]:
-    """Each span with its most probable type, from its probability row."""
-    none, types = model.vocab.none_id, model.vocab.types
-    best = probs.argmax(axis=1)
-    chosen = probs[np.arange(len(spans)), best]
-    return [ScoredSpan(start=i, end=j, type=types.sym(b), prob=p,
-                       is_none=(b == none), attention=a)
-            for (i, j), b, p, a in zip(spans, best.tolist(), chosen.tolist(), attn)]
+def _score(model: Model, prepared) -> list[ScoredSpan]:
+    """Decode-ready scored spans of one ``_prepare``d sentence."""
+    return score_corpus(model, [prepared])[0]
 
 
 def score_corpus(model: Model, prepared: list, want_attention: bool = False,
                  batch_size: int = TrainSettings.batch_size) -> list[list[ScoredSpan]]:
     """Decode-ready scored spans of each ``_prepare``d sentence, scored
-    ``batch_size`` sentences at a time."""
+    ``batch_size`` sentences at a time: each span with its most probable
+    type and, when ``want_attention``, its labelled attention weights."""
+    none, types = model.vocab.none_id, model.vocab.types
     out = []
     for c0 in range(0, len(prepared), batch_size):
         chunk = prepared[c0:c0 + batch_size]
         batch = Batch.of(chunk)
-        probs, attn = model.score_batch(batch, want_attention=want_attention)
-        out += [_scored(model, item[1], p, a) for item, p, a in
-                zip(chunk, batch.split(probs.values), batch.split(attn))]
+        probs, weights = model.score_batch(batch)
+        best = probs.values.argmax(axis=1)
+        chosen = probs.values[np.arange(len(best)), best]
+        attn = (batch.layout.attention_rows(*weights, model.config.k_cut)
+                if want_attention else repeat(None))
+        spans = chain.from_iterable(item[1] for item in chunk)
+        out += batch.split([ScoredSpan(start=i, end=j, type=types.sym(b), prob=p,
+                                       is_none=(b == none), attention=a)
+                            for (i, j), b, p, a in zip(spans, best.tolist(),
+                                                       chosen.tolist(), attn)])
     return out

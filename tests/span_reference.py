@@ -5,8 +5,8 @@ over a character matrix, with its weights as a ``(wx, wh, b)`` triple of
 parameters. This module keeps the per-step path it replaced: one LSTM step
 composed of per-op tape nodes (``reference_step``) and chains of those
 steps over a list of row vectors (``lstm_run``), with the elementwise and
-structural ops that only this path and the tests use (``sub``, ``mul``,
-``sigmoid``, ``log``, ``sum_all``, ``stack_rows``, ``matmul``), and weights
+structural ops that only this path and the tests use (``add``, ``sub``,
+``mul``, ``sigmoid``, ``log``, ``sum_all``, ``stack_rows``, ``matmul``), and weights
 drawn as ``Model.build`` draws them (``lstm_cell``).
 
 The model scores all spans of a minibatch of sentences as the rows of
@@ -37,6 +37,20 @@ from lexner.lexicon import (EXACT, INFIX, MODES, PREFIX, SUFFIX, Match,
 
 # ---------------------------------------------------------------------------
 # elementwise ops
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
+    out, tape = _begin(a.values + b.values, a, b)
+    if tape:
+        def backward():
+            if a.tracked:
+                a.grad += out.grad
+            if b.tracked:
+                b.grad += out.grad
+        tape.record(backward)
+    return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -248,12 +262,12 @@ def reference_step(cell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tenso
     ``(wx, wh, b)`` with gate rows in i, f, g, o order."""
     wx, wh, b = cell
     hid = wh.shape[1]
-    pre = ad.add(ad.add(matvec(wx, x), matvec(wh, h)), b)
+    pre = add(add(matvec(wx, x), matvec(wh, h)), b)
     i = sigmoid(vslice(pre, 0, hid))
     f = sigmoid(vslice(pre, hid, 2 * hid))
     g = ad.tanh(vslice(pre, 2 * hid, 3 * hid))
     o = sigmoid(vslice(pre, 3 * hid, 4 * hid))
-    c_new = ad.add(mul(f, c), mul(i, g))
+    c_new = add(mul(f, c), mul(i, g))
     h_new = mul(o, ad.tanh(c_new))
     return h_new, c_new
 
@@ -275,11 +289,11 @@ def lstm_run(xs: list[Tensor], cell, reverse: bool = False) -> list[Tensor]:
 
 
 def char_feature_vectors(char_ids, seg_ids, pos_ids, emb_char, emb_seg, emb_pos,
-                         dropout_rate=0.0, rng=None, training=False) -> list[Tensor]:
+                         dropout_rate=0.0, rng=None) -> list[Tensor]:
     out = []
     for c, s, p in zip(char_ids, seg_ids, pos_ids):
         w = concat([lookup(emb_char, c), lookup(emb_seg, s), lookup(emb_pos, p)])
-        out.append(ad.dropout(w, dropout_rate, rng, training))
+        out.append(ad.dropout(w, dropout_rate, rng))
     return out
 
 
@@ -296,7 +310,7 @@ def encode_fragments_bow(t, spans):
     """Mean of the span's character vectors via shared running prefix sums."""
     prefix = [ad.constant(np.zeros(t[0].shape[0]))]
     for v in t:
-        prefix.append(ad.add(prefix[-1], v))
+        prefix.append(add(prefix[-1], v))
     return {(i, j): t[i] if i == j else
             ad.scale(sub(prefix[j + 1], prefix[i]), 1.0 / (j - i + 1))
             for i, j in spans}
@@ -311,7 +325,7 @@ def encode_fragments_fofe(t, spans, alpha):
     for i, far in max_end.items():
         chain = [t[i]]
         for k in range(i + 1, far + 1):
-            chain.append(ad.add(ad.scale(chain[-1], alpha), t[k]))
+            chain.append(add(ad.scale(chain[-1], alpha), t[k]))
         chains[i] = chain
     return {(i, j): chains[i][j - i] for i, j in spans}
 
@@ -351,14 +365,15 @@ def attend(f: Tensor, memory: Tensor, w_attn: Tensor) -> tuple[Tensor, Tensor]:
     return vecmat(weights, memory), weights
 
 
-def score_spans(model, sent, layouts, spans, dropout_rate=0.0, rng=None,
-                training=False, want_attention=False):
+def score_spans(model, sent, layouts, spans, dropout_rate=0.0, rng=None):
     """``Model.score_spans`` one span at a time; ``layouts`` holds one
-    ``MemoryLayout`` per span."""
+    ``MemoryLayout`` per span. Returns the probabilities and, per span, its
+    attention weights and row labels, as ``SentenceLayout.attention_rows``
+    gives them."""
     cfg, p = model.config, model.params
     w = char_feature_vectors(sent.char_ids, sent.seg_ids, sent.pos_ids,
                              p["emb_char"], p["emb_seg"], p["emb_pos"],
-                             dropout_rate=dropout_rate, rng=rng, training=training)
+                             dropout_rate=dropout_rate, rng=rng)
 
     def cell(prefix):
         return tuple(p[f"{prefix}_{part}"] for part in ("wx", "wh", "b"))
@@ -376,8 +391,7 @@ def score_spans(model, sent, layouts, spans, dropout_rate=0.0, rng=None,
         memory = assemble_memory(layout, p["emb_lex"], p["emb_mod"], p["null_rows"])
         ctx, weights = attend(frags[span], memory, p["attn_w"])
         rows.append(concat([frags[span], ctx]))
-        attn_dump.append((weights.values.copy(), layout.row_labels(cfg.k_cut))
-                         if want_attention else None)
+        attn_dump.append((weights.values.copy(), layout.row_labels(cfg.k_cut)))
     r = stack_rows(rows)
     for layer in range(cfg.head_layers):
         r = ad.tanh(ad.linear(r, p[f"head_w{layer}"], p[f"head_b{layer}"]))

@@ -23,7 +23,7 @@ from lexner.model import (Model, ModelConfig, SPARSE_TABLES, TrainSettings,
 from lexner.optim import Adam
 from lexner.synth import make_corpus
 
-from span_reference import lstm_cell, lstm_run
+from span_reference import add, lstm_cell, lstm_run
 
 
 def report(capsys, number, name, ok, detail=""):
@@ -164,7 +164,7 @@ def test_4_gradient_audit(capsys):
             for sent, spans, layouts, targets in prepared:
                 probs, _ = model.score_spans(sent, layouts, spans)
                 l = ad.focal_loss_rows(probs, targets, alpha, cfg.gamma)
-                total = l if total is None else ad.add(total, l)
+                total = l if total is None else add(total, l)
             loss = ad.scale(total, 1.0 / n_frags)
             if backward:
                 tape.backward(loss)
@@ -217,7 +217,7 @@ def test_5_focal_reduces_to_cross_entropy(capsys):
             for sent, spans, layouts, targets in batch:
                 probs, _ = model.score_spans(sent, layouts, spans)
                 l = ad.focal_loss_rows(probs, targets, alpha, 0.0)
-                total = l if total is None else ad.add(total, l)
+                total = l if total is None else add(total, l)
                 ce -= float(np.sum(np.log(
                     probs.values[np.arange(len(spans)), targets])))
                 n_frags += len(spans)

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -163,6 +164,24 @@ class TestEval:
                      "--output-file", str(workdir / "bad.tsv")]):
             assert main(cmd + ["--checkpoint", str(path)]) == 2
             assert "malformed checkpoint header" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("config", "k_cut", 2.0), ("config", "head_layers", True),
+        (None, "extra", [1, 2]), ("extra", "lex_freqs", 5),
+        ("extra", "lex_freqs", {"ab": "x"})])
+    def test_corrupt_checkpoint_header_exits_2(self, trained, tmp_path, capsys,
+                                               section, key, value):
+        magic, header, body = (trained / "m.ckpt").read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        (header[section] if section else header)[key] = value
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + body)
+        code = main(["eval", "--checkpoint", str(path), "--dev", str(trained / "dev.txt"),
+                     "--split", "dev"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) in err and key in err
 
 
 class TestPredict:

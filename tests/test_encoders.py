@@ -57,7 +57,7 @@ class TestCharFeatures:
         ep = Tensor(rng.normal(size=(2, 2)))
         with Tape():
             a = char_feature_vectors([0], [0], [0], ec, es, ep,
-                                     dropout_rate=0.5, rng=rng, training=False)
+                                     dropout_rate=0.0, rng=rng)
         expected = np.concatenate([ec.values[0], es.values[0], ep.values[0]])
         assert np.array_equal(a.values[0], expected)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -176,7 +177,7 @@ class TestBatchedMatchesPerSpan:
     ``span_reference``: forward within 1e-12, every parameter gradient
     within 1e-10 of its largest entry, equal sparse rows and attention."""
 
-    def check(self, model, sent, layouts, spans, dropout=0.0, training=False):
+    def check(self, model, sent, layouts, spans, dropout=0.0):
         model.vocab.encode(sent)
         targets = span_labels(sent, spans, model.vocab)
         runs = []
@@ -187,12 +188,12 @@ class TestBatchedMatchesPerSpan:
             rng = np.random.default_rng(7)
             with Tape() as tape:
                 if batched:
-                    probs, attn = model.score_spans(
-                        sent, ref.sentence_layout(layouts, model.config.k_cut), spans,
-                        dropout, rng, training, want_attention=True)
+                    layout = ref.sentence_layout(layouts, model.config.k_cut)
+                    probs, weights = model.score_spans(sent, layout, spans, dropout, rng)
+                    attn = layout.attention_rows(*weights, model.config.k_cut)
                 else:
                     probs, attn = ref.score_spans(model, sent, layouts, spans, dropout,
-                                                  rng, training, want_attention=True)
+                                                  rng)
                 loss = ad.focal_loss_rows(probs, targets, model.alpha(),
                                           model.config.gamma)
                 tape.backward(loss)
@@ -260,7 +261,7 @@ class TestBatchedMatchesPerSpan:
             model, sents, lex = self.world(5, char_encoder=char, fragment_encoder="fofe")
             sent, spans, _, _ = _prepare(model, sents[1], lex)
             self.check(model, sent, self.reference_layouts(model, sent, lex, spans),
-                       spans, dropout=0.3, training=True)
+                       spans, dropout=0.3)
 
 
 ENCODERS = [(char, frag) for char in ("baseline", "birnn")
@@ -289,7 +290,7 @@ class TestBatchMatchesSentences:
         return model, [_prepare(model, s, lex if use_lex else None) for s in sents]
 
     @staticmethod
-    def run(model, prepared, batched, training):
+    def run(model, prepared, batched, dropout):
         """Probabilities, attention, gradients, touched rows and the
         generator's state after one forward and backward, and the chain
         indices of every LSTM sequence op."""
@@ -297,7 +298,7 @@ class TestBatchMatchesSentences:
             t.grad = None
             t.zero_grad()
         rng = np.random.default_rng(3)
-        dropout = 0.3 if training else 0.0
+        k_cut = model.config.k_cut
         chains, lstm_sequence = [], ad.lstm_sequence
 
         def spy(x, index, *cell):
@@ -308,20 +309,19 @@ class TestBatchMatchesSentences:
             alpha = model.alpha()
             if batched:
                 batch = Batch.of(prepared)
-                probs, attn = model.score_batch(batch, dropout, rng, training,
-                                                want_attention=True)
+                probs, weights = model.score_batch(batch, dropout, rng)
                 loss = ad.focal_loss_rows(probs, np.concatenate([it[3] for it in prepared]),
                                           alpha, model.config.gamma)
-                probs, attn = batch.split(probs.values), batch.split(attn)
+                probs = batch.split(probs.values)
+                attn = batch.split(batch.layout.attention_rows(*weights, k_cut))
             else:
                 probs, attn, loss = [], [], None
                 for sent, spans, layout, targets in prepared:
-                    p, a = model.score_spans(sent, layout, spans, dropout, rng, training,
-                                             want_attention=True)
+                    p, weights = model.score_spans(sent, layout, spans, dropout, rng)
                     part = ad.focal_loss_rows(p, targets, alpha, model.config.gamma)
-                    loss = part if loss is None else ad.add(loss, part)
+                    loss = part if loss is None else ref.add(loss, part)
                     probs.append(p.values)
-                    attn.append(a)
+                    attn.append(layout.attention_rows(*weights, k_cut))
             tape.backward(loss)
         grads = {k: np.zeros_like(v.values) if v.grad is None else v.grad.copy()
                  for k, v in model.params.items()}
@@ -333,12 +333,12 @@ class TestBatchMatchesSentences:
     @given(encoders=st.sampled_from(ENCODERS),
            picks=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 7)),
                           min_size=1, max_size=5),
-           use_lex=st.booleans(), training=st.booleans())
-    def test_batch_equals_sentence_by_sentence(self, encoders, picks, use_lex, training):
+           use_lex=st.booleans(), dropout=st.sampled_from([0.0, 0.3]))
+    def test_batch_equals_sentence_by_sentence(self, encoders, picks, use_lex, dropout):
         model, prepared = self.world(*encoders, picks, use_lex)
         probs, attn, grads, touched, state, chains = self.run(model, prepared, True,
-                                                              training)
-        want = self.run(model, prepared, False, training)
+                                                              dropout)
+        want = self.run(model, prepared, False, dropout)
         for p, want_p in zip(probs, want[0], strict=True):
             np.testing.assert_allclose(p, want_p, rtol=0, atol=1e-12)
         for a, want_a in zip(attn, want[1], strict=True):
@@ -362,6 +362,30 @@ class TestBatchMatchesSentences:
         for nested in (False, True):
             assert decode.key_sets(decode.decode_corpus(by_one, 0.0, nested)) == \
                 decode.key_sets(decode.decode_corpus(by_16, 0.0, nested))
+
+    def test_score_corpus_labels_the_forward_weights(self):
+        # the dump of each sentence is attention_rows of the (p_real, p_null)
+        # that score_batch returns for its chunk, and no span's dump is made
+        # unless asked for
+        model, prepared = self.world("birnn", "fofe", [(0, 7), (1, 5), (2, 7)], True)
+        scored = score_corpus(model, prepared, want_attention=True, batch_size=2)
+        assert len(scored) == 3
+        for c0 in (0, 2):
+            batch = Batch.of(prepared[c0:c0 + 2])
+            _, (p_real, p_null) = model.score_batch(batch)
+            assert len(p_real) > 0
+            totals = (np.bincount(batch.layout.row_span, p_real, minlength=len(batch.spans))
+                      + p_null.sum(axis=1))
+            np.testing.assert_allclose(totals, 1.0, rtol=0, atol=1e-12)
+            rows = batch.split(batch.layout.attention_rows(p_real, p_null,
+                                                           model.config.k_cut))
+            for spans, want in zip(scored[c0:c0 + 2], rows, strict=True):
+                for s, (w, labels) in zip(spans, want, strict=True):
+                    assert s.attention[1] == labels
+                    assert np.array_equal(s.attention[0], w)
+                    assert s.attention[0].sum() == pytest.approx(1.0, abs=1e-12)
+        assert all(s.attention is None
+                   for spans in score_corpus(model, prepared) for s in spans)
 
     def test_split_follows_span_counts(self):
         model, sents, lex = tiny_world()
@@ -393,8 +417,7 @@ class TestTapeSize:
                     model, Sentence(chars[:n], segs[:n], pos[:n]), lex)
                 with Tape() as tape:
                     probs, _ = model.score_spans(sent, layout, spans, dropout_rate=0.3,
-                                                 rng=np.random.default_rng(0),
-                                                 training=True)
+                                                 rng=np.random.default_rng(0))
                     ad.focal_loss_rows(probs, targets, model.alpha(), model.config.gamma)
                 counts.append(len(tape._records))
             assert counts == [want] * 3, over
@@ -704,6 +727,30 @@ class TestCheckpoint:
             self.write(path, header, body)
             with pytest.raises(ConfigError, match="malformed"):
                 checkpoint.load(str(path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("k_cut", 2.0), ("max_entity_len", 3.0), ("learn_alpha", "no"),
+        ("head_layers", True), ("char_encoder", 1)])
+    def test_mistyped_config_value_rejected(self, tmp_path, key, value):
+        path, _, header, body = self.saved(tmp_path)
+        header["config"][key] = value
+        self.write(path, header, body)
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: config {key} "):
+            checkpoint.load(str(path))
+
+    def test_float_config_value_takes_an_int(self, tmp_path):
+        path, _, header, body = self.saved(tmp_path)
+        header["config"]["gamma"] = 2
+        self.write(path, header, body)
+        assert checkpoint.load(str(path))[0].config.gamma == 2
+
+    @pytest.mark.parametrize("extra", [[1, 2], None, "x"])
+    def test_extra_not_an_object_rejected(self, tmp_path, extra):
+        path, _, header, body = self.saved(tmp_path)
+        header["extra"] = extra
+        self.write(path, header, body)
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: checkpoint extra"):
+            checkpoint.load(str(path))
 
     def test_manifest_is_what_build_makes(self):
         for over in ({}, {"char_encoder": "birnn", "char_layers": 2,
