@@ -17,7 +17,7 @@ from .config import OPTIONS, RunConfig, _coerce, load_config
 from .corpus import PAD, UNK, ParseError, Vocab, load_embeddings, read_corpus, \
     read_raw
 from .lexicon import Lexicon
-from .model import Model, TrainSettings, _prepare, score_corpus, train_model
+from .model import Model, TrainSettings, prepare_corpus, score_corpus, train_model
 from .optim import DivergenceError
 
 
@@ -65,8 +65,8 @@ def _load_checkpoint(path: str, cfg: RunConfig, explicit: set[str]):
 
 def _score_sentences(model: Model, lex: Lexicon | None, sents, batch_size: int,
                      want_attention=False):
-    return score_corpus(model, [_prepare(model, s, lex) for s in sents],
-                        want_attention, batch_size)
+    return score_corpus(model, prepare_corpus(model, sents, lex), want_attention,
+                        batch_size)
 
 
 def _prf(p: float, r: float, f1: float) -> str:
@@ -177,7 +177,7 @@ def cmd_sweep(args) -> int:
     out_rows = ["gamma,rho,F1"]
     for path in args.checkpoints:
         model, lex = _load_checkpoint(path, cfg, explicit)
-        # read per checkpoint: _prepare caches vocabulary ids on each sentence
+        # read per checkpoint: prepare_corpus caches vocabulary ids on each sentence
         sents = read_corpus(cfg.dev, cfg.corpus_format, cfg.max_sentence_len)
         scored = _score_sentences(model, lex, sents, cfg.batch_size)
         golds = [s.entities for s in sents]

@@ -22,15 +22,29 @@ Span = tuple[int, int]
 Cell = tuple[Tensor, Tensor, Tensor]
 
 
-def fragment_count(n: int, m: int) -> int:
-    """Number of spans of length <= m in a sentence of n characters."""
-    m = min(m, n)
+def fragment_count(n, m: int):
+    """Number of spans of length <= m in a sentence of n characters; n may
+    be an array of sentence lengths."""
+    m = np.minimum(m, n)
     return m * (2 * n - m + 1) // 2
 
 
 def enumerate_fragments(n: int, m: int) -> list[Span]:
     """All (i, j) with 0 <= i <= j < n and j - i + 1 <= m, ordered by start."""
     return [(i, j) for i in range(n) for j in range(i, min(i + m, n))]
+
+
+def fragment_rows(lengths, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``enumerate_fragments`` of sentences of ``lengths`` rows stacked
+    sentence after sentence, as arrays of each span's first and last row."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    total = int(lengths.sum())
+    # spans from each row: m, or fewer when its sentence ends first
+    per_row = np.minimum(np.repeat(np.cumsum(lengths), lengths) - np.arange(total), m)
+    starts = np.repeat(np.arange(total), per_row)
+    ends = starts + np.arange(len(starts)) - np.repeat(np.cumsum(per_row) - per_row,
+                                                       per_row)
+    return starts, ends
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,14 @@ bucket per k <= K for prefixes and suffixes, one residual prefix bucket
 in total. Mode ids are tied to bucket ids, so the mode embedding table has
 2K+4 rows. An empty bucket is represented by a learned null row.
 
-A sentence is matched once: every word occurring in it is found by one
-trie walk from each start position, and each span reads the occurrences
-that fall inside it. The result is one ragged layout of all spans, which
-the model's memory attention reads in one step.
+A list of sentences is matched once: every word occurring in them is
+found by one trie walk from each start position, and the rest runs as
+array operations over all sentences together. Occurrences ordered by start
+form one run per span of those starting inside it; a span is paired with
+the ones of its run that also end inside it, so the work grows with the
+(span, occurrence) pairs. The result is one ragged layout of all spans,
+which the model's memory attention reads in one step; one sentence is the
+list of one.
 """
 from __future__ import annotations
 
@@ -115,30 +119,56 @@ class Lexicon:
         return self.freqs.get(word, 0.0)
 
 
-def _span_matches(lex: Lexicon | None, text: str, starts: np.ndarray,
-                  ends: np.ndarray):
-    """Every word inside each span ``text[starts[s]:ends[s] + 1]``, once per
-    (span, word), in the word's highest-priority mode there.
+def _occurrences(lex, texts, longest):
+    """Start, length and word id of every word found in ``texts`` laid end
+    to end, ordered by start and then length: one trie walk from each
+    position, stopped at the end of its text and after ``longest``
+    characters."""
+    walk, text = lex._fwd.walk_prefixes, "".join(texts)
+    found, end = [], 0
+    for piece in texts:
+        start, end = end, end + len(piece)
+        found += [(a, k, wid) for a in range(start, end)
+                  for k, wid in walk(text, a, min(end, a + longest))]
+    return np.array(found, dtype=np.intp).reshape(-1, 3).T
 
-    Returns span index, word id, mode (index into ``MODES``) and word length
-    per match, ordered by span, mode, length and word id.
+
+def _span_matches(lex: Lexicon | None, texts: list[str], starts: np.ndarray,
+                  ends: np.ndarray):
+    """Every word inside each span ``[starts[s], ends[s]]`` of ``texts``
+    laid end to end, once per (span, word), in the word's highest-priority
+    mode there.
+
+    Returns span index, word, mode (index into ``MODES``) and word length
+    per match, ordered by span, mode, length and word id, and the word ids:
+    a match's word id is ``word_ids[word]``.
     """
     longest = int((ends - starts).max(initial=-1)) + 1
-    found = [] if lex is None else [
-        (a, k, wid) for a in range(len(text))
-        for k, wid in lex._fwd.walk_prefixes(text, a, min(len(text), a + longest))]
-    a, k, wid = np.array(found, dtype=np.intp).reshape(-1, 3).T
+    a, k, wid = (_occurrences(lex, texts, longest) if lex is not None
+                 else np.empty((3, 0), dtype=np.intp))
     b = a + k - 1
-    span, occ = np.nonzero((starts[:, None] <= a) & (b <= ends[:, None]))
+    word_ids = np.unique(wid)
+    word = np.searchsorted(word_ids, wid)
+    # the occurrences that start inside a span are one run of them; those
+    # of the run that also end inside it are the span's words
+    lo = np.searchsorted(a, starts)
+    n = np.searchsorted(a, ends, side="right") - lo
+    span = np.repeat(np.arange(len(starts)), n)
+    occ = np.arange(len(span)) + np.repeat(lo - np.cumsum(n) + n, n)
+    inside = b[occ] <= ends[span]
+    span, occ = span[inside], occ[inside]
     # exact 0, prefix 1, suffix 2, infix 3, by the span ends the word touches
     mode = 3 - 2 * (a[occ] == starts[span]) - (b[occ] == ends[span])
-    k, wid = k[occ], wid[occ]
-    order = np.lexsort((wid, k, mode, span))
-    span, wid, mode, k = span[order], wid[order], mode[order], k[order]
-    # a word found more than once in a span keeps its first, highest-priority mode
-    _, first = np.unique(wid * len(starts) + span, return_index=True)
-    keep = np.sort(first)
-    return span[keep], wid[keep], mode[keep], k[keep]
+    k, word = k[occ], word[occ]
+    if len(word_ids) < len(wid):
+        # a word found more than once in a span keeps its highest-priority
+        # mode: the first of its (span, word) run ordered by span, word, mode
+        key = (span * len(word_ids) + word) * 4 + mode
+        order = np.argsort(key)
+        first = order[np.flatnonzero(np.diff(key[order] >> 2, prepend=-1))]
+        span, word, mode, k = span[first], word[first], mode[first], k[first]
+    order = np.lexsort((word, k, mode, span))
+    return span[order], word[order], mode[order], k[order], word_ids
 
 
 def match_fragment(lex: Lexicon, fragment: str) -> list[Match]:
@@ -149,10 +179,10 @@ def match_fragment(lex: Lexicon, fragment: str) -> list[Match]:
     """
     if not fragment:
         raise ValueError("cannot match an empty fragment")
-    _, wid, mode, k = _span_matches(lex, fragment, np.array([0]),
-                                    np.array([len(fragment) - 1]))
+    _, word, mode, k, word_ids = _span_matches(lex, [fragment], np.array([0]),
+                                               np.array([len(fragment) - 1]))
     return [Match(w, lex.words[w], MODES[m], n)
-            for w, m, n in zip(wid.tolist(), mode.tolist(), k.tolist())]
+            for w, m, n in zip(word_ids[word].tolist(), mode.tolist(), k.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +197,8 @@ def bucket_of(mode: np.ndarray, k: np.ndarray, k_cut: int) -> np.ndarray:
     """Bucket of each match, from its mode (index into ``MODES``) and its
     word length."""
     residual = np.minimum(k, k_cut + 1)
-    return np.select([mode == 0, mode == 1, mode == 2],
-                     [0, residual, k_cut + 1 + residual], 2 * k_cut + 3)
+    return np.where(mode == 3, 2 * k_cut + 3,
+                    (mode > 0) * residual + (mode == 2) * (k_cut + 1))
 
 
 def bucket_name(bucket: int, k_cut: int) -> str:
@@ -187,7 +217,8 @@ def bucket_name(bucket: int, k_cut: int) -> str:
 
 @dataclass
 class SentenceLayout:
-    """Ragged memory layout of every span of a sentence, built once.
+    """Ragged memory layout of every span of a sentence or of a corpus,
+    built once.
 
     The real rows of all spans, span by span and, within a span, by bucket,
     word length and word id, form one list: ``lex_ids`` and ``mode_ids``
@@ -206,48 +237,44 @@ class SentenceLayout:
     @classmethod
     def build(cls, lex: Lexicon | None, text: str, spans: list[tuple[int, int]],
               k_cut: int, cap: int, lex_id) -> "SentenceLayout":
-        """Match ``text`` once and lay out the memory of each span.
+        """Match ``text`` once and lay out the memory of each span; see
+        ``build_corpus``."""
+        starts, ends = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+        return cls.build_corpus(lex, [text], starts, ends, k_cut, cap, lex_id)
+
+    @classmethod
+    def build_corpus(cls, lex: Lexicon | None, texts: list[str], starts: np.ndarray,
+                     ends: np.ndarray, k_cut: int, cap: int, lex_id) -> "SentenceLayout":
+        """Match ``texts`` once and lay out the memory of each span, a span
+        being the positions ``starts[s]`` to ``ends[s]`` of the texts laid
+        end to end.
 
         Each bucket keeps at most ``cap`` (>= 1) matches: the longest words
         first, then the most frequent, then the lowest word id.
         ``lex_id`` maps a word to its embedding row. With no lexicon every
         bucket is null.
         """
-        starts, ends = np.array(spans, dtype=np.intp).reshape(-1, 2).T
-        span, wid, mode, k = _span_matches(lex, text, starts, ends)
+        span, word, mode, k, word_ids = _span_matches(lex, texts, starts, ends)
         bucket = bucket_of(mode, k, k_cut)
-        null_mask = np.ones((len(spans), bucket_count(k_cut)), dtype=bool)
+        null_mask = np.ones((len(starts), bucket_count(k_cut)), dtype=bool)
         null_mask[span, bucket] = False
-        uniq, word = np.unique(wid, return_inverse=True)
-        words = [lex.words[w] for w in uniq.tolist()]
-        freq = np.array([lex.freq(w) for w in words])[word]
-        # best first within each (span, bucket); a match's rank is its offset
-        # from the start of its group, and the first ``cap`` ranks are kept
-        order = np.lexsort((wid, -freq, -k, bucket, span))
-        group = (span * bucket_count(k_cut) + bucket)[order]
-        kept = np.sort(order[np.arange(len(order)) - np.searchsorted(group, group) < cap])
+        words = [lex.words[w] for w in word_ids.tolist()]
+        # matches come ordered by (span, bucket); a match's rank is its offset
+        # from the start of its group, and a group over ``cap`` is ranked
+        # best first and keeps its first ``cap``
+        group = span * bucket_count(k_cut) + bucket
+        kept = np.arange(len(group))
+        if (kept - np.searchsorted(group, group)).max(initial=0) >= cap:
+            freq = np.array([lex.freq(w) for w in words])[word]
+            order = np.lexsort((word, -freq, -k, group))
+            group = group[order]
+            kept = np.sort(order[kept - np.searchsorted(group, group) < cap])
         return cls(
             lex_ids=np.array([lex_id(w) for w in words], dtype=np.intp)[word[kept]],
             mode_ids=bucket[kept],
             row_span=span[kept],
             null_mask=null_mask,
             words=np.array(words, dtype=object)[word[kept]],
-        )
-
-    @classmethod
-    def concat(cls, layouts: list["SentenceLayout"]) -> "SentenceLayout":
-        """One layout of the spans of several layouts, layout after layout."""
-        if len(layouts) == 1:
-            return layouts[0]
-        counts = [len(layout.null_mask) for layout in layouts]
-        offsets = np.cumsum(counts) - counts
-        return cls(
-            lex_ids=np.concatenate([layout.lex_ids for layout in layouts]),
-            mode_ids=np.concatenate([layout.mode_ids for layout in layouts]),
-            row_span=np.concatenate([layout.row_span + offset
-                                     for layout, offset in zip(layouts, offsets)]),
-            null_mask=np.concatenate([layout.null_mask for layout in layouts]),
-            words=np.concatenate([layout.words for layout in layouts]),
         )
 
     def attention_rows(self, p_real: np.ndarray, p_null: np.ndarray, k_cut: int

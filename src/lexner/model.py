@@ -2,9 +2,10 @@
 
 Each candidate span is encoded, attends over its lexicon memory with a
 scaled bilinear score, and the concatenated representation goes through a
-feed-forward head to a distribution over entity types plus NONE. The
-sentences of a training minibatch or an evaluation chunk are stacked into
-a ``Batch`` and move through these stages together: their characters as
+feed-forward head to a distribution over entity types plus NONE. A corpus
+is prepared once as a ``Batch`` of all its sentences, and the sentences of
+a training minibatch or an evaluation chunk are gathered from it into a
+``Batch`` that moves through these stages together: their characters as
 the rows of one matrix, their spans as the rows of others. Training
 minimizes focal loss with a per-class positive weight vector, optionally
 learned (stored as exponentials of free parameters).
@@ -12,8 +13,9 @@ learned (stored as exponentials of free parameters).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -209,7 +211,7 @@ class Model:
         ``layout.attention_rows`` labels. Dropout at ``dropout_rate`` draws
         from ``rng`` when the rate is positive.
         """
-        return self.score_batch(Batch.of([(sent, spans, layout)]), dropout_rate, rng)
+        return self.score_batch(Batch.of_sentence(sent, spans, layout), dropout_rate, rng)
 
     def score_batch(self, batch: "Batch", dropout_rate: float = 0.0,
                     rng: np.random.Generator | None = None):
@@ -259,8 +261,10 @@ class Batch:
     The characters of all sentences are the rows of one matrix, sentence
     after sentence; ``lengths`` gives each sentence's row count. ``spans``
     holds every span's first and last row in that matrix, sentence after
-    sentence, ``span_counts`` the spans of each sentence, and ``layout``
-    the memory of every span.
+    sentence, ``span_counts`` the spans of each sentence, ``layout`` the
+    memory of every span and ``targets``, when known, the gold type of
+    every span. ``prepare_corpus`` stacks a whole corpus so, once, and
+    ``gather`` takes the minibatches from it.
     """
 
     char_ids: np.ndarray
@@ -270,30 +274,60 @@ class Batch:
     spans: np.ndarray
     span_counts: np.ndarray
     layout: lx.SentenceLayout
+    targets: np.ndarray | None = None
 
     @classmethod
-    def of(cls, items) -> "Batch":
-        """Stack items that begin (encoded sentence, its spans, its layout),
-        such as ``_prepare``d sentences."""
-        sents, spans, layouts, *_ = zip(*items)
-        lengths = np.array([len(s) for s in sents])
-        offsets = np.cumsum(lengths) - lengths
-        return cls(
-            char_ids=np.concatenate([s.char_ids for s in sents]),
-            seg_ids=np.concatenate([s.seg_ids for s in sents]),
-            pos_ids=np.concatenate([s.pos_ids for s in sents]),
-            lengths=lengths,
-            spans=np.concatenate([
-                np.fromiter(chain.from_iterable(sp), np.intp, 2 * len(sp)).reshape(-1, 2)
-                + offset for sp, offset in zip(spans, offsets)]),
-            span_counts=np.array([len(sp) for sp in spans]),
-            layout=lx.SentenceLayout.concat(layouts),
+    def of_sentence(cls, sent: Sentence, spans: list[tuple[int, int]],
+                    layout: lx.SentenceLayout, targets: np.ndarray | None = None
+                    ) -> "Batch":
+        """One encoded sentence with its spans, their layout and, when
+        known, their gold types: a ``_prepare``d sentence."""
+        return cls(sent.char_ids, sent.seg_ids, sent.pos_ids, np.array([len(sent)]),
+                   np.array(spans, dtype=np.intp).reshape(-1, 2), np.array([len(spans)]),
+                   layout, targets)
+
+    def gather(self, picks) -> "Batch":
+        """The sentences ``picks`` of this batch, in that order, as one
+        batch: each sentence's run of characters, of spans and of memory
+        rows, the row and span numbers moved by the distance its run moves."""
+        picks = np.asarray(picks, dtype=np.intp)
+        chars, char_moved = _runs(self.lengths, picks)
+        spans, span_moved = _runs(self.span_counts, picks)
+        layout = self.layout
+        row_counts = np.diff(np.searchsorted(layout.row_span, np.cumsum(self.span_counts)),
+                             prepend=0)
+        rows, _ = _runs(row_counts, picks)
+        span_counts = self.span_counts[picks]
+        return Batch(
+            char_ids=self.char_ids[chars],
+            seg_ids=self.seg_ids[chars],
+            pos_ids=self.pos_ids[chars],
+            lengths=self.lengths[picks],
+            spans=self.spans[spans] - np.repeat(char_moved, span_counts)[:, None],
+            span_counts=span_counts,
+            layout=lx.SentenceLayout(
+                lex_ids=layout.lex_ids[rows],
+                mode_ids=layout.mode_ids[rows],
+                row_span=layout.row_span[rows] - np.repeat(span_moved, row_counts[picks]),
+                null_mask=layout.null_mask[spans],
+                words=layout.words[rows]),
+            targets=None if self.targets is None else self.targets[spans],
         )
 
     def split(self, rows):
         """Per sentence, its spans' part of a sequence with one item per span."""
         ends = np.cumsum(self.span_counts).tolist()
         return [rows[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _runs(counts: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the items of groups ``picks`` come from when they are stacked
+    in that order, group ``g`` being the ``counts[g]`` items after those of
+    the groups before it: the index of each item, and how far back each
+    picked group's items move."""
+    n = counts[picks]
+    moved = (np.cumsum(counts) - counts)[picks] - np.cumsum(n) + n
+    return np.arange(n.sum()) + np.repeat(moved, n), moved
 
 
 def span_labels(sent: Sentence, spans: list[tuple[int, int]],
@@ -333,8 +367,11 @@ class TrainSettings:
             raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got "
+                              f"{self.weight_decay}")
         if not self.clip_norm >= 0:
             raise ConfigError(f"clip_norm must be >= 0 (0 disables clipping), "
                               f"got {self.clip_norm}")
@@ -368,8 +405,8 @@ def train_model(model: Model, train_sents: list[Sentence],
                     len(too_long), max_len, max(too_long))
     rng = np.random.default_rng(settings.seed)
     active_lex = lex if settings.use_lexicon else None
-    prepared = [_prepare(model, s, active_lex) for s in train_sents]
-    dev_prepared = [_prepare(model, s, active_lex) for s in dev_sents]
+    train = prepare_corpus(model, train_sents, active_lex)
+    dev = prepare_corpus(model, dev_sents, active_lex)
     opt = Adam(model.trainable(settings.freeze_lex), lr=settings.lr,
                weight_decay=settings.weight_decay,
                sparse=SPARSE_TABLES)
@@ -380,23 +417,25 @@ def train_model(model: Model, train_sents: list[Sentence],
     for p in frozen:
         p.tracked = False
     try:
-        return _train_epochs(model, prepared, dev_prepared, opt, rng, settings, log_fn)
+        return _train_epochs(model, train, [s.entities for s in train_sents], dev,
+                             [s.entities for s in dev_sents], opt, rng, settings, log_fn)
     finally:
         for p in frozen:
             p.tracked = True
 
 
-def _train_epochs(model, prepared, dev_prepared, opt, rng, settings, log_fn):
+def _train_epochs(model, train, train_gold, dev, dev_gold, opt, rng, settings, log_fn):
+    """The epochs of ``train_model`` over the prepared corpora ``train`` and
+    ``dev``, whose sentences hold the gold entities ``*_gold``."""
     cfg = model.config
     rows: list[EpochRow] = []
     best_f1, best_snap = -1.0, model.snapshot()
     for epoch in range(1, settings.epochs + 1):
-        order = rng.permutation(len(prepared))
+        order = rng.permutation(len(train_gold))
         epoch_loss, epoch_frags = 0.0, 0
         for b0 in range(0, len(order), settings.batch_size):
-            items = [prepared[k] for k in order[b0:b0 + settings.batch_size]]
-            batch = Batch.of(items)
-            targets = np.concatenate([item[3] for item in items])
+            batch = train.gather(order[b0:b0 + settings.batch_size])
+            targets = batch.targets
             with ad.Tape() as tape:
                 probs, _ = model.score_batch(batch, dropout_rate=settings.dropout,
                                              rng=rng)
@@ -413,19 +452,18 @@ def _train_epochs(model, prepared, dev_prepared, opt, rng, settings, log_fn):
             epoch_frags += len(targets)
         mean_loss = epoch_loss / max(epoch_frags, 1)
 
-        def eval_split(name, items):
+        def eval_split(name, corpus, gold):
             kept = decode.decode_corpus(
-                score_corpus(model, items, batch_size=settings.batch_size),
+                score_corpus(model, corpus, batch_size=settings.batch_size),
                 settings.rho, settings.nested)
-            p, r, f1 = decode.evaluate(decode.key_sets(kept),
-                                       [it[0].entities for it in items])
+            p, r, f1 = decode.evaluate(decode.key_sets(kept), gold)
             rows.append(EpochRow(epoch, name, p, r, f1, mean_loss))
             return f1
 
-        if settings.eval_train or not dev_prepared:
-            monitored = eval_split("train", prepared)
-        if dev_prepared:
-            monitored = eval_split("dev", dev_prepared)
+        if settings.eval_train or not dev_gold:
+            monitored = eval_split("train", train, train_gold)
+        if dev_gold:
+            monitored = eval_split("dev", dev, dev_gold)
         if log_fn:
             log_fn(rows[-1])
         # ties go to the later epoch so a flat F1 curve still yields the
@@ -437,39 +475,84 @@ def _train_epochs(model, prepared, dev_prepared, opt, rng, settings, log_fn):
     return best_snap, rows
 
 
+def prepare_corpus(model: Model, sents: list[Sentence], lex) -> Batch:
+    """Every sentence of ``sents`` with its spans, their memory layout and
+    their gold types, stacked as one batch: the spans of each sentence as
+    ``_prepare`` enumerates them, and the memory matched against ``lex``
+    (None: no lexicon) in one pass over all sentences."""
+    vocab, cfg = model.vocab, model.config
+    for sent in sents:
+        if sent.char_ids is None:
+            vocab.encode(sent)
+    lengths = np.array([len(s) for s in sents], dtype=np.intp)
+    starts, ends = encoders.fragment_rows(lengths, cfg.max_entity_len)
+    layout = lx.SentenceLayout.build_corpus(lex, [s.text for s in sents], starts, ends,
+                                            cfg.k_cut, cfg.bucket_cap, _lex_id(model))
+    # spans are ordered by first row and then end, so an entity (s, e) no
+    # longer than max_entity_len is the span e - s places after the first
+    # span at row s
+    gold = [(row + s, e - s, vocab.types.id(t))
+            for row, sent in zip((np.cumsum(lengths) - lengths).tolist(), sents)
+            for s, e, t in sent.entities if e - s < cfg.max_entity_len]
+    targets = np.full(len(starts), vocab.none_id, dtype=np.intp)
+    if gold:
+        row, width, type_id = np.array(gold, dtype=np.intp).T
+        targets[np.searchsorted(starts, row) + width] = type_id
+
+    def stack(name):   # an empty corpus stacks to an empty array
+        return np.concatenate([getattr(s, name) for s in sents] + [np.empty(0, np.intp)])
+
+    return Batch(char_ids=stack("char_ids"), seg_ids=stack("seg_ids"),
+                 pos_ids=stack("pos_ids"), lengths=lengths,
+                 spans=np.stack([starts, ends], axis=1),
+                 span_counts=encoders.fragment_count(lengths, cfg.max_entity_len),
+                 layout=layout, targets=targets)
+
+
+def _lex_id(model: Model):
+    """The embedding row of a lexicon word, ``<unk>`` for one the
+    vocabulary does not hold."""
+    table = model.vocab.lex
+    unk = table.id(UNK)
+    return lambda w: table.id(w, unk)
+
+
 def _prepare(model: Model, sent: Sentence, lex):
+    """One sentence as ``prepare_corpus`` prepares it: (the sentence, its
+    spans as (i, j) pairs, their layout, their gold types)."""
     if sent.char_ids is None:
         model.vocab.encode(sent)
-    cfg, table = model.config, model.vocab.lex
+    cfg = model.config
     spans = encoders.enumerate_fragments(len(sent), cfg.max_entity_len)
-    unk = table.id(UNK)
     layout = lx.SentenceLayout.build(lex, sent.text, spans, cfg.k_cut, cfg.bucket_cap,
-                                     lambda w: table.id(w, unk))
-    targets = span_labels(sent, spans, model.vocab)
-    return sent, spans, layout, targets
+                                     _lex_id(model))
+    return sent, spans, layout, span_labels(sent, spans, model.vocab)
 
 
 def _score(model: Model, prepared) -> list[ScoredSpan]:
     """Decode-ready scored spans of one ``_prepare``d sentence."""
-    return score_corpus(model, [prepared])[0]
+    return score_corpus(model, Batch.of_sentence(*prepared))[0]
 
 
-def score_corpus(model: Model, prepared: list, want_attention: bool = False,
+def score_corpus(model: Model, corpus: Batch, want_attention: bool = False,
                  batch_size: int = TrainSettings.batch_size) -> list[list[ScoredSpan]]:
-    """Decode-ready scored spans of each ``_prepare``d sentence, scored
-    ``batch_size`` sentences at a time: each span with its most probable
-    type and, when ``want_attention``, its labelled attention weights."""
+    """Decode-ready scored spans of each sentence of a prepared corpus,
+    scored ``batch_size`` sentences at a time, chunk after chunk: each span
+    with its most probable type and, when ``want_attention``, its labelled
+    attention weights."""
     none, types = model.vocab.none_id, model.vocab.types
+    n = len(corpus.lengths)
     out = []
-    for c0 in range(0, len(prepared), batch_size):
-        chunk = prepared[c0:c0 + batch_size]
-        batch = Batch.of(chunk)
+    for c0 in range(0, n, batch_size):
+        batch = corpus.gather(np.arange(c0, min(c0 + batch_size, n)))
         probs, weights = model.score_batch(batch)
         best = probs.values.argmax(axis=1)
         chosen = probs.values[np.arange(len(best)), best]
         attn = (batch.layout.attention_rows(*weights, model.config.k_cut)
                 if want_attention else repeat(None))
-        spans = chain.from_iterable(item[1] for item in chunk)
+        # each span's first and last character within its sentence
+        spans = (batch.spans - np.repeat(np.cumsum(batch.lengths) - batch.lengths,
+                                         batch.span_counts)[:, None]).tolist()
         out += batch.split([ScoredSpan(start=i, end=j, type=types.sym(b), prob=p,
                                        is_none=(b == none), attention=a)
                             for (i, j), b, p, a in zip(spans, best.tolist(),

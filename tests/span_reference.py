@@ -23,6 +23,12 @@ per-span path that it replaced: each fragment matched on its own by four
 walks over a forward and a reverse trie (``Matcher``), bucketed into a
 ``MemoryLayout`` (``bucketize``), and the span layouts joined into one
 ``SentenceLayout`` (``sentence_layout``).
+
+The model prepares a corpus once as one stacked batch and gathers each
+minibatch from it by offsets (``prepare_corpus``, ``Batch.gather``). This
+module keeps the per-sentence stacking that it replaced: ``_prepare``d
+sentences joined into one batch (``stack_prepared``), their layouts layout
+after layout (``concat_layouts``).
 """
 import math
 from dataclasses import dataclass
@@ -33,6 +39,7 @@ import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, ShapeError, Tensor, _begin
 from lexner.lexicon import (EXACT, INFIX, MODES, PREFIX, SUFFIX, Match,
                             SentenceLayout, Trie, bucket_count, bucket_name)
+from lexner.model import Batch
 
 
 # ---------------------------------------------------------------------------
@@ -532,4 +539,37 @@ def sentence_layout(layouts: list[MemoryLayout], k_cut: int) -> SentenceLayout:
         row_span=np.repeat(np.arange(n), [len(l.lex_ids) for l in layouts]),
         null_mask=null_mask,
         words=np.array([w for l in layouts for w in l.words], dtype=object),
+    )
+
+
+def concat_layouts(layouts: list[SentenceLayout]) -> SentenceLayout:
+    """One layout of the spans of several layouts, layout after layout."""
+    counts = [len(layout.null_mask) for layout in layouts]
+    offsets = np.cumsum(counts) - counts
+    return SentenceLayout(
+        lex_ids=np.concatenate([layout.lex_ids for layout in layouts]),
+        mode_ids=np.concatenate([layout.mode_ids for layout in layouts]),
+        row_span=np.concatenate([layout.row_span + offset
+                                 for layout, offset in zip(layouts, offsets)]),
+        null_mask=np.concatenate([layout.null_mask for layout in layouts]),
+        words=np.concatenate([layout.words for layout in layouts]),
+    )
+
+
+def stack_prepared(items) -> Batch:
+    """``_prepare``d sentences (sentence, spans, layout, targets) stacked
+    sentence after sentence into one batch."""
+    sents, spans, layouts, targets = zip(*items)
+    lengths = np.array([len(s) for s in sents])
+    offsets = np.cumsum(lengths) - lengths
+    return Batch(
+        char_ids=np.concatenate([s.char_ids for s in sents]),
+        seg_ids=np.concatenate([s.seg_ids for s in sents]),
+        pos_ids=np.concatenate([s.pos_ids for s in sents]),
+        lengths=lengths,
+        spans=np.concatenate([np.array(sp, dtype=np.intp).reshape(-1, 2) + offset
+                              for sp, offset in zip(spans, offsets)]),
+        span_counts=np.array([len(sp) for sp in spans]),
+        layout=concat_layouts(layouts),
+        targets=np.concatenate(targets),
     )

@@ -69,6 +69,15 @@ class TestTrain:
         assert "clip_norm" in capsys.readouterr().err
         assert not (workdir / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--weight-decay", "-1", "weight_decay"), ("--weight-decay", "nan", "weight_decay"),
+        ("--lr", "nan", "learning rate"), ("--lr", "inf", "learning rate")])
+    def test_bad_optimizer_setting_exits_2(self, workdir, capsys, flag, value, name):
+        args = train_args(workdir, ckpt="x.ckpt", log="x.csv") + [flag, value]
+        assert main(args) == 2
+        assert name in capsys.readouterr().err
+        assert not (workdir / "x.ckpt").exists()
+
     def test_multichar_token_exits_2(self, workdir, capsys):
         lines = (workdir / "tiny.txt").read_text(encoding="utf-8").splitlines()
         lines[4] = "ab" + lines[4][1:]

@@ -75,7 +75,11 @@ class TestValidation:
     @pytest.mark.parametrize("over", [dict(dropout=1.0), dict(rho=1.5),
                                       dict(batch_size=0), dict(epochs=-1),
                                       dict(lr=0.0), dict(clip_norm=-3.0),
-                                      dict(clip_norm=float("nan"))])
+                                      dict(clip_norm=float("nan")),
+                                      dict(lr=float("nan")), dict(lr=float("inf")),
+                                      dict(weight_decay=-1.0),
+                                      dict(weight_decay=float("nan")),
+                                      dict(weight_decay=float("inf"))])
     def test_train_settings_rules(self, over):
         with pytest.raises(ConfigError):
             TrainSettings(**over).validate()
@@ -85,10 +89,16 @@ class TestValidation:
                                       dict(corpus_format="conll"),
                                       dict(max_sentence_len=0),
                                       dict(max_sentence_len=-1),
-                                      dict(clip_norm=-0.5)])
+                                      dict(clip_norm=-0.5), dict(lr=float("nan")),
+                                      dict(lr=float("inf")), dict(weight_decay=-1.0),
+                                      dict(weight_decay=float("nan")),
+                                      dict(weight_decay=float("inf"))])
     def test_run_config_checks_every_owner(self, over):
         with pytest.raises(ConfigError):
             load_config(None, over)
 
     def test_zero_clip_norm_disables_clipping(self):
         TrainSettings(clip_norm=0.0).validate()
+
+    def test_zero_weight_decay_allowed(self):
+        TrainSettings(weight_decay=0.0).validate()

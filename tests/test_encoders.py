@@ -7,7 +7,7 @@ from lexner.autodiff import ConfigError, Tape, Tensor
 from lexner.encoders import (char_feature_vectors, encode_characters,
                              encode_fragments_birnn, encode_fragments_bow,
                              encode_fragments_fofe, enumerate_fragments,
-                             fragment_count)
+                             fragment_count, fragment_rows)
 
 import span_reference as ref
 from span_reference import lstm_cell
@@ -36,6 +36,18 @@ class TestFragmentEnumeration:
             assert 0 <= i <= j < 6
             assert j - i + 1 <= 3
 
+
+    @given(lengths=st.lists(st.integers(0, 12), max_size=6), m=st.integers(1, 8))
+    def test_rows_stack_each_sentence_enumeration(self, lengths, m):
+        starts, ends = fragment_rows(lengths, m)
+        want, offset = [], 0
+        for n in lengths:
+            want += [(i + offset, j + offset) for i, j in enumerate_fragments(n, m)]
+            offset += n
+        assert starts.dtype == ends.dtype == np.intp
+        assert list(zip(starts.tolist(), ends.tolist())) == want
+        assert fragment_count(np.array(lengths, dtype=np.intp), m).tolist() == \
+            [fragment_count(n, m) for n in lengths]
 
 class TestCharFeatures:
     def test_concat_dims(self):

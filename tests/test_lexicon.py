@@ -1,4 +1,6 @@
 import time
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, Tape, Tensor
 from lexner.corpus import ParseError
-from lexner.encoders import enumerate_fragments
+from lexner.encoders import enumerate_fragments, fragment_rows
 from lexner.lexicon import (MODES, Lexicon, Match, SentenceLayout, Trie,
                             bucket_count, bucket_name, bucket_of, match_fragment)
 from lexner.model import ModelConfig
@@ -261,6 +263,63 @@ class TestSentenceLayout:
     def test_any_span_order(self):
         lex = Lexicon(["ab", "b", "bc", "abc", "c"])
         self.check(lex, "abcab", [(1, 2), (0, 4), (0, 2), (3, 3), (0, 0)], 1, 1)
+
+
+class TestCorpusLayout:
+    """``SentenceLayout.build_corpus`` of a list of sentences against the
+    per-span reference of each sentence, the layouts joined layout after
+    layout: every array, dtype, word and attention row label equal."""
+
+    @given(texts=st.lists(st.text("abcde", min_size=1, max_size=14), min_size=1,
+                          max_size=5),
+           entries=st.lists(st.tuples(st.text("abcd", min_size=1, max_size=4),
+                                      st.sampled_from([0.0, 1.0, 2.0])),
+                            min_size=1, max_size=25),
+           use_lex=st.booleans(), k_cut=st.integers(0, 3), cap=st.integers(1, 3),
+           max_len=st.integers(1, 8))
+    def test_equals_per_sentence_reference(self, texts, entries, use_lex, k_cut, cap,
+                                           max_len):
+        # sentences may be shorter than max_len, and one over "e" matches nothing
+        lex = Lexicon([w for w, _ in entries], dict(entries)) if use_lex else None
+
+        def lex_id(w):
+            return len(w) + 7 * lex.word_id[w] % 3
+        starts, ends = fragment_rows([len(t) for t in texts], max_len)
+        layout = SentenceLayout.build_corpus(lex, texts, starts, ends, k_cut, cap, lex_id)
+        per_span = [ref.memory_layouts(lex, t, enumerate_fragments(len(t), max_len),
+                                       k_cut, cap, lex_id) for t in texts]
+        want = ref.concat_layouts([ref.sentence_layout(p, k_cut) for p in per_span])
+        for name in ("lex_ids", "mode_ids", "row_span", "null_mask"):
+            got, expected = getattr(layout, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        assert layout.words.dtype == want.words.dtype
+        assert layout.words.tolist() == want.words.tolist()
+        rows = layout.attention_rows(np.zeros(len(layout.lex_ids)),
+                                     np.zeros(layout.null_mask.shape), k_cut)
+        spans = [span for p in per_span for span in p]
+        for (_, labels), span in zip(rows, spans, strict=True):
+            assert labels == span.row_labels(k_cut)
+
+    def test_dense_lexicon_on_a_longest_sentence(self):
+        # a max_sentence_len sentence over "ab" against every word of 1-10 of
+        # those characters: 2515 spans, each holding every word inside it.
+        # Pairing spans and words through a spans x occurrences matrix peaked
+        # at 13.1 MB and took 60 ms; pairing each span with the run of words
+        # starting inside it peaks at 4.9 MB and takes 15 ms.
+        words = ["".join(p) for n in range(1, 11) for p in product("ab", repeat=n)]
+        lex = Lexicon(words)
+        text = "".join(np.random.default_rng(0).choice(list("ab"), 256))
+        spans = enumerate_fragments(len(text), ModelConfig().max_entity_len)
+        tracemalloc.start()
+        try:
+            layout = SentenceLayout.build(lex, text, spans, 2, 8, lex.word_id.get)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = ref.memory_layouts(lex, text, spans, 2, 8, lex.word_id.get)
+        assert len(words) == 2046 and len(spans) == 2515
+        assert len(layout.lex_ids) == sum(len(span.lex_ids) for span in want)
+        assert peak < 16e6, peak
 
 
 def attend_layout(layout, emb_lex, emb_mod, null_rows, d_f=2):

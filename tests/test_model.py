@@ -14,8 +14,8 @@ from lexner.corpus import Sentence, Vocab
 from lexner.encoders import enumerate_fragments
 from lexner.lexicon import (EXACT, INFIX, PREFIX, SUFFIX, Lexicon, Match,
                             SentenceLayout, bucket_count)
-from lexner.model import (Batch, Model, ModelConfig, SPARSE_TABLES, TrainSettings,
-                          _prepare, param_shapes, score_corpus, span_labels,
+from lexner.model import (Model, ModelConfig, SPARSE_TABLES, TrainSettings, _prepare,
+                          param_shapes, prepare_corpus, score_corpus, span_labels,
                           train_model)
 from lexner.optim import Adam, DivergenceError
 from lexner.synth import make_corpus
@@ -287,10 +287,12 @@ class TestBatchMatchesSentences:
             s = train[k]
             sents.append(Sentence(s.chars[:n], s.seg_labels[:n], s.pos_tags[:n],
                                   {e for e in s.entities if e[1] < n}))
-        return model, [_prepare(model, s, lex if use_lex else None) for s in sents]
+        lex = lex if use_lex else None
+        return (model, [_prepare(model, s, lex) for s in sents],
+                prepare_corpus(model, sents, lex))
 
     @staticmethod
-    def run(model, prepared, batched, dropout):
+    def run(model, prepared, corpus, batched, dropout):
         """Probabilities, attention, gradients, touched rows and the
         generator's state after one forward and backward, and the chain
         indices of every LSTM sequence op."""
@@ -308,10 +310,9 @@ class TestBatchMatchesSentences:
         with Tape() as tape, mock.patch.object(ad, "lstm_sequence", spy):
             alpha = model.alpha()
             if batched:
-                batch = Batch.of(prepared)
+                batch = corpus
                 probs, weights = model.score_batch(batch, dropout, rng)
-                loss = ad.focal_loss_rows(probs, np.concatenate([it[3] for it in prepared]),
-                                          alpha, model.config.gamma)
+                loss = ad.focal_loss_rows(probs, batch.targets, alpha, model.config.gamma)
                 probs = batch.split(probs.values)
                 attn = batch.split(batch.layout.attention_rows(*weights, k_cut))
             else:
@@ -335,10 +336,10 @@ class TestBatchMatchesSentences:
                           min_size=1, max_size=5),
            use_lex=st.booleans(), dropout=st.sampled_from([0.0, 0.3]))
     def test_batch_equals_sentence_by_sentence(self, encoders, picks, use_lex, dropout):
-        model, prepared = self.world(*encoders, picks, use_lex)
-        probs, attn, grads, touched, state, chains = self.run(model, prepared, True,
-                                                              dropout)
-        want = self.run(model, prepared, False, dropout)
+        model, prepared, corpus = self.world(*encoders, picks, use_lex)
+        probs, attn, grads, touched, state, chains = self.run(model, prepared, corpus,
+                                                              True, dropout)
+        want = self.run(model, prepared, corpus, False, dropout)
         for p, want_p in zip(probs, want[0], strict=True):
             np.testing.assert_allclose(p, want_p, rtol=0, atol=1e-12)
         for a, want_a in zip(attn, want[1], strict=True):
@@ -358,7 +359,7 @@ class TestBatchMatchesSentences:
         for index in chains:
             assert np.all(sentence[index] == sentence[index[:, :1]])
         # scoring in chunks of 1 and of 16 sentences decodes the same
-        by_one, by_16 = (score_corpus(model, prepared, batch_size=size) for size in (1, 16))
+        by_one, by_16 = (score_corpus(model, corpus, batch_size=size) for size in (1, 16))
         for nested in (False, True):
             assert decode.key_sets(decode.decode_corpus(by_one, 0.0, nested)) == \
                 decode.key_sets(decode.decode_corpus(by_16, 0.0, nested))
@@ -367,11 +368,11 @@ class TestBatchMatchesSentences:
         # the dump of each sentence is attention_rows of the (p_real, p_null)
         # that score_batch returns for its chunk, and no span's dump is made
         # unless asked for
-        model, prepared = self.world("birnn", "fofe", [(0, 7), (1, 5), (2, 7)], True)
-        scored = score_corpus(model, prepared, want_attention=True, batch_size=2)
+        model, _, corpus = self.world("birnn", "fofe", [(0, 7), (1, 5), (2, 7)], True)
+        scored = score_corpus(model, corpus, want_attention=True, batch_size=2)
         assert len(scored) == 3
         for c0 in (0, 2):
-            batch = Batch.of(prepared[c0:c0 + 2])
+            batch = corpus.gather(range(c0, min(c0 + 2, 3)))
             _, (p_real, p_null) = model.score_batch(batch)
             assert len(p_real) > 0
             totals = (np.bincount(batch.layout.row_span, p_real, minlength=len(batch.spans))
@@ -385,18 +386,68 @@ class TestBatchMatchesSentences:
                     assert np.array_equal(s.attention[0], w)
                     assert s.attention[0].sum() == pytest.approx(1.0, abs=1e-12)
         assert all(s.attention is None
-                   for spans in score_corpus(model, prepared) for s in spans)
+                   for spans in score_corpus(model, corpus) for s in spans)
 
     def test_split_follows_span_counts(self):
         model, sents, lex = tiny_world()
         prepared = [_prepare(model, s, lex) for s in (sents[0], sents[1], sents[0])]
-        batch = Batch.of(prepared)
+        batch = prepare_corpus(model, sents, lex).gather([0, 1, 0])
         assert batch.lengths.tolist() == [4, 4, 4]
         assert batch.spans.tolist() == [[i + 4 * k, j + 4 * k]
                                         for k, item in enumerate(prepared)
                                         for i, j in item[1]]
         assert [len(part) for part in batch.split(list(range(len(batch.spans))))] == \
             [len(item[1]) for item in prepared]
+
+
+class TestPreparedCorpus:
+    """``prepare_corpus`` and ``Batch.gather`` against ``_prepare`` of each
+    sentence stacked sentence after sentence: every array and dtype equal."""
+
+    @staticmethod
+    def assert_same(batch, want):
+        for name in ("char_ids", "seg_ids", "pos_ids", "lengths", "spans",
+                     "span_counts", "targets"):
+            got, expected = getattr(batch, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        for name in ("lex_ids", "mode_ids", "row_span", "null_mask", "words"):
+            got, expected = getattr(batch.layout, name), getattr(want.layout, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+
+    @given(cuts=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           data=st.data(), use_lex=st.booleans(),
+           over=st.sampled_from([{}, {"k_cut": 0, "bucket_cap": 1},
+                                 {"max_entity_len": 7, "bucket_cap": 2}]))
+    def test_gather_equals_per_sentence_stacking(self, cuts, data, use_lex, over):
+        train, _, words = make_corpus(13, n_train=6, n_dev=0)
+        lex = Lexicon(words) if use_lex else None
+        model = Model.build(ModelConfig(**{**SMALL, **over}),
+                            Vocab.build(train, words), np.random.default_rng(13))
+        # the first n characters of the corpus sentences, entities cut with them
+        sents = [Sentence(s.chars[:n], s.seg_labels[:n], s.pos_tags[:n],
+                          {e for e in s.entities if e[1] < n})
+                 for s, n in zip(train, cuts)]
+        prepared = [_prepare(model, s, lex) for s in sents]
+        corpus = prepare_corpus(model, sents, lex)
+        self.assert_same(corpus, ref.stack_prepared(prepared))
+        picks = data.draw(st.lists(st.integers(0, len(sents) - 1), min_size=1,
+                                   max_size=8))
+        self.assert_same(corpus.gather(np.array(picks)),
+                         ref.stack_prepared([prepared[k] for k in picks]))
+
+    def test_long_entities_are_not_targets(self):
+        model, sents, lex = tiny_world(max_entity_len=2)
+        corpus = prepare_corpus(model, sents, lex)
+        # (0, 2, PER) is longer than two characters; (1, 2, ORG) is a span
+        assert corpus.targets.tolist() == [
+            model.vocab.types.id("ORG") if (k, i, j) == (1, 1, 2) else model.vocab.none_id
+            for k, s in enumerate(sents) for i, j in enumerate_fragments(len(s), 2)]
+
+    def test_empty_corpus(self):
+        model, _, lex = tiny_world()
+        corpus = prepare_corpus(model, [], lex)
+        assert corpus.spans.shape == (0, 2) and len(corpus.targets) == 0
+        assert score_corpus(model, corpus) == []
 
 
 class TestTapeSize:
