@@ -29,21 +29,17 @@ def fragment_count(n, m: int):
     return m * (2 * n - m + 1) // 2
 
 
-def enumerate_fragments(n: int, m: int) -> list[Span]:
-    """All (i, j) with 0 <= i <= j < n and j - i + 1 <= m, ordered by start."""
-    return [(i, j) for i in range(n) for j in range(i, min(i + m, n))]
-
-
 def fragment_rows(lengths, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``enumerate_fragments`` of sentences of ``lengths`` rows stacked
-    sentence after sentence, as arrays of each span's first and last row."""
+    """Every span of at most ``m`` rows of each sentence, the sentences of
+    ``lengths`` rows stacked sentence after sentence: each span's first and
+    last row, as two arrays ordered by first row and then last."""
     lengths = np.asarray(lengths, dtype=np.intp)
-    total = int(lengths.sum())
+    rows = np.arange(lengths.sum())
     # spans from each row: m, or fewer when its sentence ends first
-    per_row = np.minimum(np.repeat(np.cumsum(lengths), lengths) - np.arange(total), m)
-    starts = np.repeat(np.arange(total), per_row)
-    ends = starts + np.arange(len(starts)) - np.repeat(np.cumsum(per_row) - per_row,
-                                                       per_row)
+    per_row = np.minimum(lengths.cumsum().repeat(lengths) - rows, m)
+    starts = rows.repeat(per_row)
+    # a span's end is its row plus its offset among the spans of its row
+    ends = np.arange(len(starts)) - (per_row.cumsum() - per_row - rows).repeat(per_row)
     return starts, ends
 
 
@@ -68,19 +64,18 @@ def char_feature_vectors(char_ids, seg_ids, pos_ids, emb_char: Tensor,
 
 
 def encode_characters(w: Tensor, layers: list[tuple[Cell, Cell]],
-                      lengths: np.ndarray | None = None) -> Tensor:
+                      lengths: np.ndarray) -> Tensor:
     """Context-aware character vectors, one row per character.
 
-    ``lengths`` gives the row counts of the sentences stacked in ``w``
-    (default: all rows are one sentence). With no layers this is the
-    baseline encoder: the embedding matrix unchanged. Otherwise it stacks
-    bidirectional LSTM layers (forward cell, backward cell per layer), each
-    direction one chain per sentence, and concatenates the two top-layer
-    states per position.
+    ``lengths`` gives the row counts of the sentences stacked in ``w``.
+    With no layers this is the baseline encoder: the embedding matrix
+    unchanged. Otherwise it stacks bidirectional LSTM layers (forward cell,
+    backward cell per layer), each direction one chain per sentence, and
+    concatenates the two top-layer states per position.
     """
     if not layers:
         return w
-    lengths = np.array([w.shape[0]]) if lengths is None else np.asarray(lengths)
+    lengths = np.asarray(lengths)
     first = np.cumsum(lengths) - lengths
     steps = np.arange(lengths.max())
     # a chain that has read its whole sentence repeats the row it ended on;
@@ -132,7 +127,7 @@ def encode_fragments_fofe(t: Tensor, spans: list[Span],
 
 
 def encode_fragments_birnn(t: Tensor, spans: list[Span], fwd: Cell, bwd: Cell,
-                           lengths: np.ndarray | None = None) -> Tensor:
+                           lengths: np.ndarray) -> Tensor:
     """Final forward state ++ final backward state of a span-local BiLSTM.
 
     One batch of forward chains runs from every row and one of backward
@@ -140,11 +135,10 @@ def encode_fragments_birnn(t: Tensor, spans: list[Span], fwd: Cell, bwd: Cell,
     reads step j - i of the chain from i and of the chain from j. A chain
     that runs past its sentence's edge repeats the edge character, so it
     reads no row of another sentence; no span reads those states.
-    ``lengths`` gives the row counts of the sentences stacked in ``t``
-    (default: all rows are one sentence).
+    ``lengths`` gives the row counts of the sentences stacked in ``t``.
     """
     n = t.shape[0]
-    lengths = np.array([n]) if lengths is None else np.asarray(lengths)
+    lengths = np.asarray(lengths)
     first = np.repeat(np.cumsum(lengths) - lengths, lengths)
     last = first + np.repeat(lengths, lengths) - 1
     starts, ends = _span_bounds(spans)

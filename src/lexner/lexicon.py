@@ -148,13 +148,13 @@ def _span_matches(lex: Lexicon | None, texts: list[str], starts: np.ndarray,
                  else np.empty((3, 0), dtype=np.intp))
     b = a + k - 1
     word_ids = np.unique(wid)
-    word = np.searchsorted(word_ids, wid)
+    word = word_ids.searchsorted(wid)
     # the occurrences that start inside a span are one run of them; those
     # of the run that also end inside it are the span's words
-    lo = np.searchsorted(a, starts)
-    n = np.searchsorted(a, ends, side="right") - lo
-    span = np.repeat(np.arange(len(starts)), n)
-    occ = np.arange(len(span)) + np.repeat(lo - np.cumsum(n) + n, n)
+    lo = a.searchsorted(starts)
+    n = a.searchsorted(ends, side="right") - lo
+    span = np.arange(len(starts)).repeat(n)
+    occ = np.arange(len(span)) + (lo - n.cumsum() + n).repeat(n)
     inside = b[occ] <= ends[span]
     span, occ = span[inside], occ[inside]
     # exact 0, prefix 1, suffix 2, infix 3, by the span ends the word touches
@@ -235,14 +235,6 @@ class SentenceLayout:
     words: np.ndarray
 
     @classmethod
-    def build(cls, lex: Lexicon | None, text: str, spans: list[tuple[int, int]],
-              k_cut: int, cap: int, lex_id) -> "SentenceLayout":
-        """Match ``text`` once and lay out the memory of each span; see
-        ``build_corpus``."""
-        starts, ends = np.array(spans, dtype=np.intp).reshape(-1, 2).T
-        return cls.build_corpus(lex, [text], starts, ends, k_cut, cap, lex_id)
-
-    @classmethod
     def build_corpus(cls, lex: Lexicon | None, texts: list[str], starts: np.ndarray,
                      ends: np.ndarray, k_cut: int, cap: int, lex_id) -> "SentenceLayout":
         """Match ``texts`` once and lay out the memory of each span, a span
@@ -264,11 +256,11 @@ class SentenceLayout:
         # best first and keeps its first ``cap``
         group = span * bucket_count(k_cut) + bucket
         kept = np.arange(len(group))
-        if (kept - np.searchsorted(group, group)).max(initial=0) >= cap:
+        if (kept - group.searchsorted(group)).max(initial=0) >= cap:
             freq = np.array([lex.freq(w) for w in words])[word]
             order = np.lexsort((word, -freq, -k, group))
             group = group[order]
-            kept = np.sort(order[kept - np.searchsorted(group, group) < cap])
+            kept = np.sort(order[kept - group.searchsorted(group) < cap])
         return cls(
             lex_ids=np.array([lex_id(w) for w in words], dtype=np.intp)[word[kept]],
             mode_ids=bucket[kept],

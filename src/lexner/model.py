@@ -6,7 +6,8 @@ feed-forward head to a distribution over entity types plus NONE. A corpus
 is prepared once as a ``Batch`` of all its sentences, and the sentences of
 a training minibatch or an evaluation chunk are gathered from it into a
 ``Batch`` that moves through these stages together: their characters as
-the rows of one matrix, their spans as the rows of others. Training
+the rows of one matrix, their spans as the rows of others. A single
+sentence is prepared and scored the same way, as a corpus of one. Training
 minimizes focal loss with a per-class positive weight vector, optionally
 learned (stored as exponentials of free parameters).
 """
@@ -67,16 +68,20 @@ class ModelConfig:
             raise ConfigError(f"unknown fragment encoder {self.fragment_encoder!r}")
         if not 0.0 < self.fofe_alpha < 1.0:
             raise ConfigError(f"fofe_alpha must lie in (0, 1), got {self.fofe_alpha}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma must be >= 0 and finite, got {self.gamma}")
         if self.k_cut < 0 or self.max_entity_len < 1:
             raise ConfigError("k_cut must be >= 0 and max_entity_len >= 1")
         for name in ("bucket_cap", "char_hidden", "char_layers", "frag_hidden",
                      "head_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.head_layers < 0:
-            raise ConfigError(f"head_layers must be >= 0, got {self.head_layers}")
+        for name in ("d_char", "d_seg", "d_pos", "d_lex", "d_mod", "head_layers"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.d_w < 1 or self.d_m < 1:
+            raise ConfigError(f"d_char + d_seg + d_pos and d_lex + d_mod must be >= 1, "
+                              f"got {self.d_w} and {self.d_m}")
 
     @property
     def d_w(self) -> int:
@@ -204,7 +209,8 @@ class Model:
                     spans: list[tuple[int, int]],
                     dropout_rate: float = 0.0,
                     rng: np.random.Generator | None = None):
-        """Probability matrix (n_spans x n_types) for the given spans.
+        """``score_batch`` of one sentence as ``_prepare`` returns it: the
+        probability matrix (n_spans x n_types) of ``spans``.
 
         Returns (probs Tensor, (p_real, p_null)): the attention weights of
         every real memory row and of every span's null rows, which
@@ -280,8 +286,9 @@ class Batch:
     def of_sentence(cls, sent: Sentence, spans: list[tuple[int, int]],
                     layout: lx.SentenceLayout, targets: np.ndarray | None = None
                     ) -> "Batch":
-        """One encoded sentence with its spans, their layout and, when
-        known, their gold types: a ``_prepare``d sentence."""
+        """The batch of the one sentence ``sent``, from what ``_prepare``
+        returns for it: its spans as (i, j) pairs, their layout and, when
+        known, their gold types."""
         return cls(sent.char_ids, sent.seg_ids, sent.pos_ids, np.array([len(sent)]),
                    np.array(spans, dtype=np.intp).reshape(-1, 2), np.array([len(spans)]),
                    layout, targets)
@@ -328,14 +335,6 @@ def _runs(counts: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     n = counts[picks]
     moved = (np.cumsum(counts) - counts)[picks] - np.cumsum(n) + n
     return np.arange(n.sum()) + np.repeat(moved, n), moved
-
-
-def span_labels(sent: Sentence, spans: list[tuple[int, int]],
-                vocab: Vocab) -> np.ndarray:
-    """Gold type id per span, NONE where the span is not a gold entity."""
-    gold = {(s, e): vocab.types.id(t) for s, e, t in sent.entities}
-    none = vocab.none_id
-    return np.array([gold.get(span, none) for span in spans], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +477,8 @@ def _train_epochs(model, train, train_gold, dev, dev_gold, opt, rng, settings, l
 def prepare_corpus(model: Model, sents: list[Sentence], lex) -> Batch:
     """Every sentence of ``sents`` with its spans, their memory layout and
     their gold types, stacked as one batch: the spans of each sentence as
-    ``_prepare`` enumerates them, and the memory matched against ``lex``
-    (None: no lexicon) in one pass over all sentences."""
+    ``fragment_rows`` enumerates them, and the memory matched against
+    ``lex`` (None: no lexicon) in one pass over all sentences."""
     vocab, cfg = model.vocab, model.config
     for sent in sents:
         if sent.char_ids is None:
@@ -492,19 +491,19 @@ def prepare_corpus(model: Model, sents: list[Sentence], lex) -> Batch:
     # longer than max_entity_len is the span e - s places after the first
     # span at row s
     gold = [(row + s, e - s, vocab.types.id(t))
-            for row, sent in zip((np.cumsum(lengths) - lengths).tolist(), sents)
+            for row, sent in zip((lengths.cumsum() - lengths).tolist(), sents)
             for s, e, t in sent.entities if e - s < cfg.max_entity_len]
     targets = np.full(len(starts), vocab.none_id, dtype=np.intp)
     if gold:
         row, width, type_id = np.array(gold, dtype=np.intp).T
-        targets[np.searchsorted(starts, row) + width] = type_id
+        targets[starts.searchsorted(row) + width] = type_id
 
     def stack(name):   # an empty corpus stacks to an empty array
         return np.concatenate([getattr(s, name) for s in sents] + [np.empty(0, np.intp)])
 
     return Batch(char_ids=stack("char_ids"), seg_ids=stack("seg_ids"),
                  pos_ids=stack("pos_ids"), lengths=lengths,
-                 spans=np.stack([starts, ends], axis=1),
+                 spans=np.array([starts, ends]).T,
                  span_counts=encoders.fragment_count(lengths, cfg.max_entity_len),
                  layout=layout, targets=targets)
 
@@ -518,15 +517,11 @@ def _lex_id(model: Model):
 
 
 def _prepare(model: Model, sent: Sentence, lex):
-    """One sentence as ``prepare_corpus`` prepares it: (the sentence, its
-    spans as (i, j) pairs, their layout, their gold types)."""
-    if sent.char_ids is None:
-        model.vocab.encode(sent)
-    cfg = model.config
-    spans = encoders.enumerate_fragments(len(sent), cfg.max_entity_len)
-    layout = lx.SentenceLayout.build(lex, sent.text, spans, cfg.k_cut, cfg.bucket_cap,
-                                     _lex_id(model))
-    return sent, spans, layout, span_labels(sent, spans, model.vocab)
+    """``prepare_corpus`` of the one sentence ``sent``, unpacked: (the
+    sentence, its spans as (i, j) pairs in ``fragment_rows`` order, their
+    layout, their gold types)."""
+    corpus = prepare_corpus(model, [sent], lex)
+    return sent, list(zip(*corpus.spans.T.tolist())), corpus.layout, corpus.targets
 
 
 def _score(model: Model, prepared) -> list[ScoredSpan]:

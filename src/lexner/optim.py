@@ -22,9 +22,8 @@ class Adam:
     advances on every ``step`` call.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 1e-7,
                  sparse: set[str] | frozenset[str] = frozenset()):
         self.params = dict(params)
         self.lr = lr

@@ -1,4 +1,5 @@
-"""Per-span reference of ``Model.score_spans`` and its memory layout.
+"""Per-span reference of ``Model.score_spans``, its memory layout and its
+per-sentence preparation.
 
 The model runs each LSTM as a batch of chains in one ``lstm_sequence`` op
 over a character matrix, with its weights as a ``(wx, wh, b)`` triple of
@@ -17,18 +18,22 @@ feature vector per character, incremental fragment encoders that return a
 dict, a memory matrix per span (``assemble_memory``) and one attention per
 span (``attend``), concatenated with the fragment vector.
 
-The model matches a sentence against the lexicon once and lays out the
-memory of all its spans in ``SentenceLayout.build``. This module keeps the
-per-span path that it replaced: each fragment matched on its own by four
-walks over a forward and a reverse trie (``Matcher``), bucketed into a
-``MemoryLayout`` (``bucketize``), and the span layouts joined into one
-``SentenceLayout`` (``sentence_layout``).
+The model matches its sentences against the lexicon once and lays out
+the memory of all their spans in ``SentenceLayout.build_corpus``. This
+module keeps the per-span path that it replaced: each fragment matched on
+its own by four walks over a forward and a reverse trie (``Matcher``),
+bucketed into a ``MemoryLayout`` (``bucketize``), and the span layouts
+joined into one ``SentenceLayout`` (``sentence_layout``).
 
 The model prepares a corpus once as one stacked batch and gathers each
-minibatch from it by offsets (``prepare_corpus``, ``Batch.gather``). This
-module keeps the per-sentence stacking that it replaced: ``_prepare``d
-sentences joined into one batch (``stack_prepared``), their layouts layout
-after layout (``concat_layouts``).
+minibatch from it by offsets (``prepare_corpus``, ``Batch.gather``); one
+sentence is prepared as a corpus of one. This module keeps the
+per-sentence preparation that it replaced (``prepare_sentence``): the
+spans as a list (``enumerate_fragments``), their gold types looked up one
+by one (``span_labels``) and the per-span layouts joined. It also keeps
+the per-sentence stacking: prepared sentences joined into one batch
+(``stack_prepared``), their layouts layout after layout
+(``concat_layouts``).
 """
 import math
 from dataclasses import dataclass
@@ -37,6 +42,7 @@ import numpy as np
 
 import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, ShapeError, Tensor, _begin
+from lexner.corpus import UNK
 from lexner.lexicon import (EXACT, INFIX, MODES, PREFIX, SUFFIX, Match,
                             SentenceLayout, Trie, bucket_count, bucket_name)
 from lexner.model import Batch
@@ -518,8 +524,8 @@ def bucketize(matches: list[Match], k_cut: int, freq, vocab_lex_id,
 
 
 def memory_layouts(lex, text, spans, k_cut, cap, lex_id) -> list[MemoryLayout]:
-    """One ``MemoryLayout`` per span, from the arguments of
-    ``SentenceLayout.build``; with no lexicon every bucket is null."""
+    """One ``MemoryLayout`` per span ``(i, j)`` of ``text``, each bucket
+    capped at ``cap`` rows; with no lexicon every bucket is null."""
     if lex is None:
         return [bucketize([], k_cut, None, lex_id, cap) for _ in spans]
     matcher = Matcher(lex)
@@ -542,6 +548,32 @@ def sentence_layout(layouts: list[MemoryLayout], k_cut: int) -> SentenceLayout:
     )
 
 
+def enumerate_fragments(n: int, m: int) -> list[tuple[int, int]]:
+    """All (i, j) with 0 <= i <= j < n and j - i + 1 <= m, ordered by start."""
+    return [(i, j) for i in range(n) for j in range(i, min(i + m, n))]
+
+
+def span_labels(sent, spans, vocab) -> np.ndarray:
+    """Gold type id per span, NONE where the span is not a gold entity."""
+    gold = {(s, e): vocab.types.id(t) for s, e, t in sent.entities}
+    none = vocab.none_id
+    return np.array([gold.get(span, none) for span in spans], dtype=np.intp)
+
+
+def prepare_sentence(model, sent, lex):
+    """One sentence prepared on its own, as ``_prepare`` returns it: (the
+    sentence, its spans as (i, j) pairs, their layout, their gold types)."""
+    if sent.char_ids is None:
+        model.vocab.encode(sent)
+    cfg, table = model.config, model.vocab.lex
+    unk = table.id(UNK)
+    spans = enumerate_fragments(len(sent), cfg.max_entity_len)
+    layouts = memory_layouts(lex, sent.text, spans, cfg.k_cut, cfg.bucket_cap,
+                             lambda w: table.id(w, unk))
+    return (sent, spans, sentence_layout(layouts, cfg.k_cut),
+            span_labels(sent, spans, model.vocab))
+
+
 def concat_layouts(layouts: list[SentenceLayout]) -> SentenceLayout:
     """One layout of the spans of several layouts, layout after layout."""
     counts = [len(layout.null_mask) for layout in layouts]
@@ -557,7 +589,7 @@ def concat_layouts(layouts: list[SentenceLayout]) -> SentenceLayout:
 
 
 def stack_prepared(items) -> Batch:
-    """``_prepare``d sentences (sentence, spans, layout, targets) stacked
+    """Prepared sentences (sentence, spans, layout, targets) stacked
     sentence after sentence into one batch."""
     sents, spans, layouts, targets = zip(*items)
     lengths = np.array([len(s) for s in sents])

@@ -78,6 +78,17 @@ class TestTrain:
         assert name in capsys.readouterr().err
         assert not (workdir / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--gamma", "nan"], "gamma"), (["--gamma", "inf"], "gamma"),
+        (["--d-char", "-3"], "d_char"), (["--d-seg", "-1"], "d_seg"),
+        (["--d-lex", "0", "--d-mod", "0"], "d_lex"),
+        (["--d-char", "0", "--d-seg", "0", "--d-pos", "0"], "d_char")])
+    def test_bad_model_setting_exits_2(self, workdir, capsys, flags, name):
+        args = train_args(workdir, ckpt="x.ckpt", log="x.csv") + flags
+        assert main(args) == 2
+        assert name in capsys.readouterr().err
+        assert not (workdir / "x.ckpt").exists()
+
     def test_multichar_token_exits_2(self, workdir, capsys):
         lines = (workdir / "tiny.txt").read_text(encoding="utf-8").splitlines()
         lines[4] = "ab" + lines[4][1:]
@@ -191,6 +202,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == 2
         assert str(path) in err and key in err
+
+    @pytest.mark.parametrize("over", [{"gamma": float("nan")}, {"d_char": -3},
+                                      {"d_lex": 0, "d_mod": 0}])
+    def test_invalid_model_config_in_checkpoint_exits_2(self, trained, tmp_path,
+                                                        capsys, over):
+        magic, header, body = (trained / "m.ckpt").read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        header["config"].update(over)
+        path = tmp_path / "invalid.ckpt"
+        path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + body)
+        code = main(["eval", "--checkpoint", str(path), "--dev", str(trained / "dev.txt"),
+                     "--split", "dev"])
+        assert code == 2
+        assert next(iter(over)) in capsys.readouterr().err
 
 
 class TestPredict:

@@ -92,7 +92,9 @@ class TestValidation:
                                       dict(clip_norm=-0.5), dict(lr=float("nan")),
                                       dict(lr=float("inf")), dict(weight_decay=-1.0),
                                       dict(weight_decay=float("nan")),
-                                      dict(weight_decay=float("inf"))])
+                                      dict(weight_decay=float("inf")),
+                                      dict(gamma=float("nan")), dict(d_char=-3),
+                                      dict(d_lex=0, d_mod=0)])
     def test_run_config_checks_every_owner(self, over):
         with pytest.raises(ConfigError):
             load_config(None, over)

@@ -6,11 +6,10 @@ import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, Tape, Tensor
 from lexner.encoders import (char_feature_vectors, encode_characters,
                              encode_fragments_birnn, encode_fragments_bow,
-                             encode_fragments_fofe, enumerate_fragments,
-                             fragment_count, fragment_rows)
+                             encode_fragments_fofe, fragment_count, fragment_rows)
 
 import span_reference as ref
-from span_reference import lstm_cell
+from span_reference import enumerate_fragments, lstm_cell
 
 
 def rand_matrix(rng, n, d):
@@ -24,13 +23,18 @@ class TestFragmentEnumeration:
         assert fragment_count(1, 1) == 1
 
     def test_count_law_exhaustive(self):
-        # closed form agrees with direct enumeration for all small (n, m)
+        # the closed form and the model's enumeration agree with direct
+        # enumeration for all small (n, m)
         for n in range(1, 51):
             for m in range(1, 51):
-                assert fragment_count(n, m) == len(enumerate_fragments(n, m))
+                starts, ends = fragment_rows([n], m)
+                assert list(zip(starts.tolist(), ends.tolist())) == \
+                    enumerate_fragments(n, m)
+                assert fragment_count(n, m) == len(starts)
 
     def test_spans_valid_and_unique(self):
-        spans = enumerate_fragments(6, 3)
+        starts, ends = fragment_rows([6], 3)
+        spans = list(zip(starts.tolist(), ends.tolist()))
         assert len(set(spans)) == len(spans)
         for i, j in spans:
             assert 0 <= i <= j < 6
@@ -168,7 +172,7 @@ class TestLSTM:
 class TestEncodeCharacters:
     def test_baseline_identity(self):
         w = rand_matrix(np.random.default_rng(0), 3, 4)
-        assert encode_characters(w, []) is w
+        assert encode_characters(w, [], [3]) is w
 
     def test_birnn_dims(self):
         rng = np.random.default_rng(1)
@@ -176,7 +180,7 @@ class TestEncodeCharacters:
                   (lstm_cell(6, 3, rng), lstm_cell(6, 3, rng))]
         w = rand_matrix(rng, 5, 4)
         with Tape():
-            out = encode_characters(w, layers)
+            out = encode_characters(w, layers, [5])
         assert out.shape == (5, 6)
         # the top layer's per-step forward and backward states, side by side
         with Tape():
@@ -275,7 +279,7 @@ class TestFragmentBiRNN:
         t = rand_matrix(rng, 6, 3)
         spans = enumerate_fragments(6, 4)
         with Tape():
-            enc = encode_fragments_birnn(t, spans, fwd, bwd)
+            enc = encode_fragments_birnn(t, spans, fwd, bwd, [6])
         for row, (i, j) in zip(enc.values, spans):
             assert np.allclose(row, self.direct(t, i, j, fwd, bwd), atol=1e-10)
 
@@ -287,7 +291,7 @@ class TestFragmentBiRNN:
             t = rand_matrix(rng, n, 2)
             spans = enumerate_fragments(n, n)
             with Tape():
-                enc = encode_fragments_birnn(t, spans, fwd, bwd)
+                enc = encode_fragments_birnn(t, spans, fwd, bwd, [n])
             for row, (i, j) in zip(enc.values, spans):
                 assert np.allclose(row, self.direct(t, i, j, fwd, bwd), atol=1e-10)
 
@@ -296,8 +300,8 @@ class TestFragmentBiRNN:
         fwd, bwd = lstm_cell(2, 3, rng), lstm_cell(2, 3, rng)
         t = rand_matrix(rng, 2, 2)
         with Tape():
-            ab = encode_fragments_birnn(t, [(0, 1)], fwd, bwd)
-            ba = encode_fragments_birnn(Tensor(t.values[::-1]), [(0, 1)], fwd, bwd)
+            ab = encode_fragments_birnn(t, [(0, 1)], fwd, bwd, [2])
+            ba = encode_fragments_birnn(Tensor(t.values[::-1]), [(0, 1)], fwd, bwd, [2])
         assert not np.allclose(ab.values, ba.values)
 
     def test_output_dim(self):
@@ -305,5 +309,5 @@ class TestFragmentBiRNN:
         fwd, bwd = lstm_cell(5, 7, rng), lstm_cell(5, 7, rng)
         t = rand_matrix(rng, 3, 5)
         with Tape():
-            enc = encode_fragments_birnn(t, [(0, 2)], fwd, bwd)
+            enc = encode_fragments_birnn(t, [(0, 2)], fwd, bwd, [3])
         assert enc.shape == (1, 14)

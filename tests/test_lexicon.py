@@ -9,12 +9,20 @@ from hypothesis import given, strategies as st
 import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, Tape, Tensor
 from lexner.corpus import ParseError
-from lexner.encoders import enumerate_fragments, fragment_rows
+from lexner.encoders import fragment_rows
 from lexner.lexicon import (MODES, Lexicon, Match, SentenceLayout, Trie,
                             bucket_count, bucket_name, bucket_of, match_fragment)
 from lexner.model import ModelConfig
 
 import span_reference as ref
+from span_reference import enumerate_fragments
+
+
+def build_layout(lex, text, spans, k_cut, cap, lex_id):
+    """``SentenceLayout.build_corpus`` of the one text ``text``, its spans
+    given as (i, j) pairs."""
+    starts, ends = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+    return SentenceLayout.build_corpus(lex, [text], starts, ends, k_cut, cap, lex_id)
 
 
 # CJK characters and one outside the Basic Multilingual Plane
@@ -180,14 +188,14 @@ class TestBucketing:
         assert set(got.tolist()) == set(range(bucket_count(k_cut)))
 
     def test_empty_matches_all_null(self):
-        layout = SentenceLayout.build(None, "ab", [(0, 1)], 2, 8, lambda w: 0)
+        layout = build_layout(None, "ab", [(0, 1)], 2, 8, lambda w: 0)
         assert len(layout.lex_ids) == 0
         assert layout.null_mask.tolist() == [[True] * 8]
 
     def test_row_count_one_per_match_plus_nulls(self):
         lex = Lexicon(["a", "ab", "b"])
         matches = match_fragment(lex, "ab")
-        layout = SentenceLayout.build(lex, "ab", [(0, 1)], 2, 8, lambda w: 1)
+        layout = build_layout(lex, "ab", [(0, 1)], 2, 8, lambda w: 1)
         occupied = set(bucket_of(np.array([MODES.index(m.mode) for m in matches]),
                                  np.array([m.k for m in matches]), 2).tolist())
         assert len(layout.lex_ids) == len(matches)
@@ -196,7 +204,7 @@ class TestBucketing:
     def test_mode_id_equals_bucket_id(self):
         lex = Lexicon(["a", "ab", "b"])
         matches = match_fragment(lex, "ab")
-        layout = SentenceLayout.build(lex, "ab", [(0, 1)], 2, 8, lambda w: 0)
+        layout = build_layout(lex, "ab", [(0, 1)], 2, 8, lambda w: 0)
         assert layout.mode_ids.tolist() == bucket_of(
             np.array([MODES.index(m.mode) for m in matches]),
             np.array([m.k for m in matches]), 2).tolist()
@@ -209,8 +217,8 @@ class TestBucketing:
         text = "#abcdefghijkl#"
         for cap, kept in ((8, words[:8]), (6, words[:4] + ["ef", "kl"]),
                           (5, words[:4] + ["ef"])):
-            layout = SentenceLayout.build(lex, text, [(0, len(text) - 1)], 0, cap,
-                                          lex.word_id.get)
+            layout = build_layout(lex, text, [(0, len(text) - 1)], 0, cap,
+                                  lex.word_id.get)
             # the longest words win, then the most frequent, then the lowest id;
             # the kept rows are ordered by length, then word id
             want = sorted(kept, key=lambda w: (len(w), lex.word_id[w]))
@@ -223,13 +231,13 @@ class TestBucketing:
 
 
 class TestSentenceLayout:
-    """``SentenceLayout.build`` against the per-span reference: every array,
-    word and attention row label equal."""
+    """``SentenceLayout.build_corpus`` of one sentence against the per-span
+    reference: every array, word and attention row label equal."""
 
     def check(self, lex, text, spans, k_cut, cap):
         def lex_id(w):
             return len(w) + 7 * lex.word_id[w] % 3
-        layout = SentenceLayout.build(lex, text, spans, k_cut, cap, lex_id)
+        layout = build_layout(lex, text, spans, k_cut, cap, lex_id)
         per_span = ref.memory_layouts(lex, text, spans, k_cut, cap, lex_id)
         want = ref.sentence_layout(per_span, k_cut)
         for name in ("lex_ids", "mode_ids", "row_span", "null_mask"):
@@ -312,7 +320,7 @@ class TestCorpusLayout:
         spans = enumerate_fragments(len(text), ModelConfig().max_entity_len)
         tracemalloc.start()
         try:
-            layout = SentenceLayout.build(lex, text, spans, 2, 8, lex.word_id.get)
+            layout = build_layout(lex, text, spans, 2, 8, lex.word_id.get)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -338,8 +346,7 @@ class TestAssemble:
     def test_one_real_row_plus_nulls(self):
         lex = Lexicon(["希尔顿"])
         # the second span, "尔", matches nothing
-        layout = SentenceLayout.build(lex, "希尔顿", [(0, 2), (1, 1)], 2, 8,
-                                      lambda w: 2)
+        layout = build_layout(lex, "希尔顿", [(0, 2), (1, 1)], 2, 8, lambda w: 2)
         assert layout.lex_ids.tolist() == [2]
         assert layout.mode_ids.tolist() == [0]
         assert layout.row_span.tolist() == [0]
@@ -363,8 +370,8 @@ class TestAssemble:
 
     def test_labels_real_rows_by_bucket_then_null_rows(self):
         lex = Lexicon(["酒店", "尔顿", "顿", "希尔", "希尔顿"])
-        layout = SentenceLayout.build(lex, "希尔顿酒店", [(0, 2), (3, 4)], 1, 8,
-                                      lex.word_id.get)
+        layout = build_layout(lex, "希尔顿酒店", [(0, 2), (3, 4)], 1, 8,
+                              lex.word_id.get)
         (_, hilton), (_, hotel) = layout.attention_rows(
             np.zeros(len(layout.lex_ids)), np.zeros(layout.null_mask.shape), 1)
         assert hilton == ["希尔顿[exact]", "希尔[prefix->1]", "顿[suffix-1]",
@@ -374,7 +381,7 @@ class TestAssemble:
 
     def test_gradient_reaches_null_rows(self):
         lex = Lexicon(["xy"])
-        layout = SentenceLayout.build(lex, "ab", [(0, 1)], 2, 8, lambda w: 0)
+        layout = build_layout(lex, "ab", [(0, 1)], 2, 8, lambda w: 0)
         assert len(layout.lex_ids) == 0
         emb_lex = Tensor(np.zeros((1, 4)), tracked=True)
         emb_mod = Tensor(np.zeros((8, 2)), tracked=True)
@@ -391,8 +398,7 @@ class TestAssemble:
 
     def test_gradient_reaches_embeddings(self):
         lex = Lexicon(["ab", "a"])
-        layout = SentenceLayout.build(lex, "ab", [(0, 1), (0, 0)], 0, 8,
-                                      lex.word_id.get)
+        layout = build_layout(lex, "ab", [(0, 1), (0, 0)], 0, 8, lex.word_id.get)
         emb_lex = Tensor(np.zeros((2, 3)), tracked=True)
         emb_mod = Tensor(np.zeros((4, 2)), tracked=True)
         null_rows = Tensor(np.zeros((4, 5)), tracked=True)

@@ -11,12 +11,11 @@ import lexner.autodiff as ad
 from lexner import checkpoint, decode
 from lexner.autodiff import ConfigError, Tape, Tensor
 from lexner.corpus import Sentence, Vocab
-from lexner.encoders import enumerate_fragments
+from lexner.encoders import fragment_rows
 from lexner.lexicon import (EXACT, INFIX, PREFIX, SUFFIX, Lexicon, Match,
                             SentenceLayout, bucket_count)
 from lexner.model import (Model, ModelConfig, SPARSE_TABLES, TrainSettings, _prepare,
-                          param_shapes, prepare_corpus, score_corpus, span_labels,
-                          train_model)
+                          _score, param_shapes, prepare_corpus, score_corpus, train_model)
 from lexner.optim import Adam, DivergenceError
 from lexner.synth import make_corpus
 
@@ -52,13 +51,29 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(gamma=-1.0).validate()
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ConfigError, match="gamma"):
+            ModelConfig(gamma=gamma).validate()
+
     @pytest.mark.parametrize("over", [
         {"bucket_cap": 0}, {"bucket_cap": -1}, {"char_hidden": 0},
         {"head_layers": -1}, {"char_layers": 0, "char_encoder": "birnn"},
-        {"frag_hidden": 0, "fragment_encoder": "birnn"}, {"head_hidden": 0}])
+        {"frag_hidden": 0, "fragment_encoder": "birnn"}, {"head_hidden": 0},
+        {"d_char": -3}, {"d_seg": -1}, {"d_pos": -1}, {"d_lex": -1}, {"d_mod": -2},
+        {"d_lex": 0, "d_mod": 0}, {"d_char": 0, "d_seg": 0, "d_pos": 0}])
     def test_bad_sizes_rejected(self, over):
         with pytest.raises(ConfigError, match=next(iter(over))):
             ModelConfig(**over).validate()
+
+    @pytest.mark.parametrize("over", [{"d_seg": 0, "d_pos": 0}, {"d_lex": 0},
+                                      {"d_mod": 0}])
+    def test_single_zero_width_scores(self, over):
+        model, sents, lex = tiny_world(**over)
+        sent, spans, layout, _ = _prepare(model, sents[0], lex)
+        with Tape():
+            probs, _ = model.score_spans(sent, layout, spans)
+        assert np.allclose(probs.values.sum(axis=1), 1.0)
 
     def test_derived_dims(self):
         cfg = ModelConfig()
@@ -132,11 +147,14 @@ class TestClassify:
         sent = sents[0]
         model.vocab.encode(sent)
         spans = [(0, 2), (1, 1)]
-        args = (lex, sent.text, spans, model.config.k_cut, model.config.bucket_cap,
-                model.vocab.lex.id)
+        cfg, lex_id = model.config, model.vocab.lex.id
+        starts, ends = np.array(spans).T
+        layout = SentenceLayout.build_corpus(lex, [sent.text], starts, ends, cfg.k_cut,
+                                             cfg.bucket_cap, lex_id)
         with Tape():
-            probs, _ = model.score_spans(sent, SentenceLayout.build(*args), spans)
-            want, _ = ref.score_spans(model, sent, ref.memory_layouts(*args), spans)
+            probs, _ = model.score_spans(sent, layout, spans)
+            want, _ = ref.score_spans(model, sent, ref.memory_layouts(
+                lex, sent.text, spans, cfg.k_cut, cfg.bucket_cap, lex_id), spans)
         assert probs.shape == (2, model.config.n_types)
         assert np.allclose(probs.values, want.values, rtol=0, atol=1e-12)
 
@@ -179,7 +197,7 @@ class TestBatchedMatchesPerSpan:
 
     def check(self, model, sent, layouts, spans, dropout=0.0):
         model.vocab.encode(sent)
-        targets = span_labels(sent, spans, model.vocab)
+        targets = ref.span_labels(sent, spans, model.vocab)
         runs = []
         for batched in (True, False):
             for t in model.params.values():
@@ -247,7 +265,7 @@ class TestBatchedMatchesPerSpan:
             model, sents, lex = self.world(4, fragment_encoder=frag, bucket_cap=2)
             sent = sents[0]
             model.vocab.encode(sent)
-            spans = enumerate_fragments(len(sent), model.config.max_entity_len)
+            spans = ref.enumerate_fragments(len(sent), model.config.max_entity_len)
             for fill in (1.0, 0.5):
                 layouts, n_matches = random_layouts(rng, len(spans),
                                                     model.config.k_cut, 2, lex, fill)
@@ -390,7 +408,8 @@ class TestBatchMatchesSentences:
 
     def test_split_follows_span_counts(self):
         model, sents, lex = tiny_world()
-        prepared = [_prepare(model, s, lex) for s in (sents[0], sents[1], sents[0])]
+        prepared = [ref.prepare_sentence(model, s, lex)
+                    for s in (sents[0], sents[1], sents[0])]
         batch = prepare_corpus(model, sents, lex).gather([0, 1, 0])
         assert batch.lengths.tolist() == [4, 4, 4]
         assert batch.spans.tolist() == [[i + 4 * k, j + 4 * k]
@@ -401,8 +420,9 @@ class TestBatchMatchesSentences:
 
 
 class TestPreparedCorpus:
-    """``prepare_corpus`` and ``Batch.gather`` against ``_prepare`` of each
-    sentence stacked sentence after sentence: every array and dtype equal."""
+    """``prepare_corpus`` and ``Batch.gather`` against the per-sentence
+    reference preparation of each sentence, stacked sentence after
+    sentence: every array and dtype equal."""
 
     @staticmethod
     def assert_same(batch, want):
@@ -427,7 +447,7 @@ class TestPreparedCorpus:
         sents = [Sentence(s.chars[:n], s.seg_labels[:n], s.pos_tags[:n],
                           {e for e in s.entities if e[1] < n})
                  for s, n in zip(train, cuts)]
-        prepared = [_prepare(model, s, lex) for s in sents]
+        prepared = [ref.prepare_sentence(model, s, lex) for s in sents]
         corpus = prepare_corpus(model, sents, lex)
         self.assert_same(corpus, ref.stack_prepared(prepared))
         picks = data.draw(st.lists(st.integers(0, len(sents) - 1), min_size=1,
@@ -441,13 +461,43 @@ class TestPreparedCorpus:
         # (0, 2, PER) is longer than two characters; (1, 2, ORG) is a span
         assert corpus.targets.tolist() == [
             model.vocab.types.id("ORG") if (k, i, j) == (1, 1, 2) else model.vocab.none_id
-            for k, s in enumerate(sents) for i, j in enumerate_fragments(len(s), 2)]
+            for k, s in enumerate(sents) for i, j in ref.enumerate_fragments(len(s), 2)]
 
     def test_empty_corpus(self):
         model, _, lex = tiny_world()
         corpus = prepare_corpus(model, [], lex)
         assert corpus.spans.shape == (0, 2) and len(corpus.targets) == 0
         assert score_corpus(model, corpus) == []
+
+
+class TestPrepare:
+    """``_prepare`` of a sentence is ``prepare_corpus`` of it alone, with the
+    spans as the list of (i, j) tuples of Python ints that the benchmark
+    and the decoder iterate."""
+
+    @pytest.mark.parametrize("char, frag", ENCODERS)
+    @pytest.mark.parametrize("use_lex", [True, False])
+    def test_equals_a_corpus_of_one(self, char, frag, use_lex):
+        sents, _, words = make_corpus(6, n_train=3, n_dev=0)
+        lex = Lexicon(words) if use_lex else None
+        cfg = ModelConfig(**{**SMALL, "char_encoder": char, "fragment_encoder": frag,
+                             "char_hidden": 3, "char_layers": 2, "frag_hidden": 3})
+        model = Model.build(cfg, Vocab.build(sents, words), np.random.default_rng(6))
+        for sent in sents:
+            got_sent, spans, layout, targets = _prepare(model, sent, lex)
+            corpus = prepare_corpus(model, [sent], lex)
+            assert got_sent is sent
+            assert all(type(span) is tuple and [type(x) for x in span] == [int, int]
+                       for span in spans)
+            starts, ends = fragment_rows([len(sent)], model.config.max_entity_len)
+            assert spans == list(zip(starts.tolist(), ends.tolist()))
+            assert targets.dtype == corpus.targets.dtype
+            assert np.array_equal(targets, corpus.targets)
+            for name in ("lex_ids", "mode_ids", "row_span", "null_mask", "words"):
+                got, want = getattr(layout, name), getattr(corpus.layout, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert _score(model, (got_sent, spans, layout, targets)) == \
+                score_corpus(model, corpus)[0]
 
 
 class TestTapeSize:
@@ -527,13 +577,12 @@ class TestFocalValues:
 
 class TestSpanLabels:
     def test_gold_and_none(self):
-        model, sents, _ = tiny_world()
-        sent = sents[0]
-        spans = [(0, 2), (0, 1), (3, 3)]
-        labels = span_labels(sent, spans, model.vocab)
-        assert labels[0] == model.vocab.types.id("PER")
-        assert labels[1] == model.vocab.none_id
-        assert labels[2] == model.vocab.none_id
+        model, sents, lex = tiny_world()
+        _, spans, _, targets = _prepare(model, sents[0], lex)
+        labels = dict(zip(spans, targets.tolist()))
+        assert labels[(0, 2)] == model.vocab.types.id("PER")
+        assert labels[(0, 1)] == model.vocab.none_id
+        assert labels[(3, 3)] == model.vocab.none_id
 
 
 class TestTraining:
@@ -546,7 +595,7 @@ class TestTraining:
     def test_single_sentence_overfit(self):
         model, sents, lex = tiny_world(learn_alpha=False, gamma=0.0)
         prepared = _prepare(model, sents[0], lex)
-        opt = Adam(model.trainable(), lr=1e-2, sparse=SPARSE_TABLES)
+        opt = Adam(model.trainable(), lr=1e-2, weight_decay=1e-7, sparse=SPARSE_TABLES)
         sent, spans, layout, targets = prepared
         loss_val = None
         for _ in range(200):

@@ -10,7 +10,7 @@ import span_reference as ref
 def test_zero_gradient_zero_decay_leaves_params():
     p = ad.parameter([1.0, 2.0])
     p.ensure_grad()
-    opt = Adam({"p": p}, weight_decay=0.0)
+    opt = Adam({"p": p}, lr=1e-3, weight_decay=0.0)
     opt.step()
     assert np.array_equal(p.values, [1.0, 2.0])
 
@@ -29,7 +29,7 @@ def test_sparse_step_leaves_untouched_rows_bit_identical():
     rng = np.random.default_rng(0)
     table = ad.parameter(rng.normal(size=(6, 4)))
     before = table.values.copy()
-    opt = Adam({"t": table}, sparse={"t"})
+    opt = Adam({"t": table}, lr=1e-3, weight_decay=1e-7, sparse={"t"})
     with ad.Tape() as tape:
         loss = ref.sum_all(ad.gather_rows(table, [3]))
         tape.backward(loss)
@@ -56,7 +56,7 @@ def test_nan_gradient_aborts_with_name():
     p = ad.parameter([1.0])
     p.ensure_grad()
     p.grad[0] = np.nan
-    opt = Adam({"weights": p})
+    opt = Adam({"weights": p}, lr=1e-3, weight_decay=1e-7)
     with pytest.raises(DivergenceError, match="weights"):
         opt.step()
 
@@ -69,7 +69,7 @@ def test_infinite_gradient_aborts_with_clipping_off(bad):
     p.ensure_grad()
     p.grad[0, 0] = bad
     clip_global_norm({"weights": p}, 0.0)
-    opt = Adam({"weights": p})
+    opt = Adam({"weights": p}, lr=1e-3, weight_decay=1e-7)
     with pytest.raises(DivergenceError, match="non-finite gradient in parameter 'weights'"):
         opt.step()
     assert np.array_equal(p.values, np.ones((2, 2)))
