@@ -6,6 +6,7 @@ active and any input is tracked, push a backward closure. Calling
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -145,13 +146,24 @@ def exp(x: Tensor) -> Tensor:
 # linear algebra
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Row-batched affine map: (n, d_in) @ (d_out, d_in)^T + (d_out,)."""
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
+           add: Tensor | None = None) -> Tensor:
+    """Row-batched affine map: (n, d_in) @ (d_out, d_in)^T, plus the bias
+    row ``b`` (d_out,) and then the matrix ``add`` (n, d_out) when given."""
     if x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
-    if b.values.ndim != 1 or b.shape[0] != w.shape[0]:
+    if b is not None and (b.values.ndim != 1 or b.shape[0] != w.shape[0]):
         raise ShapeError(f"linear: bias shape {b.shape} does not match {w.shape}")
-    out, tape = _begin(x.values @ w.values.T + b.values, x, w, b)
+    if add is not None and add.shape != (x.shape[0], w.shape[0]):
+        raise ShapeError(f"linear: added shape {add.shape} does not match "
+                         f"{(x.shape[0], w.shape[0])}")
+    y = x.values @ w.values.T
+    inputs = [x, w]
+    for term in (b, add):
+        if term is not None:
+            y += term.values
+            inputs.append(term)
+    out, tape = _begin(y, *inputs)
     if tape:
         xv, wv = x.values.copy(), w.values.copy()
         def backward():
@@ -159,8 +171,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 x.grad += out.grad @ wv
             if w.tracked:
                 w.grad += out.grad.T @ xv
-            if b.tracked:
+            if b is not None and b.tracked:
                 b.grad += out.grad.sum(axis=0)
+            if add is not None and add.tracked:
+                add.grad += out.grad
+        tape.record(backward)
+    return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product (n, k) @ (k, d)."""
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    out, tape = _begin(a.values @ b.values, a, b)
+    if tape:
+        av, bv = a.values.copy(), b.values.copy()
+        def backward():
+            if a.tracked:
+                a.grad += out.grad @ bv.T
+            if b.tracked:
+                b.grad += av.T @ out.grad
         tape.record(backward)
     return out
 
@@ -235,21 +265,32 @@ def lstm_sequence(x: Tensor, index: np.ndarray, wx: Tensor, wh: Tensor,
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError("lstm_sequence: index out of range")
     n_seq, steps = idx.shape
-    proj = x.values @ wx.values.T
     wh_t, bias = wh.values.T, b.values
-    # gates[t] holds the i, f, g, o gates of step t, hs[t + 1] and cs[t + 1]
-    # its states, and hs[0] and cs[0] the zero start
+    # xs[t] is the input projection of step t; gates[t] holds the i, f, g,
+    # o gates of step t, hs[t + 1] and cs[t + 1] its states, and hs[0] and
+    # cs[0] the zero start
+    xs = (x.values @ wx.values.T)[idx.T]
     gates = np.empty((steps, 4, n_seq, hid))
     hs, cs = np.zeros((2, steps + 1, n_seq, hid))
     tcs = np.empty((steps, n_seq, hid))
+    pre = np.empty((n_seq, four_h))
+    ig = np.empty((n_seq, hid))
     for t in range(steps):
-        pre = ((proj[idx[:, t]] + hs[t] @ wh_t) + bias).reshape(n_seq, 4, hid)
+        np.matmul(hs[t], wh_t, out=pre)
+        np.add(xs[t], pre, out=pre)
+        pre += bias
         i, f, g, o = act = gates[t]
-        np.divide(1.0, 1.0 + np.exp(-pre.transpose(1, 0, 2)), out=act)
-        np.tanh(pre[:, 2], out=g)
-        cs[t + 1] = f * cs[t] + i * g
+        # 1 / (1 + exp(-pre)) on every gate, then tanh on g
+        np.negative(pre.reshape(n_seq, 4, hid).transpose(1, 0, 2), out=act)
+        np.exp(act, out=act)
+        act += 1.0
+        np.divide(1.0, act, out=act)
+        np.tanh(pre[:, 2 * hid:3 * hid], out=g)
+        np.multiply(f, cs[t], out=cs[t + 1])
+        np.multiply(i, g, out=ig)
+        cs[t + 1] += ig
         np.tanh(cs[t + 1], out=tcs[t])
-        hs[t + 1] = o * tcs[t]
+        np.multiply(o, tcs[t], out=hs[t + 1])
     out, tape = _begin(hs[1:].transpose(1, 0, 2).reshape(n_seq * steps, hid),
                        x, wx, wh, b)
     if tape:
@@ -273,7 +314,7 @@ def lstm_sequence(x: Tensor, index: np.ndarray, wx: Tensor, wh: Tensor,
             if b.tracked:
                 b.grad += flat.sum(axis=0)
             if x.tracked or wx.tracked:
-                d_proj = np.zeros_like(proj)
+                d_proj = np.zeros((x.shape[0], four_h))
                 np.add.at(d_proj, idx.T.ravel(), flat)
                 if wx.tracked:
                     wx.grad += d_proj.T @ xv
@@ -303,6 +344,27 @@ def hconcat(*parts: Tensor) -> Tensor:
                 lo = hi
         tape.record(backward)
     return out
+
+
+def split_columns(x: Tensor, widths) -> tuple[Tensor, ...]:
+    """A matrix as blocks of ``widths`` consecutive columns, left to right,
+    one tape node: the inverse of ``hconcat``. The blocks are views of
+    ``x``."""
+    bounds = [0, *itertools.accumulate(widths)]
+    if x.values.ndim != 2 or bounds[-1] != x.shape[1] or min(widths, default=0) < 0:
+        raise ShapeError(f"split_columns: {x.shape} into widths {list(widths)}")
+    parts = tuple(Tensor(x.values[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    tape = active_tape() if x.tracked else None
+    if tape:
+        x.ensure_grad()
+        for part in parts:
+            part.tracked = True
+            part.ensure_grad()
+        def backward():
+            for part, lo, hi in zip(parts, bounds, bounds[1:]):
+                x.grad[:, lo:hi] += part.grad
+        tape.record(backward)
+    return parts
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -346,30 +408,30 @@ def _segment_sum(values: np.ndarray, starts: np.ndarray, ids: np.ndarray,
         out[ids] += np.add.reduceat(values, starts, axis=0)
 
 
-def memory_attention(f: Tensor, w_attn: Tensor, memory: Tensor, row_span: np.ndarray,
+def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
                      null_rows: Tensor, null_mask: np.ndarray
                      ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
-    """Scaled bilinear attention of every span over its own memory, one tape node.
+    """Scaled dot-product attention of every span over its own memory, one
+    tape node.
 
-    Span ``s`` (row ``s`` of ``f``) attends over its real rows, the rows of
-    ``memory`` whose entry in the sorted ``row_span`` is ``s``, and over the
-    rows of ``null_rows`` that ``null_mask[s]`` selects. A row ``r`` scores
-    ``r . (f_s W) / sqrt(d_m)``; the context is the softmax-weighted sum of
-    the rows. Returns the context matrix (n_spans x d_m) and the weights:
-    one per real row, and an n_spans x n_null matrix that is zero outside
+    Span ``s`` queries with row ``s`` of ``q`` and attends over its real
+    rows, the rows of ``memory`` whose entry in the sorted ``row_span`` is
+    ``s``, and over the rows of ``null_rows`` that ``null_mask[s]`` selects.
+    A row ``r`` scores ``r . q_s / sqrt(d_m)``; the context is the
+    softmax-weighted sum of the rows. The model's bilinear score
+    ``r . (f_s W)`` is this with ``q = f W``, projected by the caller.
+    Returns the context matrix (n_spans x d_m) and the weights: one per
+    real row, and an n_spans x n_null matrix that is zero outside
     ``null_mask``.
     """
     row_span = np.asarray(row_span, dtype=np.intp)
     null_mask = np.asarray(null_mask, dtype=bool)
-    n = f.shape[0] if f.values.ndim == 2 else -1
-    d_m = w_attn.shape[1] if w_attn.values.ndim == 2 else -1
-    if (n < 0 or d_m < 0 or w_attn.shape[0] != f.shape[1]
-            or memory.shape != (len(row_span), d_m) or null_rows.values.ndim != 2
+    n, d_m = q.shape if q.values.ndim == 2 else (-1, -1)
+    if (n < 0 or memory.shape != (len(row_span), d_m) or null_rows.values.ndim != 2
             or null_rows.shape[1] != d_m or null_mask.shape != (n, null_rows.shape[0])):
-        raise ShapeError(f"memory_attention: incompatible shapes f {f.shape}, "
-                         f"w_attn {w_attn.shape}, memory {memory.shape}, "
-                         f"{len(row_span)} row spans, null_rows {null_rows.shape}, "
-                         f"null_mask {null_mask.shape}")
+        raise ShapeError(f"memory_attention: incompatible shapes q {q.shape}, "
+                         f"memory {memory.shape}, {len(row_span)} row spans, "
+                         f"null_rows {null_rows.shape}, null_mask {null_mask.shape}")
     if len(row_span) and (row_span[0] < 0 or row_span[-1] >= n
                           or (row_span[1:] < row_span[:-1]).any()):
         raise ShapeError("memory_attention: row span ids must be sorted and in range")
@@ -380,11 +442,10 @@ def memory_attention(f: Tensor, w_attn: Tensor, memory: Tensor, row_span: np.nda
     ids = np.flatnonzero(counts)
     starts = np.cumsum(counts)[ids] - counts[ids]
     inv = 1.0 / math.sqrt(d_m)
-    mem, nul = memory.values, null_rows.values
-    q = f.values @ w_attn.values
-    q_row = q[row_span]
+    qv, mem, nul = q.values, memory.values, null_rows.values
+    q_row = qv[row_span]
     s_real = np.einsum("rd,rd->r", mem, q_row) * inv
-    s_null = np.where(null_mask, (q @ nul.T) * inv, -np.inf)
+    s_null = np.where(null_mask, (qv @ nul.T) * inv, -np.inf)
     top = s_null.max(axis=1)
     if len(starts):
         top[ids] = np.maximum(top[ids], np.maximum.reduceat(s_real, starts))
@@ -396,9 +457,9 @@ def memory_attention(f: Tensor, w_attn: Tensor, memory: Tensor, row_span: np.nda
     p_null = e_null / z[:, None]
     ctx = p_null @ nul
     _segment_sum(p_real[:, None] * mem, starts, ids, ctx)
-    out, tape = _begin(ctx, f, w_attn, memory, null_rows)
+    out, tape = _begin(ctx, q, memory, null_rows)
     if tape:
-        fv, wv, mem, nul = f.values.copy(), w_attn.values.copy(), mem.copy(), nul.copy()
+        qv, mem, nul = qv.copy(), mem.copy(), nul.copy()
         def backward():
             g = out.grad
             g_row = g[row_span]
@@ -408,16 +469,13 @@ def memory_attention(f: Tensor, w_attn: Tensor, memory: Tensor, row_span: np.nda
             _segment_sum(p_real * dp_real, starts, ids, dot)
             ds_real = p_real * (dp_real - dot[row_span]) * inv
             ds_null = p_null * (dp_null - dot[:, None]) * inv
-            dq = ds_null @ nul
-            _segment_sum(ds_real[:, None] * mem, starts, ids, dq)
-            if f.tracked:
-                f.grad += dq @ wv.T
-            if w_attn.tracked:
-                w_attn.grad += fv.T @ dq
+            if q.tracked:
+                q.grad += ds_null @ nul
+                _segment_sum(ds_real[:, None] * mem, starts, ids, q.grad)
             if memory.tracked:
                 memory.grad += p_real[:, None] * g_row + ds_real[:, None] * q_row
             if null_rows.tracked:
-                null_rows.grad += p_null.T @ g + ds_null.T @ q
+                null_rows.grad += p_null.T @ g + ds_null.T @ qv
         tape.record(backward)
     return out, (p_real, p_null)
 

@@ -78,7 +78,10 @@ def load(path: str) -> tuple[Model, dict]:
             if not isinstance(extra, dict):
                 raise ConfigError(f"{path}: checkpoint extra must be an object, "
                                   f"got {extra!r}")
-            config.validate()
+            try:
+                config.validate()
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
             _check_manifest(path, config, vocab, manifest)
         except ConfigError:
             raise

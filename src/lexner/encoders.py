@@ -6,7 +6,8 @@ of several sentences, sentence after sentence; an encoder that runs chains
 is told their row counts and never lets a chain cross from one sentence
 into the next. Every span of length at most ``m`` gets one vector:
 bag-of-words and forgetting encoding, linear in the character vectors, as
-weighted sums of runs of rows; the span-local BiLSTM as forward chains
+weighted sums of runs of rows (of any projection of the character vectors,
+which the model pools in their place); the span-local BiLSTM as forward chains
 from every start and backward chains from every end, in two sequence ops,
 each span reading one state of each.
 """
@@ -111,7 +112,10 @@ def _span_bounds(spans) -> np.ndarray:
 
 
 def encode_fragments_bow(t: Tensor, spans: list[Span]) -> Tensor:
-    """Mean of the span's character vectors."""
+    """Mean of the span's rows of ``t``. The mean is linear, so the model
+    pools character rows already projected by the attention bilinear and
+    the head's first layer: the mean of the projections is the projection
+    of the mean."""
     starts, ends = _span_bounds(spans)
     return ad.span_sums(t, starts, ends - starts + 1, mean=True)
 
@@ -119,7 +123,9 @@ def encode_fragments_bow(t: Tensor, spans: list[Span]) -> Tensor:
 def encode_fragments_fofe(t: Tensor, spans: list[Span],
                           alpha: float) -> Tensor:
     """Forgetting encoding z_k = alpha * z_{k-1} + t_k, in its closed form:
-    span (i, j) is the sum of alpha^(j-k) t_k over i <= k <= j."""
+    span (i, j) is the sum of alpha^(j-k) t_k over i <= k <= j. The sum is
+    linear, so the model pools projected character rows, as for
+    ``encode_fragments_bow``."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"forgetting factor must lie in (0, 1), got {alpha}")
     starts, ends = _span_bounds(spans)

@@ -2,7 +2,9 @@
 
 Each candidate span is encoded, attends over its lexicon memory with a
 scaled bilinear score, and the concatenated representation goes through a
-feed-forward head to a distribution over entity types plus NONE. A corpus
+feed-forward head to a distribution over entity types plus NONE. For the
+linear fragment encoders the bilinear and the head's first layer act on
+the character rows before pooling (see ``Model.score_batch``). A corpus
 is prepared once as a ``Batch`` of all its sentences, and the sentences of
 a training minibatch or an evaluation chunk are gathered from it into a
 ``Batch`` that moves through these stages together: their characters as
@@ -225,7 +227,16 @@ class Model:
         probability rows and attention weights of all spans, sentence after
         sentence, the weights laid out as in ``batch.layout``. The dropout
         masks are the ones that ``score_spans`` draws from ``rng`` for the
-        sentences in turn."""
+        sentences in turn.
+
+        Each span's fragment vector f meets two matrices: the attention
+        bilinear (query f W_attn) and the fragment columns of the head's
+        first layer. Bag-of-words and forgetting encoding are linear, so
+        the character rows are projected by both at once and the
+        projections pooled: n rows projected instead of about m n spans.
+        The span-local BiLSTM, not linear, encodes and then projects. The
+        first layer is the pooled projection plus the context times the
+        layer's context columns, plus its bias."""
         cfg = self.config
         p = self.params
         w = encoders.char_feature_vectors(
@@ -241,23 +252,30 @@ class Model:
             w, [(cell(f"char_l{l}_f"), cell(f"char_l{l}_b")) for l in range(layers)],
             batch.lengths)
         spans, layout = batch.spans, batch.layout
+        # the first head layer is the output layer when there is no hidden one
+        head = [(p[f"head_w{l}"], p[f"head_b{l}"]) for l in range(cfg.head_layers)]
+        (w0, b0), *rest = head + [(p["head_out_w"], p["head_out_b"])]
+        w_frag, w_ctx = ad.split_columns(w0, [cfg.d_f, cfg.d_m])
+
+        def project(x):
+            return ad.hconcat(ad.linear(x, w_frag), ad.matmul(x, p["attn_w"]))
+
         if cfg.fragment_encoder == "bow":
-            frags = encoders.encode_fragments_bow(t, spans)
+            pooled = encoders.encode_fragments_bow(project(t), spans)
         elif cfg.fragment_encoder == "fofe":
-            frags = encoders.encode_fragments_fofe(t, spans, cfg.fofe_alpha)
+            pooled = encoders.encode_fragments_fofe(project(t), spans, cfg.fofe_alpha)
         else:
-            frags = encoders.encode_fragments_birnn(t, spans, cell("frag_f"),
-                                                    cell("frag_b"), batch.lengths)
+            pooled = project(encoders.encode_fragments_birnn(
+                t, spans, cell("frag_f"), cell("frag_b"), batch.lengths))
+        frag_part, query = ad.split_columns(pooled, [w0.shape[0], cfg.d_m])
         memory = ad.hconcat(ad.gather_rows(p["emb_lex"], layout.lex_ids),
                             ad.gather_rows(p["emb_mod"], layout.mode_ids))
-        ctx, weights = ad.memory_attention(
-            frags, p["attn_w"], memory, layout.row_span, p["null_rows"],
-            layout.null_mask)
-        r = ad.hconcat(frags, ctx)
-        for layer in range(cfg.head_layers):
-            r = ad.tanh(ad.linear(r, p[f"head_w{layer}"], p[f"head_b{layer}"]))
-        logits = ad.linear(r, p["head_out_w"], p["head_out_b"])
-        return ad.softmax_rows(logits), weights
+        ctx, weights = ad.memory_attention(query, memory, layout.row_span,
+                                           p["null_rows"], layout.null_mask)
+        r = ad.linear(ctx, w_ctx, b0, add=frag_part)
+        for w_l, b_l in rest:
+            r = ad.linear(ad.tanh(r), w_l, b_l)
+        return ad.softmax_rows(r), weights
 
 
 @dataclass

@@ -7,8 +7,11 @@ parameters. This module keeps the per-step path it replaced: one LSTM step
 composed of per-op tape nodes (``reference_step``) and chains of those
 steps over a list of row vectors (``lstm_run``), with the elementwise and
 structural ops that only this path and the tests use (``add``, ``sub``,
-``mul``, ``sigmoid``, ``log``, ``sum_all``, ``stack_rows``, ``matmul``), and weights
-drawn as ``Model.build`` draws them (``lstm_cell``).
+``mul``, ``sigmoid``, ``log``, ``sum_all``, ``stack_rows``), and weights
+drawn as ``Model.build`` draws them (``lstm_cell``). It also keeps the
+op's own earlier step loop (``lstm_sequence``), which gathered each step's
+input projection and allocated each step's gates and states; the op now
+writes into buffers it allocates once, and must give the same bytes.
 
 The model scores all spans of a minibatch of sentences as the rows of
 matrices: one ``span_sums`` op per bag-of-words or forgetting encoding and
@@ -16,7 +19,11 @@ one fused memory-attention op. This module keeps the per-span path that it
 replaced, for the tests to compare against: per-vector tape ops, one
 feature vector per character, incremental fragment encoders that return a
 dict, a memory matrix per span (``assemble_memory``) and one attention per
-span (``attend``), concatenated with the fragment vector.
+span (``attend``), concatenated with the fragment vector and fed to the
+head. So it pools the character vectors and then projects each fragment
+by the attention bilinear and the head's first layer, where the model,
+for bag-of-words and forgetting encoding, projects the character rows and
+pools the projections.
 
 The model matches its sentences against the lexicon once and lays out
 the memory of all their spans in ``SentenceLayout.build_corpus``. This
@@ -120,21 +127,6 @@ def sum_all(x: Tensor) -> Tensor:
     if tape:
         def backward():
             x.grad += out.grad
-        tape.record(backward)
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out, tape = _begin(a.values @ b.values, a, b)
-    if tape:
-        av, bv = a.values.copy(), b.values.copy()
-        def backward():
-            if a.tracked:
-                a.grad += out.grad @ bv.T
-            if b.tracked:
-                b.grad += av.T @ out.grad
         tape.record(backward)
     return out
 
@@ -295,6 +287,69 @@ def lstm_run(xs: list[Tensor], cell, reverse: bool = False) -> list[Tensor]:
         h, c = reference_step(cell, xs[k], h, c)
         states[k] = h
     return states
+
+
+def lstm_sequence(x: Tensor, index: np.ndarray, wx: Tensor, wh: Tensor,
+                  b: Tensor) -> Tensor:
+    """``ad.lstm_sequence`` as a loop of steps that each gather their input
+    projections and allocate their gates and states: the same sums in the
+    same order, so the same bytes."""
+    idx = np.asarray(index, dtype=np.intp)
+    four_h = b.shape[0] if b.values.ndim == 1 else -1
+    hid = four_h // 4
+    if (four_h % 4 or x.values.ndim != 2 or wx.shape != (four_h, x.shape[1])
+            or wh.shape != (four_h, hid) or idx.ndim != 2):
+        raise ShapeError(f"lstm_sequence: incompatible shapes x {x.shape}, index "
+                         f"{idx.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        raise ShapeError("lstm_sequence: index out of range")
+    n_seq, steps = idx.shape
+    proj = x.values @ wx.values.T
+    wh_t, bias = wh.values.T, b.values
+    # gates[t] holds the i, f, g, o gates of step t, hs[t + 1] and cs[t + 1]
+    # its states, and hs[0] and cs[0] the zero start
+    gates = np.empty((steps, 4, n_seq, hid))
+    hs, cs = np.zeros((2, steps + 1, n_seq, hid))
+    tcs = np.empty((steps, n_seq, hid))
+    for t in range(steps):
+        pre = ((proj[idx[:, t]] + hs[t] @ wh_t) + bias).reshape(n_seq, 4, hid)
+        i, f, g, o = act = gates[t]
+        np.divide(1.0, 1.0 + np.exp(-pre.transpose(1, 0, 2)), out=act)
+        np.tanh(pre[:, 2], out=g)
+        cs[t + 1] = f * cs[t] + i * g
+        np.tanh(cs[t + 1], out=tcs[t])
+        hs[t + 1] = o * tcs[t]
+    out, tape = _begin(hs[1:].transpose(1, 0, 2).reshape(n_seq * steps, hid),
+                       x, wx, wh, b)
+    if tape:
+        xv, wxv, whv = x.values.copy(), wx.values.copy(), wh.values.copy()
+        def backward():
+            g_out = out.grad.reshape(n_seq, steps, hid)
+            dpre = np.empty((steps, n_seq, four_h))
+            dh, dc = np.zeros((2, n_seq, hid))
+            for t in range(steps - 1, -1, -1):
+                i, f, g, o = gates[t]
+                dh = dh + g_out[:, t]
+                dc = dc + dh * o * (1.0 - tcs[t] * tcs[t])
+                dpre[t] = np.concatenate([dc * g * i * (1.0 - i), dc * cs[t] * f * (1.0 - f),
+                                          dc * i * (1.0 - g * g), dh * tcs[t] * o * (1.0 - o)],
+                                         axis=1)
+                dh = dpre[t] @ whv
+                dc = dc * f
+            flat = dpre.reshape(steps * n_seq, four_h)
+            if wh.tracked:
+                wh.grad += flat.T @ hs[:-1].reshape(steps * n_seq, hid)
+            if b.tracked:
+                b.grad += flat.sum(axis=0)
+            if x.tracked or wx.tracked:
+                d_proj = np.zeros_like(proj)
+                np.add.at(d_proj, idx.T.ravel(), flat)
+                if wx.tracked:
+                    wx.grad += d_proj.T @ xv
+                if x.tracked:
+                    x.grad += d_proj @ wxv
+        tape.record(backward)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -42,30 +42,30 @@ def check_grad(build, params, tol=1e-4):
 
 class TestMatmul:
     def test_identity(self):
-        out = ref.matmul(ad.constant([[1.0, 0.0], [0.0, 1.0]]),
+        out = ad.matmul(ad.constant([[1.0, 0.0], [0.0, 1.0]]),
                          ad.constant([[3.0], [4.0]]))
         assert np.array_equal(out.values, [[3.0], [4.0]])
 
     def test_hand_arithmetic(self):
-        out = ref.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[3.0], [4.0]]))
+        out = ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[3.0], [4.0]]))
         assert np.array_equal(out.values, [[11.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ad.ShapeError, match=r"\(1, 2\).*\(3, 1\)"):
-            ref.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[1.0], [2.0], [3.0]]))
+            ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[1.0], [2.0], [3.0]]))
 
     def test_grad_of_sum_wrt_left_is_b_rows(self):
         rng = np.random.default_rng(0)
         a = ad.parameter(rng.normal(size=(3, 4)))
         b = ad.parameter(rng.normal(size=(4, 2)))
         with ad.Tape() as tape:
-            out = ref.sum_all(ref.matmul(a, b))
+            out = ref.sum_all(ad.matmul(a, b))
             tape.backward(out)
         # each row of d/da is the row-sum vector of b
         expect = np.tile(b.values.sum(axis=1), (3, 1))
         assert np.allclose(a.grad, expect)
         a.zero_grad(), b.zero_grad()
-        check_grad(lambda: ref.sum_all(ref.matmul(a, b)), [a, b])
+        check_grad(lambda: ref.sum_all(ad.matmul(a, b)), [a, b])
 
 
 class TestSpanSums:
@@ -249,9 +249,8 @@ class TestGradients:
             no_null = np.repeat(np.arange(3), [1, 2, 3])
             no_null_mask = rng.random((3, 4)) < 0.5
             no_null_mask[2] = False
-            f_att = ad.parameter(rng.normal(size=(3, m)))
-            f_const = ad.constant(rng.normal(size=(3, m)))
-            w_att = ad.parameter(rng.normal(size=(m, d_m)))
+            q_att = ad.parameter(rng.normal(size=(3, d_m)))
+            q_const = ad.constant(rng.normal(size=(3, d_m)))
             mem_a = ad.parameter(rng.normal(size=(len(no_real), d_m)))
             mem_b = ad.parameter(rng.normal(size=(len(no_null), d_m)))
             nul = ad.parameter(rng.normal(size=(4, d_m)))
@@ -262,9 +261,18 @@ class TestGradients:
             _, distinct = np.unique(run_start * (n + 1) + run_len, return_index=True)
             run_start, run_len = run_start[distinct], run_len[distinct]
 
-            def attention(f, mem, rows, mask):
-                ctx, _ = ad.memory_attention(f, w_att, mem, rows, nul, mask)
+            def attention(q, mem, rows, mask):
+                ctx, _ = ad.memory_attention(q, mem, rows, nul, mask)
                 return ref.sum_all(ref.mul(ctx, probe))
+
+            # ``a`` split into blocks of 1 and m - 1 columns, each block
+            # weighed by its own probe
+            split_probe = [ad.constant(rng.normal(size=(n, k))) for k in (1, m - 1)]
+
+            def split(x):
+                parts = ad.split_columns(x, [1, m - 1])
+                return ref.sum_all(ad.hconcat(*[ref.mul(part, w) for part, w
+                                                in zip(parts, split_probe)]))
 
             cases = [
                 (lambda: ref.sum_all(ref.add(x, y)), [x, y]),
@@ -275,11 +283,19 @@ class TestGradients:
                 (lambda: ref.sum_all(ref.sigmoid(x)), [x]),
                 (lambda: ref.sum_all(ad.exp(ad.scale(x, 0.3))), [x]),
                 (lambda: ref.sum_all(ref.log(ad.exp(x))), [x]),
-                (lambda: ref.sum_all(ad.tanh(ref.matmul(a, b))), [a, b]),
+                (lambda: ref.sum_all(ad.tanh(ad.matmul(a, b))), [a, b]),
                 (lambda: ref.sum_all(ad.tanh(ref.matvec(a, ref.vecmat(x, a)))), [a, x]),
                 (lambda: ref.sum_all(ref.softmax(ref.mul(x, y))), [x, y]),
                 (lambda: ref.sum_all(ad.tanh(ad.linear(
                     a, b_lin, bias))), [a, b_lin, bias]),
+                (lambda: ref.sum_all(ad.tanh(ad.linear(a, b_lin))), [a, b_lin]),
+                (lambda: ref.sum_all(ad.tanh(ad.linear(
+                    a, b_lin, bias, add=ad.linear(a, b_lin)))), [a, b_lin, bias]),
+                (lambda: ref.sum_all(ad.tanh(ad.linear(
+                    b, ad.scale(b, 0.5), add=ad.matmul(b, a)))), [a, b]),
+                (lambda: split(a), [a]),
+                (lambda: ref.sum_all(ad.tanh(ad.hconcat(*ad.split_columns(
+                    ad.tanh(a), [m, 0])))), [a]),
                 (lambda: ref.sum_all(ref.concat([x, y])), [x, y]),
                 (lambda: ref.sum_all(ad.tanh(ref.vslice(ref.concat([x, y]), 1, n + 1))),
                  [x, y]),
@@ -290,12 +306,12 @@ class TestGradients:
                 (lambda: ref.sum_all(ad.softmax_rows(a)), [a]),
                 (lambda: ref.sum_all(ad.gather_rows(a, idx)), [a]),
                 (lambda: ref.sum_all(ref.lookup(a, 1)), [a]),
-                (lambda: attention(f_att, mem_a, no_real, no_real_mask),
-                 [f_att, w_att, nul] + ([mem_a] if len(no_real) else [])),
-                (lambda: attention(f_att, mem_b, no_null, no_null_mask),
-                 [f_att, w_att, mem_b, nul]),
-                (lambda: attention(f_const, mem_a, no_real, no_real_mask),
-                 [w_att, nul] + ([mem_a] if len(no_real) else [])),
+                (lambda: attention(q_att, mem_a, no_real, no_real_mask),
+                 [q_att, nul] + ([mem_a] if len(no_real) else [])),
+                (lambda: attention(q_att, mem_b, no_null, no_null_mask),
+                 [q_att, mem_b, nul]),
+                (lambda: attention(q_const, mem_a, no_real, no_real_mask),
+                 [nul] + ([mem_a] if len(no_real) else [])),
                 (lambda: lstm(a), [a, wx, wh, b_gate]),
                 (lambda: ref.sum_all(ad.tanh(ad.span_sums(a, run_start, run_len, 0.6))),
                  [a]),
@@ -307,7 +323,7 @@ class TestGradients:
                 check_grad(build, params)
                 count += 1
             assert a_const.grad is None
-            assert f_const.grad is None
+            assert q_const.grad is None
         assert count >= 100
 
     def test_lstm_sequence_backward_reads_operand_copies(self):
@@ -330,6 +346,28 @@ class TestGradients:
         for a, b in zip(grads(False), grads(True)):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("lengths", [[7], [5, 1, 3]])
+    def test_lstm_sequence_bytes_equal_the_step_loop(self, lengths):
+        # the buffered forward does the step loop's sums in its order: equal
+        # bytes for states and gradients, with chains padded at their tails
+        rng = np.random.default_rng(len(lengths))
+        steps = max(lengths)
+        index = np.array([rng.integers(0, 6, size=n).tolist() + [0] * (steps - n)
+                          for n in lengths])
+        probe = rng.normal(size=(len(lengths), steps, 4))
+        probe[np.arange(steps) >= np.array(lengths)[:, None]] = 0.0
+        probe = probe.reshape(-1, 4)
+        shapes = ((6, 5), (16, 5), (16, 4), 16)
+        values = [rng.normal(size=s) for s in shapes]
+        runs = []
+        for op in (ad.lstm_sequence, ref.lstm_sequence):
+            ops = [ad.parameter(v) for v in values]
+            with ad.Tape() as tape:
+                states = op(ops[0], index, *ops[1:])
+                tape.backward(ref.sum_all(ref.mul(states, ad.constant(probe))))
+            runs.append([states.values.tobytes()] + [t.grad.tobytes() for t in ops])
+        assert runs[0] == runs[1]
+
     def test_memory_attention_backward_reads_operand_copies(self):
         row_span = np.array([0, 0, 1, 2, 2, 2])
         null_mask = np.array([[True, False, True], [False, True, True],
@@ -337,12 +375,11 @@ class TestGradients:
 
         def grads(mutate):
             rng = np.random.default_rng(6)
-            ops = [ad.parameter(rng.normal(size=s))
-                   for s in ((3, 4), (4, 2), (6, 2), (3, 2))]
+            ops = [ad.parameter(rng.normal(size=s)) for s in ((3, 2), (6, 2), (3, 2))]
             probe = ad.constant(rng.normal(size=(3, 2)))
-            f, w, mem, nul = ops
+            q, mem, nul = ops
             with ad.Tape() as tape:
-                ctx, _ = ad.memory_attention(f, w, mem, row_span, nul, null_mask)
+                ctx, _ = ad.memory_attention(q, mem, row_span, nul, null_mask)
                 out = ref.sum_all(ref.mul(ctx, probe))
                 if mutate:
                     for t in ops:
@@ -354,16 +391,19 @@ class TestGradients:
             assert np.array_equal(a, b)
 
     def test_memory_attention_rejects_bad_layouts(self):
-        f, w = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 2)))
+        q = ad.constant(np.ones((2, 2)))
         mem, nul = ad.constant(np.ones((2, 2))), ad.constant(np.ones((4, 2)))
         mask = np.ones((2, 4), dtype=bool)
         with pytest.raises(ad.ShapeError, match="sorted"):
-            ad.memory_attention(f, w, mem, np.array([1, 0]), nul, mask)
+            ad.memory_attention(q, mem, np.array([1, 0]), nul, mask)
         with pytest.raises(ad.ShapeError, match="no memory row"):
-            ad.memory_attention(f, w, mem, np.array([0, 0]), nul,
+            ad.memory_attention(q, mem, np.array([0, 0]), nul,
                                 np.array([[True] * 4, [False] * 4]))
         with pytest.raises(ad.ShapeError, match="incompatible"):
-            ad.memory_attention(f, w, mem, np.array([0]), nul, mask)
+            ad.memory_attention(q, mem, np.array([0]), nul, mask)
+        with pytest.raises(ad.ShapeError, match="incompatible"):
+            ad.memory_attention(ad.constant(np.ones((2, 3))), mem, np.array([0, 1]),
+                                nul, mask)
 
     def test_focal_loss_grad(self):
         rng = np.random.default_rng(3)
@@ -385,7 +425,7 @@ class TestDeterminism:
             w = ad.parameter(rng.normal(size=(6, 6)))
             with ad.Tape() as tape:
                 out = ref.sum_all(
-                    ad.softmax_rows(ref.matmul(w, ad.dropout(
+                    ad.softmax_rows(ad.matmul(w, ad.dropout(
                         ad.tanh(x), 0.3, np.random.default_rng(1)))))
                 tape.backward(out)
             return out.values.copy(), x.grad.copy(), w.grad.copy()

@@ -215,7 +215,9 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(path), "--dev", str(trained / "dev.txt"),
                      "--split", "dev"])
         assert code == 2
-        assert next(iter(over)) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert next(iter(over)) in err
+        assert str(path) in err
 
 
 class TestPredict:

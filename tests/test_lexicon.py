@@ -330,15 +330,15 @@ class TestCorpusLayout:
         assert peak < 16e6, peak
 
 
-def attend_layout(layout, emb_lex, emb_mod, null_rows, d_f=2):
-    """The model's memory step over a sentence layout, with a zero
-    bilinear map: every span weighs its rows equally."""
+def attend_layout(layout, emb_lex, emb_mod, null_rows):
+    """The model's memory step over a sentence layout, with a zero query:
+    every span weighs its rows equally."""
     n = len(layout.null_mask)
     memory = ad.hconcat(ad.gather_rows(emb_lex, layout.lex_ids),
                         ad.gather_rows(emb_mod, layout.mode_ids))
     ctx, weights = ad.memory_attention(
-        Tensor(np.ones((n, d_f))), Tensor(np.zeros((d_f, memory.shape[1]))), memory,
-        layout.row_span, null_rows, layout.null_mask)
+        Tensor(np.zeros((n, memory.shape[1]))), memory, layout.row_span, null_rows,
+        layout.null_mask)
     return memory, ctx, weights
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import re
@@ -84,11 +85,10 @@ class TestModelConfig:
         assert ModelConfig(char_encoder="baseline").d_t == 100
 
 
-def attention(f, w, mem, row_span, null_rows, null_mask):
+def attention(q, mem, row_span, null_rows, null_mask):
     with Tape():
-        ctx, weights = ad.memory_attention(Tensor(f), Tensor(w), Tensor(mem),
-                                           np.asarray(row_span), Tensor(null_rows),
-                                           np.asarray(null_mask))
+        ctx, weights = ad.memory_attention(Tensor(q), Tensor(mem), np.asarray(row_span),
+                                           Tensor(null_rows), np.asarray(null_mask))
     return ctx.values, weights
 
 
@@ -98,8 +98,7 @@ class TestAttend:
         mem, nul = rng.normal(size=(1, 3)), rng.normal(size=(2, 3))
         # span 0: one real row; span 1: one null row
         ctx, (p_real, p_null) = attention(
-            rng.normal(size=(2, 4)), rng.normal(size=(4, 3)), mem, [0], nul,
-            [[False, False], [False, True]])
+            rng.normal(size=(2, 3)), mem, [0], nul, [[False, False], [False, True]])
         assert np.allclose(p_real, [1.0])
         assert np.array_equal(p_null, [[0.0, 0.0], [0.0, 1.0]])
         assert np.allclose(ctx, [mem[0], nul[1]])
@@ -108,8 +107,8 @@ class TestAttend:
         rng = np.random.default_rng(1)
         mem, nul = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         mask = np.array([[True, False, True, False], [True, True, True, True]])
-        ctx, (p_real, p_null) = attention(
-            rng.normal(size=(2, 4)), np.zeros((4, 3)), mem, [0, 0, 0, 1], nul, mask)
+        # a zero query, as a zero bilinear gives it
+        ctx, (p_real, p_null) = attention(np.zeros((2, 3)), mem, [0, 0, 0, 1], nul, mask)
         assert np.allclose(p_real, 0.2)
         assert np.allclose(p_null[mask], 0.2)
         assert np.allclose(ctx[0], np.vstack([mem[:3], nul[[0, 2]]]).mean(axis=0))
@@ -123,8 +122,7 @@ class TestAttend:
             mask = rng.random((n, 4)) < 0.5
             mask[:, 0] |= np.bincount(row_span, minlength=n) == 0
             _, (p_real, p_null) = attention(
-                rng.normal(size=(n, 6)), rng.normal(size=(6, 4)),
-                rng.normal(size=(len(row_span), 4)), row_span,
+                rng.normal(size=(n, 4)), rng.normal(size=(len(row_span), 4)), row_span,
                 rng.normal(size=(4, 4)), mask)
             totals = np.bincount(row_span, p_real, minlength=n) + p_null.sum(axis=1)
             assert np.allclose(totals, 1.0)
@@ -191,13 +189,21 @@ def random_layouts(rng, n_spans, k_cut, cap, lex, fill):
 
 
 class TestBatchedMatchesPerSpan:
-    """``Model.score_spans`` against the per-span reference in
-    ``span_reference``: forward within 1e-12, every parameter gradient
-    within 1e-10 of its largest entry, equal sparse rows and attention."""
+    """``Model.score_batch`` against the per-span reference in
+    ``span_reference``, which pools and then projects: forward within
+    1e-12, every parameter gradient within 1e-10 of its largest entry,
+    equal sparse rows and attention."""
 
-    def check(self, model, sent, layouts, spans, dropout=0.0):
-        model.vocab.encode(sent)
-        targets = ref.span_labels(sent, spans, model.vocab)
+    def check(self, model, items, dropout=0.0):
+        """``items`` holds (sentence, per-span layouts, spans) of each
+        sentence of one batch."""
+        k_cut = model.config.k_cut
+        prepared = []
+        for sent, layouts, spans in items:
+            model.vocab.encode(sent)
+            prepared.append((sent, spans, ref.sentence_layout(layouts, k_cut),
+                             ref.span_labels(sent, spans, model.vocab)))
+        batch = ref.stack_prepared(prepared)
         runs = []
         for batched in (True, False):
             for t in model.params.values():
@@ -206,21 +212,28 @@ class TestBatchedMatchesPerSpan:
             rng = np.random.default_rng(7)
             with Tape() as tape:
                 if batched:
-                    layout = ref.sentence_layout(layouts, model.config.k_cut)
-                    probs, weights = model.score_spans(sent, layout, spans, dropout, rng)
-                    attn = layout.attention_rows(*weights, model.config.k_cut)
+                    probs, weights = model.score_batch(batch, dropout, rng)
+                    attn = batch.layout.attention_rows(*weights, k_cut)
+                    loss = ad.focal_loss_rows(probs, batch.targets, model.alpha(),
+                                              model.config.gamma)
+                    probs = probs.values
                 else:
-                    probs, attn = ref.score_spans(model, sent, layouts, spans, dropout,
-                                                  rng)
-                loss = ad.focal_loss_rows(probs, targets, model.alpha(),
-                                          model.config.gamma)
+                    losses, probs, attn = [], [], []
+                    for (sent, layouts, spans), (*_, targets) in zip(items, prepared):
+                        p, a = ref.score_spans(model, sent, layouts, spans, dropout, rng)
+                        losses.append(ad.focal_loss_rows(p, targets, model.alpha(),
+                                                         model.config.gamma))
+                        probs.append(p.values)
+                        attn += a
+                    loss = functools.reduce(ref.add, losses)
+                    probs = np.vstack(probs)
                 tape.backward(loss)
             grads = {k: np.zeros_like(v.values) if v.grad is None else v.grad.copy()
                      for k, v in model.params.items()}
             masks = {k: model.params[k].touched_rows for k in SPARSE_TABLES}
             touched = {k: set() if m is None else set(np.flatnonzero(m).tolist())
                        for k, m in masks.items()}
-            runs.append((probs.values, attn, grads, touched))
+            runs.append((probs, attn, grads, touched))
         (probs, attn, grads, touched), (want_p, want_a, want_g, want_t) = runs
         np.testing.assert_allclose(probs, want_p, rtol=0, atol=1e-12)
         for k, g in grads.items():
@@ -256,8 +269,8 @@ class TestBatchedMatchesPerSpan:
                     sent, spans, layout, _ = _prepare(model, sents[0],
                                                       lex if use_lex else None)
                     assert (len(layout.lex_ids) > 0) == use_lex
-                    self.check(model, sent, self.reference_layouts(
-                        model, sent, lex if use_lex else None, spans), spans)
+                    self.check(model, [(sent, self.reference_layouts(
+                        model, sent, lex if use_lex else None, spans), spans)])
 
     def test_full_buckets_and_cap_truncation(self):
         rng = np.random.default_rng(4)
@@ -272,14 +285,30 @@ class TestBatchedMatchesPerSpan:
                 assert sum(len(l.lex_ids) for l in layouts) < n_matches
                 if fill == 1.0:
                     assert not any(len(l.null_buckets) for l in layouts)
-                self.check(model, sent, layouts, spans)
+                self.check(model, [(sent, layouts, spans)])
 
     def test_training_dropout_masks_match(self):
         for char in ("baseline", "birnn"):
             model, sents, lex = self.world(5, char_encoder=char, fragment_encoder="fofe")
             sent, spans, _, _ = _prepare(model, sents[1], lex)
-            self.check(model, sent, self.reference_layouts(model, sent, lex, spans),
-                       spans, dropout=0.3)
+            self.check(model, [(sent, self.reference_layouts(model, sent, lex, spans),
+                                spans)], dropout=0.3)
+
+    @pytest.mark.parametrize("head_layers", [0, 1, 2])
+    @pytest.mark.parametrize("frag", ["bow", "fofe", "birnn"])
+    @pytest.mark.parametrize("char", ["baseline", "birnn"])
+    def test_head_depths_on_sentence_batches_with_dropout(self, char, frag, head_layers):
+        # each depth's first layer (the output layer at depth 0) is the one
+        # the model applies before pooling
+        model, sents, lex = self.world(6, char_encoder=char, fragment_encoder=frag,
+                                       head_layers=head_layers)
+        items = []
+        for sent in sents:
+            model.vocab.encode(sent)
+            spans = ref.enumerate_fragments(len(sent), model.config.max_entity_len)
+            items.append((sent, self.reference_layouts(model, sent, lex, spans), spans))
+        assert len(items) == 3
+        self.check(model, items, dropout=0.3)
 
 
 ENCODERS = [(char, frag) for char in ("baseline", "birnn")
@@ -510,7 +539,7 @@ class TestTapeSize:
         chars = [c for s in train for c in s.chars]
         segs = [l for s in train for l in s.seg_labels]
         pos = [p for s in train for p in s.pos_tags]
-        for over, want in (({}, 27), ({"fragment_encoder": "birnn"}, 31)):
+        for over, want in (({}, 31), ({"fragment_encoder": "birnn"}, 35)):
             model = Model.build(ModelConfig(**over), vocab, np.random.default_rng(0))
             counts = []
             for n in (1, 9, 72):
