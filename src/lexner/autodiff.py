@@ -347,33 +347,40 @@ def hconcat(*parts: Tensor) -> Tensor:
 
 
 def split_columns(x: Tensor, widths) -> tuple[Tensor, ...]:
-    """A matrix as blocks of ``widths`` consecutive columns, left to right,
-    one tape node: the inverse of ``hconcat``. The blocks are views of
-    ``x``."""
+    """A matrix as blocks of ``widths`` consecutive columns, left to right:
+    the inverse of ``hconcat``. The blocks are views of ``x``, and under a
+    tape each block's gradient is the same view of ``x``'s gradient, so
+    the ops that read a block add straight into ``x``'s gradient and the
+    split records no tape node."""
     bounds = [0, *itertools.accumulate(widths)]
     if x.values.ndim != 2 or bounds[-1] != x.shape[1] or min(widths, default=0) < 0:
         raise ShapeError(f"split_columns: {x.shape} into widths {list(widths)}")
     parts = tuple(Tensor(x.values[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-    tape = active_tape() if x.tracked else None
-    if tape:
-        x.ensure_grad()
-        for part in parts:
+    if x.tracked and active_tape():
+        grad = x.ensure_grad()
+        for part, lo, hi in zip(parts, bounds, bounds[1:]):
             part.tracked = True
-            part.ensure_grad()
-        def backward():
-            for part, lo, hi in zip(parts, bounds, bounds[1:]):
-                x.grad[:, lo:hi] += part.grad
-        tape.record(backward)
+            part.grad = grad[:, lo:hi]
     return parts
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Batched embedding fetch. Duplicate indices accumulate on backward."""
+    """Batched embedding fetch. Duplicate indices accumulate on backward.
+
+    The backward sums the gathered gradient rows per (distinct gathered
+    row, column) cell with one ``np.bincount``, in gather order, and adds
+    the sums into those rows of the table's gradient. Into a zero
+    gradient this adds the same bits as ``np.add.at``.
+    """
     idx = np.asarray(indices, dtype=np.intp)
     out, tape = _begin(table.values[idx], table)
     if tape:
         def backward():
-            np.add.at(table.grad, idx, out.grad)
+            rows, slot = np.unique(idx.ravel(), return_inverse=True)
+            width = math.prod(table.shape[1:])
+            cells = (slot[:, None] * width + np.arange(width)).ravel()
+            sums = np.bincount(cells, out.grad.ravel(), minlength=len(rows) * width)
+            table.grad[rows] += sums.reshape(len(rows), *table.shape[1:])
             if table.touched_rows is None:
                 table.touched_rows = np.zeros(table.shape[0], dtype=bool)
             table.touched_rows[idx] = True
@@ -400,12 +407,65 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def _segment_sum(values: np.ndarray, starts: np.ndarray, ids: np.ndarray,
-                 out: np.ndarray):
-    """Add the sums of the runs of ``values`` that begin at ``starts`` to
-    the rows ``ids`` of ``out``."""
-    if len(starts):
-        out[ids] += np.add.reduceat(values, starts, axis=0)
+def _runs_by_rank(row_span: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The runs of equal entries of the sorted ``row_span`` (values below
+    ``n``), read rank by rank.
+
+    Returns the values that have a run, shortest run first; the rows of
+    the runs in rank-major order (the first row of every run, then the
+    second row of every run that has one, and so on, each rank in the
+    order of the first); and the bounds of each rank in that order, the
+    first rank's always given. The runs that reach rank k are the last
+    ones of those that reach rank k - 1.
+    """
+    counts = np.bincount(row_span, minlength=n)
+    order = counts.argsort(kind="stable")
+    sizes = counts[order]
+    ranks = np.arange(max(sizes[-1] if n else 0, 1))
+    # how many runs reach each rank: those longer than it
+    reach = (n - sizes.searchsorted(ranks, side="right")).tolist()
+    ids = order[n - reach[0]:]
+    rows = row_span.searchsorted(ids) + ranks[:, None]
+    perm = rows[ranks[:, None] < sizes[n - reach[0]:]]
+    return ids, perm, [0, *itertools.accumulate(reach)]
+
+
+def _reduce_runs(op, x: np.ndarray, bounds: list) -> np.ndarray:
+    """``op`` over each run of ``x``, whose rows are in the rank-major order
+    of ``_runs_by_rank`` with rank bounds ``bounds``; one row per run.
+
+    A run's first row is combined with the rest of the run, and the rest
+    in rank order: for ``np.add`` the order in which ``np.add.reduceat``
+    adds a run of up to 8 rows. ``x`` is overwritten.
+    """
+    n_runs = bounds[1]
+    if len(bounds) > 2:
+        rest = x[n_runs:bounds[2]]   # the runs that reach rank 1, at rank 1
+        for lo, hi in zip(bounds[2:], bounds[3:]):
+            tail = rest[len(rest) - (hi - lo):]
+            op(tail, x[lo:hi], out=tail)
+        head = x[n_runs - len(rest):n_runs]
+        op(head, rest, out=head)
+    return x[:n_runs]
+
+
+def _sum_pairwise(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=0)`` added in the order numpy adds each contiguous row
+    of ``x.T``: in turn for fewer than 8 rows, else pairwise from 8
+    running sums and then the rows left over. A span's sum over its
+    null buckets, held bucket-major, so has the bits of its span-major
+    row sum."""
+    n = len(x)
+    if n < 8:
+        return x.sum(axis=0)
+    m = n - n % 8
+    r = x[:m].reshape(m // 8, 8, *x.shape[1:]).sum(axis=0) if m > 8 else x[:8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for row in x[m:]:
+        total += row
+    return total
 
 
 def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
@@ -423,6 +483,15 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
     Returns the context matrix (n_spans x d_m) and the weights: one per
     real row, and an n_spans x n_null matrix that is zero outside
     ``null_mask``.
+
+    The null-row scores are held bucket-major (n_null x n_spans), so each
+    span's max, normaliser and backward dot over its null rows are
+    reductions over axis 0 (the sums by ``_sum_pairwise``), and the
+    returned null weights are a transposed view. The runs of real rows
+    are reduced rank by rank over ``_runs_by_rank``, built once for
+    forward and backward. Every span's
+    weights are so computed apart from the other spans: a span scores the
+    same alone as in a batch.
     """
     row_span = np.asarray(row_span, dtype=np.intp)
     null_mask = np.asarray(null_mask, dtype=bool)
@@ -435,28 +504,28 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
     if len(row_span) and (row_span[0] < 0 or row_span[-1] >= n
                           or (row_span[1:] < row_span[:-1]).any()):
         raise ShapeError("memory_attention: row span ids must be sorted and in range")
-    counts = np.bincount(row_span, minlength=n)
-    if (counts + null_mask.sum(axis=1) == 0).any():
-        raise ShapeError("memory_attention: a span has no memory row")
-    # the spans with real rows, and where the run of rows of each begins
-    ids = np.flatnonzero(counts)
-    starts = np.cumsum(counts)[ids] - counts[ids]
+    ids, perm, bounds = _runs_by_rank(row_span, n)
     inv = 1.0 / math.sqrt(d_m)
     qv, mem, nul = q.values, memory.values, null_rows.values
     q_row = qv[row_span]
     s_real = np.einsum("rd,rd->r", mem, q_row) * inv
-    s_null = np.where(null_mask, (qv @ nul.T) * inv, -np.inf)
-    top = s_null.max(axis=1)
-    if len(starts):
-        top[ids] = np.maximum(top[ids], np.maximum.reduceat(s_real, starts))
+    s_null = np.where(null_mask.T, (nul @ qv.T) * inv, -np.inf)
+    top = s_null.max(axis=0, initial=-np.inf)
+    top[ids] = np.maximum(top[ids], _reduce_runs(np.maximum, s_real[perm], bounds))
+    # a span with no row at all is left at -inf
+    if top.min(initial=0.0) == -np.inf:
+        empty = np.flatnonzero(top == -np.inf)
+        if not (null_mask[empty].any(axis=1) | np.isin(empty, row_span)).all():
+            raise ShapeError("memory_attention: a span has no memory row")
     e_real = np.exp(s_real - top[row_span])
-    e_null = np.exp(s_null - top[:, None])
-    z = e_null.sum(axis=1)
-    _segment_sum(e_real, starts, ids, z)
+    e_null = np.exp(s_null - top)
+    z = _sum_pairwise(e_null)
+    z[ids] += _reduce_runs(np.add, e_real[perm], bounds)
     p_real = e_real / z[row_span]
-    p_null = e_null / z[:, None]
-    ctx = p_null @ nul
-    _segment_sum(p_real[:, None] * mem, starts, ids, ctx)
+    p_null = e_null / z
+    ctx = p_null.T @ nul
+    mem_by_rank = mem[perm]
+    ctx[ids] += _reduce_runs(np.add, p_real[perm][:, None] * mem_by_rank, bounds)
     out, tape = _begin(ctx, q, memory, null_rows)
     if tape:
         qv, mem, nul = qv.copy(), mem.copy(), nul.copy()
@@ -464,20 +533,23 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
             g = out.grad
             g_row = g[row_span]
             dp_real = np.einsum("rd,rd->r", mem, g_row)
-            dp_null = g @ nul.T
-            dot = (p_null * dp_null).sum(axis=1)
-            _segment_sum(p_real * dp_real, starts, ids, dot)
+            dp_null = nul @ g.T
+            dot = _sum_pairwise(p_null * dp_null)
+            dot[ids] += _reduce_runs(np.add, (p_real * dp_real)[perm], bounds)
             ds_real = p_real * (dp_real - dot[row_span]) * inv
-            ds_null = p_null * (dp_null - dot[:, None]) * inv
+            ds_null = p_null * (dp_null - dot) * inv
             if q.tracked:
-                q.grad += ds_null @ nul
-                _segment_sum(ds_real[:, None] * mem, starts, ids, q.grad)
+                q.grad += ds_null.T @ nul
+                q.grad[ids] += _reduce_runs(np.add, ds_real[perm][:, None] * mem_by_rank,
+                                            bounds)
             if memory.tracked:
-                memory.grad += p_real[:, None] * g_row + ds_real[:, None] * q_row
+                g_row *= p_real[:, None]
+                g_row += ds_real[:, None] * q_row
+                memory.grad += g_row
             if null_rows.tracked:
-                null_rows.grad += p_null.T @ g + ds_null.T @ qv
+                null_rows.grad += p_null @ g + ds_null @ qv
         tape.record(backward)
-    return out, (p_real, p_null)
+    return out, (p_real, p_null.T)
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,9 @@ def save(path: str, model: Model, extra: dict | None = None):
 
 
 def load(path: str) -> tuple[Model, dict]:
-    """Read a checkpoint. Every defect of the file, from a bad header to a
-    tensor manifest that does not fit the stored config, is a ConfigError."""
+    """Read a checkpoint. Every defect of the file, from a bad header or a
+    tensor manifest that does not fit the stored config to a NaN or
+    infinite weight, is a ConfigError."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != MAGIC:
@@ -93,7 +94,10 @@ def load(path: str) -> tuple[Model, dict]:
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ConfigError(f"{path}: truncated tensor {name}")
-            params[name] = parameter(np.frombuffer(raw, dtype="<f8").reshape(shape))
+            values = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            if not np.isfinite(values).all():
+                raise ConfigError(f"{path}: tensor {name} holds a non-finite value")
+            params[name] = parameter(values)
         if fh.read(1):
             raise ConfigError(f"{path}: trailing bytes after the last tensor")
     return Model(config, vocab, params), extra

@@ -123,13 +123,20 @@ def _occurrences(lex, texts, longest):
     """Start, length and word id of every word found in ``texts`` laid end
     to end, ordered by start and then length: one trie walk from each
     position, stopped at the end of its text and after ``longest``
-    characters."""
-    walk, text = lex._fwd.walk_prefixes, "".join(texts)
-    found, end = [], 0
+    characters. The walk is ``Trie.walk_prefixes`` written out inline: it
+    runs once per character of the corpus."""
+    root, found, offset = lex._fwd.root, [], 0
     for piece in texts:
-        start, end = end, end + len(piece)
-        found += [(a, k, wid) for a in range(start, end)
-                  for k, wid in walk(text, a, min(end, a + longest))]
+        for a in range(len(piece)):
+            node, k = root, 0
+            for ch in piece[a:a + longest]:
+                node = node.children.get(ch)
+                if node is None:
+                    break
+                k += 1
+                if node.word_id is not None:
+                    found.append((offset + a, k, node.word_id))
+        offset += len(piece)
     return np.array(found, dtype=np.intp).reshape(-1, 3).T
 
 

@@ -15,6 +15,7 @@ learned (stored as exponentials of free parameters).
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -300,6 +301,16 @@ class Batch:
     layout: lx.SentenceLayout
     targets: np.ndarray | None = None
 
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each sentence's characters, spans and memory rows begin: a
+        3 x (sentences + 1) array whose last column holds the totals. It is
+        found once, when first read; ``gather`` hands each batch it makes
+        its offsets."""
+        ends = np.cumsum([self.lengths, self.span_counts], axis=1, dtype=np.intp)
+        ends = np.vstack([ends, self.layout.row_span.searchsorted(ends[1])])
+        return np.hstack([np.zeros((3, 1), dtype=np.intp), ends])
+
     @classmethod
     def of_sentence(cls, sent: Sentence, spans: list[tuple[int, int]],
                     layout: lx.SentenceLayout, targets: np.ndarray | None = None
@@ -314,45 +325,40 @@ class Batch:
     def gather(self, picks) -> "Batch":
         """The sentences ``picks`` of this batch, in that order, as one
         batch: each sentence's run of characters, of spans and of memory
-        rows, the row and span numbers moved by the distance its run moves."""
+        rows, the row and span numbers moved by the distance its run moves.
+        The cost grows with the picked sentences, not with this batch."""
         picks = np.asarray(picks, dtype=np.intp)
-        chars, char_moved = _runs(self.lengths, picks)
-        spans, span_moved = _runs(self.span_counts, picks)
+        first = self.offsets[:, picks]
+        counts = self.offsets[:, picks + 1] - first
+        offsets = np.zeros((3, len(picks) + 1), dtype=np.intp)
+        np.cumsum(counts, axis=1, out=offsets[:, 1:])
+        # how far back each picked sentence's characters, spans and rows move
+        moved = first - offsets[:, :-1]
+        chars, spans, rows = (np.arange(total) + np.repeat(back, count) for total, back, count
+                              in zip(offsets[:, -1].tolist(), moved, counts))
         layout = self.layout
-        row_counts = np.diff(np.searchsorted(layout.row_span, np.cumsum(self.span_counts)),
-                             prepend=0)
-        rows, _ = _runs(row_counts, picks)
-        span_counts = self.span_counts[picks]
-        return Batch(
+        batch = Batch(
             char_ids=self.char_ids[chars],
             seg_ids=self.seg_ids[chars],
             pos_ids=self.pos_ids[chars],
-            lengths=self.lengths[picks],
-            spans=self.spans[spans] - np.repeat(char_moved, span_counts)[:, None],
-            span_counts=span_counts,
+            lengths=counts[0],
+            spans=self.spans[spans] - np.repeat(moved[0], counts[1])[:, None],
+            span_counts=counts[1],
             layout=lx.SentenceLayout(
                 lex_ids=layout.lex_ids[rows],
                 mode_ids=layout.mode_ids[rows],
-                row_span=layout.row_span[rows] - np.repeat(span_moved, row_counts[picks]),
+                row_span=layout.row_span[rows] - np.repeat(moved[1], counts[2]),
                 null_mask=layout.null_mask[spans],
                 words=layout.words[rows]),
             targets=None if self.targets is None else self.targets[spans],
         )
+        batch.offsets = offsets
+        return batch
 
     def split(self, rows):
         """Per sentence, its spans' part of a sequence with one item per span."""
-        ends = np.cumsum(self.span_counts).tolist()
-        return [rows[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
-
-def _runs(counts: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the items of groups ``picks`` come from when they are stacked
-    in that order, group ``g`` being the ``counts[g]`` items after those of
-    the groups before it: the index of each item, and how far back each
-    picked group's items move."""
-    n = counts[picks]
-    moved = (np.cumsum(counts) - counts)[picks] - np.cumsum(n) + n
-    return np.arange(n.sum()) + np.repeat(moved, n), moved
+        bounds = self.offsets[1].tolist()
+        return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +570,7 @@ def score_corpus(model: Model, corpus: Batch, want_attention: bool = False,
         attn = (batch.layout.attention_rows(*weights, model.config.k_cut)
                 if want_attention else repeat(None))
         # each span's first and last character within its sentence
-        spans = (batch.spans - np.repeat(np.cumsum(batch.lengths) - batch.lengths,
+        spans = (batch.spans - np.repeat(batch.offsets[0, :-1],
                                          batch.span_counts)[:, None]).tolist()
         out += batch.split([ScoredSpan(start=i, end=j, type=types.sym(b), prob=p,
                                        is_none=(b == none), attention=a)

@@ -274,6 +274,13 @@ class TestGradients:
                 return ref.sum_all(ad.hconcat(*[ref.mul(part, w) for part, w
                                                 in zip(parts, split_probe)]))
 
+            def split_shared(x):
+                # ``x`` also feeds a tanh, and each block feeds two ops
+                left, right = ad.split_columns(x, [1, m - 1])
+                return ref.add(ref.sum_all(ad.tanh(x)), ref.sum_all(ad.hconcat(
+                    ref.mul(left, split_probe[0]), ad.tanh(left),
+                    ref.mul(right, split_probe[1]), ad.tanh(ad.scale(right, 0.5)))))
+
             cases = [
                 (lambda: ref.sum_all(ref.add(x, y)), [x, y]),
                 (lambda: ref.sum_all(ref.sub(x, y)), [x, y]),
@@ -294,6 +301,8 @@ class TestGradients:
                 (lambda: ref.sum_all(ad.tanh(ad.linear(
                     b, ad.scale(b, 0.5), add=ad.matmul(b, a)))), [a, b]),
                 (lambda: split(a), [a]),
+                (lambda: split_shared(a), [a]),
+                (lambda: split_shared(ad.tanh(ad.scale(a, 0.7))), [a]),
                 (lambda: ref.sum_all(ad.tanh(ad.hconcat(*ad.split_columns(
                     ad.tanh(a), [m, 0])))), [a]),
                 (lambda: ref.sum_all(ref.concat([x, y])), [x, y]),
@@ -305,6 +314,10 @@ class TestGradients:
                 (lambda: ref.sum_all(ref.vconcat(a, a)), [a]),
                 (lambda: ref.sum_all(ad.softmax_rows(a)), [a]),
                 (lambda: ref.sum_all(ad.gather_rows(a, idx)), [a]),
+                # the same table gathered twice, so that its gradient is not
+                # zero when the second backward adds into it
+                (lambda: ref.sum_all(ad.tanh(ad.hconcat(
+                    ad.gather_rows(a, idx), ad.gather_rows(a, idx[::-1])))), [a]),
                 (lambda: ref.sum_all(ref.lookup(a, 1)), [a]),
                 (lambda: attention(q_att, mem_a, no_real, no_real_mask),
                  [q_att, nul] + ([mem_a] if len(no_real) else [])),
@@ -415,6 +428,110 @@ class TestGradients:
                 lambda: ad.focal_loss_rows(ad.softmax_rows(logits), targets,
                                            ad.exp(alog), gamma),
                 [logits, alog])
+
+
+def attention_reference(q, mem, nul, row_span, null_mask, probe):
+    """``memory_attention`` span by span with ``ref.attend``: each span's
+    memory is its real rows and then its null rows, and its query the
+    identity bilinear of its row of ``q``. Returns the probe-weighted sum
+    of the contexts and each span's weights."""
+    eye = ad.constant(np.eye(q.shape[1]))
+    total, weights = None, []
+    for s in range(q.shape[0]):
+        parts = [ad.gather_rows(table, rows) for table, rows in
+                 ((mem, np.flatnonzero(row_span == s)), (nul, np.flatnonzero(null_mask[s])))
+                 if len(rows)]
+        memory = ref.vconcat(*parts) if len(parts) == 2 else parts[0]
+        ctx, w = ref.attend(ref.lookup(q, s), memory, eye)
+        weights.append(w.values)
+        term = ref.sum_all(ref.mul(ctx, ad.constant(probe[s])))
+        total = term if total is None else ref.add(total, term)
+    return total, weights
+
+
+class TestMemoryAttention:
+    @pytest.mark.parametrize("k_cut, cap", [(1, 2), (2, 8)])
+    def test_matches_per_span_reference(self, k_cut, cap):
+        # spans with no real row, one, a bucket at ``cap``, five, more than
+        # the 8 rows np.add.reduceat adds in order, and every bucket at
+        # ``cap`` (no null row), in a shuffled order
+        n_null = 2 * k_cut + 4
+        rng = np.random.default_rng(cap)
+        counts = rng.permutation([0, 0, 1, cap, 5, 9, n_null * cap, 3, 2, 1, 0, 6])
+        row_span = np.repeat(np.arange(len(counts)), counts)
+        null_mask = rng.random((len(counts), n_null)) < 0.6
+        null_mask[counts == 0, 0] = True
+        null_mask[counts == n_null * cap] = False
+        d = 5
+        ops = [ad.parameter(rng.normal(size=s))
+               for s in ((len(counts), d), (len(row_span), d), (n_null, d))]
+        probe = rng.normal(size=(len(counts), d))
+        runs = []
+        for batched in (True, False):
+            for t in ops:
+                t.zero_grad()
+            with ad.Tape() as tape:
+                if batched:
+                    ctx, (p_real, p_null) = ad.memory_attention(ops[0], ops[1], row_span,
+                                                                ops[2], null_mask)
+                    out = ref.sum_all(ref.mul(ctx, ad.constant(probe)))
+                    weights = [np.concatenate([p_real[row_span == s], p_null[s, mask]])
+                               for s, mask in enumerate(null_mask)]
+                else:
+                    out, weights = attention_reference(*ops, row_span, null_mask, probe)
+                tape.backward(out)
+            runs.append((float(out.values), weights, [t.grad.copy() for t in ops]))
+        (got, weights, grads), (want, want_weights, want_grads) = runs
+        assert got == pytest.approx(want, rel=1e-13)
+        for w, want_w in zip(weights, want_weights, strict=True):
+            np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-15)
+        for g, want_g in zip(grads, want_grads):
+            np.testing.assert_allclose(g, want_g, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n_rows", [1, 6, 8, 10, 16, 19, 30])
+    def test_sum_pairwise_has_the_bits_of_row_sums(self, n_rows):
+        # each column summed as numpy sums a contiguous row of the same values
+        x = np.random.default_rng(n_rows).random((n_rows, 50))
+        want = np.ascontiguousarray(x.T).sum(axis=1)
+        assert ad._sum_pairwise(x).tobytes() == want.tobytes()
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("shape", [(3, 4), (40, 4), (5, 0)])
+    def test_backward_equals_add_at(self, shape):
+        # repeated indices into a table with fewer rows than are gathered,
+        # one with more, and one of no columns: the same bytes as np.add.at
+        # into a zero gradient, and the touched rows of the gather
+        rng = np.random.default_rng(shape[0])
+        idx = rng.integers(0, shape[0], size=12)
+        idx[:3] = idx[3]
+        table = ad.parameter(rng.normal(size=shape))
+        probe = rng.normal(size=(12, shape[1]))
+        with ad.Tape() as tape:
+            tape.backward(ref.sum_all(ref.mul(ad.gather_rows(table, idx),
+                                              ad.constant(probe))))
+        want = np.zeros(shape)
+        np.add.at(want, idx, probe)
+        assert table.grad.tobytes() == want.tobytes()
+        assert np.array_equal(np.flatnonzero(table.touched_rows), np.unique(idx))
+
+    @pytest.mark.parametrize("n_rows", [3, 40])
+    def test_table_gathered_twice(self, n_rows):
+        # the second backward adds into a gradient the first left non-zero
+        rng = np.random.default_rng(n_rows)
+        picks = [rng.integers(0, n_rows, size=k) for k in (12, 7)]
+        probes = [rng.normal(size=(len(p), 4)) for p in picks]
+        table = ad.parameter(rng.normal(size=(n_rows, 4)))
+        with ad.Tape() as tape:
+            terms = [ref.sum_all(ref.mul(ad.gather_rows(table, p), ad.constant(w)))
+                     for p, w in zip(picks, probes)]
+            tape.backward(ref.add(*terms))
+        want = np.zeros((n_rows, 4))
+        for p, w in zip(picks[::-1], probes[::-1]):   # backward runs in reverse
+            np.add.at(want, p, w)
+        np.testing.assert_allclose(table.grad, want, rtol=1e-15, atol=1e-15)
+        assert np.array_equal(np.flatnonzero(table.touched_rows),
+                              np.unique(np.concatenate(picks)))
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -218,6 +219,27 @@ class TestEval:
         err = capsys.readouterr().err
         assert next(iter(over)) in err
         assert str(path) in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_exits_2(self, trained, tmp_path, capsys, value):
+        # a payload of the right length with one bad weight: the first entry
+        # of head_out_b, found from the manifest
+        magic, header, body = (trained / "m.ckpt").read_bytes().split(b"\n", 2)
+        at = 0
+        for entry in json.loads(header)["tensors"]:
+            if entry["name"] == "head_out_b":
+                break
+            at += 8 * math.prod(entry["shape"])
+        body = body[:at] + np.array([value], dtype="<f8").tobytes() + body[at + 8:]
+        path = tmp_path / "nonfinite.ckpt"
+        path.write_bytes(magic + b"\n" + header + b"\n" + body)
+        for cmd in (["eval", "--dev", str(trained / "dev.txt"), "--split", "dev"],
+                    ["predict", "--input", str(trained / "dev.txt"),
+                     "--output-file", str(tmp_path / "nonfinite.tsv")]):
+            assert main(cmd + ["--checkpoint", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and "head_out_b" in err and "non-finite" in err
+        assert not (tmp_path / "nonfinite.tsv").exists()
 
 
 class TestPredict:

@@ -484,6 +484,31 @@ class TestPreparedCorpus:
         self.assert_same(corpus.gather(np.array(picks)),
                          ref.stack_prepared([prepared[k] for k in picks]))
 
+    @given(cuts=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           data=st.data(), use_lex=st.booleans())
+    def test_gather_of_a_gathered_batch(self, cuts, data, use_lex):
+        # a gathered batch carries its own offsets, the ones a batch of the
+        # same sentences finds from scratch, and is gathered from in turn
+        train, _, words = make_corpus(13, n_train=6, n_dev=0)
+        lex = Lexicon(words) if use_lex else None
+        model = Model.build(ModelConfig(**SMALL), Vocab.build(train, words),
+                            np.random.default_rng(13))
+        sents = [Sentence(s.chars[:n], s.seg_labels[:n], s.pos_tags[:n],
+                          {e for e in s.entities if e[1] < n})
+                 for s, n in zip(train, cuts)]
+        prepared = [ref.prepare_sentence(model, s, lex) for s in sents]
+        corpus = prepare_corpus(model, sents, lex)
+        picks = data.draw(st.lists(st.integers(0, len(sents) - 1), min_size=1,
+                                   max_size=8))
+        again = data.draw(st.lists(st.integers(0, len(picks) - 1), min_size=1,
+                                   max_size=8))
+        for batch, items in ((corpus.gather(picks), picks),
+                             (corpus.gather(picks).gather(again), [picks[k] for k in again])):
+            want = ref.stack_prepared([prepared[k] for k in items])
+            self.assert_same(batch, want)
+            assert batch.offsets.dtype == want.offsets.dtype
+            assert np.array_equal(batch.offsets, want.offsets)
+
     def test_long_entities_are_not_targets(self):
         model, sents, lex = tiny_world(max_entity_len=2)
         corpus = prepare_corpus(model, sents, lex)
@@ -532,14 +557,15 @@ class TestPrepare:
 class TestTapeSize:
     def test_nodes_per_sentence_independent_of_length(self):
         # the default config, and it with the BiLSTM fragment encoder,
-        # records no tape node per character, LSTM step or span
+        # records no tape node per character, LSTM step or span (and none
+        # for its two column splits)
         train, _, words = make_corpus(0, n_train=20, n_dev=0)
         lex = Lexicon(words)
         vocab = Vocab.build(train, lex.words)
         chars = [c for s in train for c in s.chars]
         segs = [l for s in train for l in s.seg_labels]
         pos = [p for s in train for p in s.pos_tags]
-        for over, want in (({}, 31), ({"fragment_encoder": "birnn"}, 35)):
+        for over, want in (({}, 29), ({"fragment_encoder": "birnn"}, 33)):
             model = Model.build(ModelConfig(**over), vocab, np.random.default_rng(0))
             counts = []
             for n in (1, 9, 72):
