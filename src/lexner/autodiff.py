@@ -430,42 +430,14 @@ def _runs_by_rank(row_span: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray,
     return ids, perm, [0, *itertools.accumulate(reach)]
 
 
-def _reduce_runs(op, x: np.ndarray, bounds: list) -> np.ndarray:
-    """``op`` over each run of ``x``, whose rows are in the rank-major order
-    of ``_runs_by_rank`` with rank bounds ``bounds``; one row per run.
-
-    A run's first row is combined with the rest of the run, and the rest
-    in rank order: for ``np.add`` the order in which ``np.add.reduceat``
-    adds a run of up to 8 rows. ``x`` is overwritten.
-    """
+def _sum_runs(x: np.ndarray, bounds: list) -> np.ndarray:
+    """Each run's sum over ``x``, whose rows are in the rank-major order of
+    ``_runs_by_rank`` with rank bounds ``bounds``; one row per run. Each
+    rank is added into the first in turn. ``x`` is overwritten."""
     n_runs = bounds[1]
-    if len(bounds) > 2:
-        rest = x[n_runs:bounds[2]]   # the runs that reach rank 1, at rank 1
-        for lo, hi in zip(bounds[2:], bounds[3:]):
-            tail = rest[len(rest) - (hi - lo):]
-            op(tail, x[lo:hi], out=tail)
-        head = x[n_runs - len(rest):n_runs]
-        op(head, rest, out=head)
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        x[n_runs - (hi - lo):n_runs] += x[lo:hi]
     return x[:n_runs]
-
-
-def _sum_pairwise(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=0)`` added in the order numpy adds each contiguous row
-    of ``x.T``: in turn for fewer than 8 rows, else pairwise from 8
-    running sums and then the rows left over. A span's sum over its
-    null buckets, held bucket-major, so has the bits of its span-major
-    row sum."""
-    n = len(x)
-    if n < 8:
-        return x.sum(axis=0)
-    m = n - n % 8
-    r = x[:m].reshape(m // 8, 8, *x.shape[1:]).sum(axis=0) if m > 8 else x[:8]
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    total = r[0] + r[1]
-    for row in x[m:]:
-        total += row
-    return total
 
 
 def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
@@ -484,14 +456,14 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
     real row, and an n_spans x n_null matrix that is zero outside
     ``null_mask``.
 
-    The null-row scores are held bucket-major (n_null x n_spans), so each
-    span's max, normaliser and backward dot over its null rows are
-    reductions over axis 0 (the sums by ``_sum_pairwise``), and the
-    returned null weights are a transposed view. The runs of real rows
-    are reduced rank by rank over ``_runs_by_rank``, built once for
-    forward and backward. Every span's
-    weights are so computed apart from the other spans: a span scores the
-    same alone as in a batch.
+    The scores are one matrix with a column per span: the null rows by
+    bucket, then each span's k-th real row in row ``n_null + k``, and
+    ``-inf`` where a span has no such row. The softmax and its backward
+    reduce over its columns, which numpy adds row by row when there are
+    two or more, and the returned null weights are a transposed view of
+    its first rows. The context's sums over the real rows go rank by rank
+    over ``_runs_by_rank``, built once for forward and backward. So no
+    span's sums depend on the other spans or on the longest run.
     """
     row_span = np.asarray(row_span, dtype=np.intp)
     null_mask = np.asarray(null_mask, dtype=bool)
@@ -507,41 +479,40 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
     ids, perm, bounds = _runs_by_rank(row_span, n)
     inv = 1.0 / math.sqrt(d_m)
     qv, mem, nul = q.values, memory.values, null_rows.values
+    n_null = len(nul)
     q_row = qv[row_span]
-    s_real = np.einsum("rd,rd->r", mem, q_row) * inv
-    s_null = np.where(null_mask.T, (nul @ qv.T) * inv, -np.inf)
-    top = s_null.max(axis=0, initial=-np.inf)
-    top[ids] = np.maximum(top[ids], _reduce_runs(np.maximum, s_real[perm], bounds))
-    # a span with no row at all is left at -inf
+    # each real row's cell: its rank in its run below the null rows
+    cell = (n_null + np.arange(len(row_span)) - row_span.searchsorted(row_span)) * n + row_span
+    p = np.full((n_null + len(bounds) - 1, n), -np.inf)
+    np.copyto(p[:n_null], nul @ qv.T, where=null_mask.T)
+    p.reshape(-1)[cell] = np.einsum("rd,rd->r", mem, q_row)
+    p *= inv
+    top = p.max(axis=0, initial=-np.inf)
     if top.min(initial=0.0) == -np.inf:
-        empty = np.flatnonzero(top == -np.inf)
-        if not (null_mask[empty].any(axis=1) | np.isin(empty, row_span)).all():
-            raise ShapeError("memory_attention: a span has no memory row")
-    e_real = np.exp(s_real - top[row_span])
-    e_null = np.exp(s_null - top)
-    z = _sum_pairwise(e_null)
-    z[ids] += _reduce_runs(np.add, e_real[perm], bounds)
-    p_real = e_real / z[row_span]
-    p_null = e_null / z
+        raise ShapeError("memory_attention: a span has no memory row")
+    p -= top
+    np.exp(p, out=p)
+    p /= p.sum(axis=0)
+    p_real, p_null = p.take(cell), p[:n_null]
     ctx = p_null.T @ nul
     mem_by_rank = mem[perm]
-    ctx[ids] += _reduce_runs(np.add, p_real[perm][:, None] * mem_by_rank, bounds)
+    ctx[ids] += _sum_runs(p_real[perm][:, None] * mem_by_rank, bounds)
     out, tape = _begin(ctx, q, memory, null_rows)
     if tape:
         qv, mem, nul = qv.copy(), mem.copy(), nul.copy()
         def backward():
             g = out.grad
             g_row = g[row_span]
-            dp_real = np.einsum("rd,rd->r", mem, g_row)
-            dp_null = nul @ g.T
-            dot = _sum_pairwise(p_null * dp_null)
-            dot[ids] += _reduce_runs(np.add, (p_real * dp_real)[perm], bounds)
-            ds_real = p_real * (dp_real - dot[row_span]) * inv
-            ds_null = p_null * (dp_null - dot) * inv
+            ds = np.zeros(p.shape)
+            ds[:n_null] = nul @ g.T
+            ds.reshape(-1)[cell] = np.einsum("rd,rd->r", mem, g_row)
+            ds -= (p * ds).sum(axis=0)
+            ds *= p
+            ds *= inv
+            ds_real, ds_null = ds.take(cell), ds[:n_null]
             if q.tracked:
                 q.grad += ds_null.T @ nul
-                q.grad[ids] += _reduce_runs(np.add, ds_real[perm][:, None] * mem_by_rank,
-                                            bounds)
+                q.grad[ids] += _sum_runs(ds_real[perm][:, None] * mem_by_rank, bounds)
             if memory.tracked:
                 g_row *= p_real[:, None]
                 g_row += ds_real[:, None] * q_row

@@ -6,6 +6,7 @@ during training.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -57,8 +58,8 @@ def _load_checkpoint(path: str, cfg: RunConfig, explicit: set[str]):
     if not isinstance(freqs, dict):
         raise ConfigError(f"{path}: lex_freqs must be an object, got {freqs!r}")
     for word, freq in freqs.items():
-        if type(freq) not in (int, float):
-            raise ConfigError(f"{path}: lex_freqs[{word!r}] must be a number, "
+        if type(freq) not in (int, float) or not math.isfinite(freq):
+            raise ConfigError(f"{path}: lex_freqs[{word!r}] must be a finite number, "
                               f"got {freq!r}")
     return model, Lexicon(words, {k: float(v) for k, v in freqs.items()})
 
@@ -175,10 +176,9 @@ def cmd_sweep(args) -> int:
     rhos = _parse_rhos(args.rhos) if args.rhos else \
         [round(0.1 * i, 1) for i in range(10)]
     out_rows = ["gamma,rho,F1"]
+    sents = read_corpus(cfg.dev, cfg.corpus_format, cfg.max_sentence_len)
     for path in args.checkpoints:
         model, lex = _load_checkpoint(path, cfg, explicit)
-        # read per checkpoint: prepare_corpus caches vocabulary ids on each sentence
-        sents = read_corpus(cfg.dev, cfg.corpus_format, cfg.max_sentence_len)
         scored = _score_sentences(model, lex, sents, cfg.batch_size)
         golds = [s.entities for s in sents]
         for rho in rhos:

@@ -49,7 +49,8 @@ def open_text(path: str) -> io.StringIO:
 
 @dataclass
 class Sentence:
-    """One annotated sentence; ids are filled in by ``Vocab.encode``."""
+    """One annotated sentence; ids are filled in by ``Vocab.encode``, which
+    records itself as ``encoded_by``."""
 
     chars: list[str]
     seg_labels: list[str]
@@ -58,6 +59,7 @@ class Sentence:
     char_ids: np.ndarray | None = None
     seg_ids: np.ndarray | None = None
     pos_ids: np.ndarray | None = None
+    encoded_by: "Vocab | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.chars)
@@ -197,10 +199,15 @@ FORMATS = {"column-bmes": (bmes_tags_to_spans, spans_to_bmes_tags),
 # reading
 
 
-def _truncate(items: list, max_len: int) -> list:
+def _truncate(items: list, max_len: int, entities: set[Span] = frozenset()
+              ) -> tuple[list, set[Span]]:
+    """The first ``max_len`` items and the entities that end before the cut;
+    a sentence that is cut is logged with the count of entities dropped."""
+    kept = {e for e in entities if e[1] < max_len}
     if len(items) > max_len:
-        log.warning("sentence truncated from %d to %d characters", len(items), max_len)
-    return items[:max_len]
+        log.warning("sentence truncated from %d to %d characters; entities past the "
+                    "cut dropped: %d", len(items), max_len, len(entities) - len(kept))
+    return items[:max_len], kept
 
 
 def read_corpus(path: str, fmt: str = "column-bmes",
@@ -216,9 +223,10 @@ def read_corpus(path: str, fmt: str = "column-bmes",
     def flush():
         if not rows:
             return
-        chars, segs, pos, tags = (list(col) for col in zip(*_truncate(rows, max_len)))
         try:
-            sentences.append(Sentence(chars, segs, pos, to_spans(tags)))
+            kept, entities = _truncate(rows, max_len, to_spans([row[3] for row in rows]))
+            chars, segs, pos, _ = (list(col) for col in zip(*kept))
+            sentences.append(Sentence(chars, segs, pos, entities))
         except ParseError as exc:
             row = 0 if exc.position is None else exc.position
             raise ParseError(f"{path}:{linenos[row]}: {exc}") from None
@@ -250,7 +258,7 @@ def read_raw(path: str, max_len: int = 256) -> list[Sentence]:
     sentences = []
     with open_text(path) as fh:
         for line in fh:
-            chars = _truncate(list(line.rstrip("\n")), max_len)
+            chars, _ = _truncate(list(line.rstrip("\n")), max_len)
             if chars:
                 sentences.append(Sentence(chars, ["S"] * len(chars), [UNK] * len(chars)))
     return sentences
@@ -349,6 +357,7 @@ class Vocab:
         sent.char_ids = np.array([self.chars.id(c, unk_c) for c in sent.chars], dtype=np.intp)
         sent.seg_ids = np.array([self.segs.id(s) for s in sent.seg_labels], dtype=np.intp)
         sent.pos_ids = np.array([self.pos.id(p, unk_p) for p in sent.pos_tags], dtype=np.intp)
+        sent.encoded_by = self
 
 
 # ---------------------------------------------------------------------------

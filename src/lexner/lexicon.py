@@ -24,6 +24,7 @@ list of one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,18 +53,6 @@ class Trie:
         for ch in word:
             node = node.children.setdefault(ch, _TrieNode())
         node.word_id = word_id
-
-    def walk_prefixes(self, text: str, start: int = 0, stop: int | None = None):
-        """Yield (length, word_id) for every word equal to a prefix of
-        text[start:stop]; cost is O(walk length + matches)."""
-        node = self.root
-        end = len(text) if stop is None else stop
-        for i in range(start, end):
-            node = node.children.get(text[i])
-            if node is None:
-                return
-            if node.word_id is not None:
-                yield i - start + 1, node.word_id
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,8 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path: str) -> "Lexicon":
-        """One word per line, optional whitespace-separated frequency column."""
+        """One word per line, optional whitespace-separated frequency column;
+        a frequency that is not a finite number is a ParseError."""
         words, freqs = [], {}
         with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -109,10 +99,12 @@ class Lexicon:
                 words.append(parts[0])
                 if len(parts) > 1:
                     try:
-                        freqs[parts[0]] = float(parts[1])
+                        freq = float(parts[1])
                     except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: bad frequency {parts[1]!r}") from None
+                        freq = math.nan
+                    if not math.isfinite(freq):
+                        raise ParseError(f"{path}:{lineno}: bad frequency {parts[1]!r}")
+                    freqs[parts[0]] = freq
         return cls(words, freqs)
 
     def freq(self, word: str) -> float:
@@ -123,8 +115,8 @@ def _occurrences(lex, texts, longest):
     """Start, length and word id of every word found in ``texts`` laid end
     to end, ordered by start and then length: one trie walk from each
     position, stopped at the end of its text and after ``longest``
-    characters. The walk is ``Trie.walk_prefixes`` written out inline: it
-    runs once per character of the corpus."""
+    characters. The walk runs once per character of the corpus, so it is
+    written out inline, one loop over the trie's children per position."""
     root, found, offset = lex._fwd.root, [], 0
     for piece in texts:
         for a in range(len(piece)):

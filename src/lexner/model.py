@@ -218,8 +218,11 @@ class Model:
         Returns (probs Tensor, (p_real, p_null)): the attention weights of
         every real memory row and of every span's null rows, which
         ``layout.attention_rows`` labels. Dropout at ``dropout_rate`` draws
-        from ``rng`` when the rate is positive.
+        from ``rng`` when the rate is positive. A sentence that another
+        vocabulary encoded is encoded again.
         """
+        if sent.encoded_by is not self.vocab:
+            self.vocab.encode(sent)
         return self.score_batch(Batch.of_sentence(sent, spans, layout), dropout_rate, rng)
 
     def score_batch(self, batch: "Batch", dropout_rate: float = 0.0,
@@ -505,7 +508,7 @@ def prepare_corpus(model: Model, sents: list[Sentence], lex) -> Batch:
     ``lex`` (None: no lexicon) in one pass over all sentences."""
     vocab, cfg = model.vocab, model.config
     for sent in sents:
-        if sent.char_ids is None:
+        if sent.encoded_by is not vocab:
             vocab.encode(sent)
     lengths = np.array([len(s) for s in sents], dtype=np.intp)
     starts, ends = encoders.fragment_rows(lengths, cfg.max_entity_len)

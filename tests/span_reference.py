@@ -471,6 +471,18 @@ def score_spans(model, sent, layouts, spans, dropout_rate=0.0, rng=None):
 # per-span matching and memory layout
 
 
+def walk_prefixes(trie: Trie, text: str, start: int = 0, stop: int | None = None):
+    """Yield (length, word_id) for every word of ``trie`` equal to a prefix
+    of text[start:stop]."""
+    node = trie.root
+    for i in range(start, len(text) if stop is None else stop):
+        node = node.children.get(text[i])
+        if node is None:
+            return
+        if node.word_id is not None:
+            yield i - start + 1, node.word_id
+
+
 def sort_key(match: Match):
     return (MODES.index(match.mode), match.k, match.word_id)
 
@@ -497,15 +509,15 @@ class Matcher:
             if held is None or sort_key(match) < sort_key(held):
                 by_word[match.word_id] = match
 
-        for k, wid in self.fwd.walk_prefixes(fragment):
+        for k, wid in walk_prefixes(self.fwd, fragment):
             offer(Match(wid, fragment[:k], EXACT if k == n else PREFIX, k))
         rev = fragment[::-1]
-        for k, wid in self.rev.walk_prefixes(rev):
+        for k, wid in walk_prefixes(self.rev, rev):
             if k < n:
                 offer(Match(wid, fragment[n - k:], SUFFIX, k))
         # interior occurrences: start >= 1, end <= n - 2
         for start in range(1, n - 1):
-            for k, wid in self.fwd.walk_prefixes(fragment, start, n - 1):
+            for k, wid in walk_prefixes(self.fwd, fragment, start, n - 1):
                 offer(Match(wid, fragment[start:start + k], INFIX, k))
         return sorted(by_word.values(), key=sort_key)
 
@@ -618,7 +630,7 @@ def span_labels(sent, spans, vocab) -> np.ndarray:
 def prepare_sentence(model, sent, lex):
     """One sentence prepared on its own, as ``_prepare`` returns it: (the
     sentence, its spans as (i, j) pairs, their layout, their gold types)."""
-    if sent.char_ids is None:
+    if sent.encoded_by is not model.vocab:
         model.vocab.encode(sent)
     cfg, table = model.config, model.vocab.lex
     unk = table.id(UNK)

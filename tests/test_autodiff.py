@@ -453,7 +453,7 @@ class TestMemoryAttention:
     @pytest.mark.parametrize("k_cut, cap", [(1, 2), (2, 8)])
     def test_matches_per_span_reference(self, k_cut, cap):
         # spans with no real row, one, a bucket at ``cap``, five, more than
-        # the 8 rows np.add.reduceat adds in order, and every bucket at
+        # the 8 rows of numpy's pairwise block, and every bucket at
         # ``cap`` (no null row), in a shuffled order
         n_null = 2 * k_cut + 4
         rng = np.random.default_rng(cap)
@@ -488,12 +488,21 @@ class TestMemoryAttention:
         for g, want_g in zip(grads, want_grads):
             np.testing.assert_allclose(g, want_g, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("n_rows", [1, 6, 8, 10, 16, 19, 30])
-    def test_sum_pairwise_has_the_bits_of_row_sums(self, n_rows):
-        # each column summed as numpy sums a contiguous row of the same values
-        x = np.random.default_rng(n_rows).random((n_rows, 50))
-        want = np.ascontiguousarray(x.T).sum(axis=1)
-        assert ad._sum_pairwise(x).tobytes() == want.tobytes()
+    def test_spans_score_the_same_in_a_larger_batch(self):
+        # a span over more than 8 rows, numpy's pairwise block, among three
+        # spans and among four with a longer run: the same weights
+        rng = np.random.default_rng(3)
+        n_null, d = 6, 4
+        row_span = np.repeat(np.arange(4), [9, 0, 2, 12])
+        null_mask = rng.random((4, n_null)) < 0.7
+        null_mask[1, 0] = True
+        q, mem, nul = (rng.normal(size=s) for s in ((4, d), (23, d), (n_null, d)))
+        runs = [ad.memory_attention(ad.constant(q[:n]), ad.constant(mem[:len(rows)]), rows,
+                                    ad.constant(nul), null_mask[:n])[1]
+                for n, rows in ((3, row_span[:11]), (4, row_span))]
+        (p_real, p_null), (all_real, all_null) = runs
+        assert np.array_equal(p_real, all_real[:11])
+        assert np.array_equal(p_null, all_null[:3])
 
 
 class TestGatherRows:

@@ -100,15 +100,16 @@ class TestTrain:
         assert "multichar.txt:5" in err and "'ab'" in err
         assert not (workdir / "x.ckpt").exists()
 
-    def test_non_numeric_lexicon_frequency_exits_2(self, workdir, capsys):
+    @pytest.mark.parametrize("freq", ["abc", "nan", "inf"])
+    def test_non_numeric_lexicon_frequency_exits_2(self, workdir, capsys, freq):
         lines = (workdir / "lex.txt").read_text(encoding="utf-8").splitlines()
-        lines[2] = "word abc"
+        lines[2] = f"word {freq}"
         (workdir / "badlex.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         args = train_args(workdir, train="tiny.txt", ckpt="x.ckpt", log="x.csv")
         args[args.index("--lexicon") + 1] = str(workdir / "badlex.txt")
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert "badlex.txt:3" in err and "'abc'" in err
+        assert "badlex.txt:3" in err and f"'{freq}'" in err
         assert not (workdir / "x.ckpt").exists()
 
     def test_non_numeric_char_embedding_exits_2(self, workdir, capsys):
@@ -190,7 +191,8 @@ class TestEval:
     @pytest.mark.parametrize("section, key, value", [
         ("config", "k_cut", 2.0), ("config", "head_layers", True),
         (None, "extra", [1, 2]), ("extra", "lex_freqs", 5),
-        ("extra", "lex_freqs", {"ab": "x"})])
+        ("extra", "lex_freqs", {"ab": "x"}), ("extra", "lex_freqs", {"ab": float("nan")}),
+        ("extra", "lex_freqs", {"ab": float("inf")})])
     def test_corrupt_checkpoint_header_exits_2(self, trained, tmp_path, capsys,
                                                section, key, value):
         magic, header, body = (trained / "m.ckpt").read_bytes().split(b"\n", 2)

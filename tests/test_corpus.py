@@ -137,6 +137,18 @@ class TestReadCorpus:
         sents = read_corpus(path, max_len=4)
         assert len(sents[0]) == 4
 
+    @pytest.mark.parametrize("fmt, tags", [
+        ("column-bmes", "S-LOC O B-PER M-PER E-PER O"),
+        ("column-bio", "B-LOC O B-PER I-PER I-PER O")])
+    def test_truncation_drops_entities_past_the_cut(self, tmp_path, caplog, fmt, tags):
+        # an entity cut in two is dropped, not read as a shorter one
+        path = self.write(tmp_path, "".join(f"c\tS\tX\t{t}\n" for t in tags.split()))
+        (sent,) = read_corpus(path, fmt, max_len=4)
+        assert len(sent) == 4
+        assert sent.entities == {(0, 0, "LOC")}
+        assert "truncated from 6 to 4 characters; entities past the cut dropped: 1" \
+            in caplog.text
+
     @given(data=st.data(), fmt=st.sampled_from(["column-bmes", "column-bio"]))
     def test_roundtrip_property(self, tmp_path_factory, data, fmt):
         # one UTF-8 scalar per row that ``str.split`` keeps whole: CJK,

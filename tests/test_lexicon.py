@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, Tape, Tensor
 from lexner.corpus import ParseError
+from lexner import lexicon
 from lexner.encoders import fragment_rows
-from lexner.lexicon import (MODES, Lexicon, Match, SentenceLayout, Trie,
+from lexner.lexicon import (MODES, Lexicon, Match, SentenceLayout,
                             bucket_count, bucket_name, bucket_of, match_fragment)
 from lexner.model import ModelConfig
 
@@ -54,20 +55,26 @@ def brute_force_matches(frag, words):
     return out
 
 
-class TestTrie:
-    def test_walk_prefixes(self):
-        t = Trie()
-        for i, w in enumerate(["a", "ab", "abc", "b"]):
-            t.insert(w, i)
-        assert list(t.walk_prefixes("abcd")) == [(1, 0), (2, 1), (3, 2)]
+class TestOccurrences:
+    """``_occurrences``, the trie walk from every position of the texts."""
 
-    def test_walk_with_stop(self):
-        t = Trie()
-        t.insert("abc", 0)
-        assert list(t.walk_prefixes("abc", 0, 2)) == []
+    @staticmethod
+    def found(words, texts, longest):
+        return lexicon._occurrences(Lexicon(words), texts, longest).T.tolist()
 
-    def test_empty_trie(self):
-        assert list(Trie().walk_prefixes("abc")) == []
+    def test_prefix_hits(self):
+        # (start, length, word id), by start and then length
+        assert self.found(["a", "ab", "abc", "b"], ["abcd"], 4) == \
+            [[0, 1, 0], [0, 2, 1], [0, 3, 2], [1, 1, 3]]
+
+    def test_walk_stops(self):
+        # after ``longest`` characters, and at the end of each text
+        assert self.found(["abc"], ["abc"], 2) == []
+        assert self.found(["abc", "c"], ["ab", "c"], 3) == [[2, 1, 1]]
+
+    def test_no_word_found(self):
+        assert self.found(["x"], ["abc"], 3) == []
+        assert lexicon._occurrences(Lexicon(["x"]), [], 3).shape == (3, 0)
 
 
 class TestLexicon:
@@ -87,10 +94,11 @@ class TestLexicon:
         assert lex.freq("ab") == 5.0
         assert lex.freq("cd") == 0.0
 
-    def test_from_file_bad_frequency_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("freq", ["abc", "nan", "inf", "-Infinity"])
+    def test_from_file_bad_frequency_reports_line(self, tmp_path, freq):
         p = tmp_path / "lex.txt"
-        p.write_text("ab 5\n\ncd abc\n")
-        with pytest.raises(ParseError, match=r"lex.txt:3: .*'abc'"):
+        p.write_text(f"ab 5\n\ncd {freq}\n")
+        with pytest.raises(ParseError, match=rf"lex.txt:3: .*'{freq}'"):
             Lexicon.from_file(str(p))
 
 

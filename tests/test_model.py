@@ -517,6 +517,23 @@ class TestPreparedCorpus:
             model.vocab.types.id("ORG") if (k, i, j) == (1, 1, 2) else model.vocab.none_id
             for k, s in enumerate(sents) for i, j in ref.enumerate_fragments(len(s), 2)]
 
+    def test_ids_of_another_vocabulary_are_encoded_again(self):
+        # two models whose vocabularies number the characters differently,
+        # on one sentence: each reads the ids of its own vocabulary
+        train, _, words = make_corpus(13, n_train=6, n_dev=0)
+        a, b = (Model.build(ModelConfig(**SMALL), Vocab.build(sents, words),
+                            np.random.default_rng(13)) for sents in (train, train[::-1]))
+        sent = train[0]
+        own = Sentence(sent.chars, sent.seg_labels, sent.pos_tags)
+        b.vocab.encode(own)
+        prepare_corpus(a, [sent], None)
+        assert not np.array_equal(sent.char_ids, own.char_ids)
+        assert np.array_equal(prepare_corpus(b, [sent], None).char_ids, own.char_ids)
+        _, spans, layout, _ = _prepare(b, own, None)
+        a.vocab.encode(sent)
+        assert np.array_equal(b.score_spans(sent, layout, spans)[0].values,
+                              b.score_spans(own, layout, spans)[0].values)
+
     def test_empty_corpus(self):
         model, _, lex = tiny_world()
         corpus = prepare_corpus(model, [], lex)
