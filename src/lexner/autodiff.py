@@ -314,8 +314,11 @@ def lstm_sequence(x: Tensor, index: np.ndarray, wx: Tensor, wh: Tensor,
             if b.tracked:
                 b.grad += flat.sum(axis=0)
             if x.tracked or wx.tracked:
-                d_proj = np.zeros((x.shape[0], four_h))
-                np.add.at(d_proj, idx.T.ravel(), flat)
+                # the step gradients summed per (row, column) cell in step
+                # order: the bits of ``np.add.at`` into zeros
+                cells = (idx.T.reshape(-1, 1) * four_h + np.arange(four_h)).ravel()
+                d_proj = np.bincount(cells, flat.ravel(), minlength=x.shape[0] * four_h
+                                     ).reshape(x.shape[0], four_h)
                 if wx.tracked:
                     wx.grad += d_proj.T @ xv
                 if x.tracked:

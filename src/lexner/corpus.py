@@ -8,6 +8,7 @@ schemes. A "character" throughout is one Unicode scalar value.
 from __future__ import annotations
 
 import io
+import itertools
 import logging
 import sys
 from dataclasses import dataclass, field
@@ -19,6 +20,10 @@ from .autodiff import ConfigError
 log = logging.getLogger(__name__)
 
 SEG_LABELS = ("B", "M", "E", "S")
+_SEG_SET = frozenset(SEG_LABELS)
+# the label that ends a word cut after it: a word's first character ends a
+# one-character word, a middle one ends the word
+_CLOSE_CUT = {"B": "S", "M": "E"}
 NONE_LABEL = "NONE"
 PAD = "<pad>"
 UNK = "<unk>"
@@ -65,9 +70,10 @@ class Sentence:
         n = len(self.chars)
         if len(self.seg_labels) != n or len(self.pos_tags) != n:
             raise ParseError(f"label sequences do not all have length {n}")
-        for i, lab in enumerate(self.seg_labels):
-            if lab not in SEG_LABELS:
-                raise ParseError(f"invalid segmentation label {lab!r} at position {i}", i)
+        if not _SEG_SET.issuperset(self.seg_labels):
+            i, lab = next((i, lab) for i, lab in enumerate(self.seg_labels)
+                          if lab not in _SEG_SET)
+            raise ParseError(f"invalid segmentation label {lab!r} at position {i}", i)
         for start, end, _ in self.entities:
             if not 0 <= start <= end < n:
                 raise ParseError(f"entity span ({start},{end}) outside sentence of length {n}")
@@ -212,7 +218,9 @@ def _truncate(items: list, max_len: int, entities: set[Span] = frozenset()
 
 def read_corpus(path: str, fmt: str = "column-bmes",
                 max_len: int = 256) -> list[Sentence]:
-    """Read a 4-column corpus file; ``fmt`` picks the entity tag scheme."""
+    """Read a 4-column corpus file; ``fmt`` picks the entity tag scheme. A
+    sentence longer than ``max_len`` is cut to it, and a word cut in two
+    ends at the cut (``B`` -> ``S``, ``M`` -> ``E``)."""
     if fmt not in FORMATS:
         raise ConfigError(f"unknown corpus format {fmt!r}")
     to_spans = FORMATS[fmt][0]
@@ -226,6 +234,8 @@ def read_corpus(path: str, fmt: str = "column-bmes",
         try:
             kept, entities = _truncate(rows, max_len, to_spans([row[3] for row in rows]))
             chars, segs, pos, _ = (list(col) for col in zip(*kept))
+            if len(rows) > max_len:
+                segs[-1] = _CLOSE_CUT.get(segs[-1], segs[-1])
             sentences.append(Sentence(chars, segs, pos, entities))
         except ParseError as exc:
             row = 0 if exc.position is None else exc.position
@@ -307,6 +317,14 @@ class SymbolTable:
             return default
         raise KeyError(sym)
 
+    def ids(self, syms: list[str], default: int | None = None) -> np.ndarray:
+        """``id`` of each symbol as an intp array, by dict lookups."""
+        if default is None:
+            found = map(self._ids.__getitem__, syms)
+        else:
+            found = map(self._ids.get, syms, itertools.repeat(default))
+        return np.fromiter(found, dtype=np.intp, count=len(syms))
+
     def sym(self, idx: int) -> str:
         return self._syms[idx]
 
@@ -336,15 +354,16 @@ class Vocab:
     def build(cls, sentences: list[Sentence],
               lexicon_words: list[str] | None = None) -> "Vocab":
         v = cls()
-        for sent in sentences:
-            for c in sent.chars:
-                v.chars.add(c)
-            for p in sent.pos_tags:
-                v.pos.add(p)
-            for _, _, etype in sorted(sent.entities):
-                v.types.add(etype)
-        for w in lexicon_words or []:
-            v.lex.add(w)
+        chain = itertools.chain.from_iterable
+        for table, symbols in (
+                (v.chars, chain(sent.chars for sent in sentences)),
+                (v.pos, chain(sent.pos_tags for sent in sentences)),
+                (v.types, (etype for sent in sentences
+                           for _, _, etype in sorted(sent.entities))),
+                (v.lex, lexicon_words or ())):
+            # each distinct symbol once, in first-occurrence order
+            for sym in dict.fromkeys(symbols):
+                table.add(sym)
         return v
 
     @property
@@ -352,11 +371,9 @@ class Vocab:
         return self.types.id(NONE_LABEL)
 
     def encode(self, sent: Sentence):
-        unk_c = self.chars.id(UNK)
-        unk_p = self.pos.id(UNK)
-        sent.char_ids = np.array([self.chars.id(c, unk_c) for c in sent.chars], dtype=np.intp)
-        sent.seg_ids = np.array([self.segs.id(s) for s in sent.seg_labels], dtype=np.intp)
-        sent.pos_ids = np.array([self.pos.id(p, unk_p) for p in sent.pos_tags], dtype=np.intp)
+        sent.char_ids = self.chars.ids(sent.chars, self.chars.id(UNK))
+        sent.seg_ids = self.segs.ids(sent.seg_labels)
+        sent.pos_ids = self.pos.ids(sent.pos_tags, self.pos.id(UNK))
         sent.encoded_by = self
 
 

@@ -137,6 +137,13 @@ class TestReadCorpus:
         sents = read_corpus(path, max_len=4)
         assert len(sents[0]) == 4
 
+    @pytest.mark.parametrize("max_len, segs", [(3, ["B", "M", "E"]), (2, ["B", "E"]),
+                                               (1, ["S"])])
+    def test_truncation_ends_the_word_cut_in_two(self, tmp_path, max_len, segs):
+        path = self.write(tmp_path, "a\tB\tX\tO\nb\tM\tX\tO\nc\tE\tX\tO\n")
+        (sent,) = read_corpus(path, max_len=max_len)
+        assert sent.seg_labels == segs
+
     @pytest.mark.parametrize("fmt, tags", [
         ("column-bmes", "S-LOC O B-PER M-PER E-PER O"),
         ("column-bio", "B-LOC O B-PER I-PER I-PER O")])
