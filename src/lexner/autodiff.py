@@ -109,6 +109,15 @@ def _begin(out_values, *inputs) -> tuple[Tensor, Tape | None]:
     return out, tape
 
 
+def _row_sums(x: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """An n-row array whose row ``r`` sums, in input order, the rows of
+    ``x`` whose entry in ``rows`` is ``r``: one ``np.bincount`` over (row,
+    column) cells, so into zeros it gives the bits of ``np.add.at``."""
+    width = math.prod(x.shape[1:])
+    cells = (rows[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(cells, x.ravel(), minlength=n * width).reshape(n, *x.shape[1:])
+
+
 # ---------------------------------------------------------------------------
 # elementwise
 
@@ -314,11 +323,7 @@ def lstm_sequence(x: Tensor, index: np.ndarray, wx: Tensor, wh: Tensor,
             if b.tracked:
                 b.grad += flat.sum(axis=0)
             if x.tracked or wx.tracked:
-                # the step gradients summed per (row, column) cell in step
-                # order: the bits of ``np.add.at`` into zeros
-                cells = (idx.T.reshape(-1, 1) * four_h + np.arange(four_h)).ravel()
-                d_proj = np.bincount(cells, flat.ravel(), minlength=x.shape[0] * four_h
-                                     ).reshape(x.shape[0], four_h)
+                d_proj = _row_sums(flat, idx.T.ravel(), x.shape[0])
                 if wx.tracked:
                     wx.grad += d_proj.T @ xv
                 if x.tracked:
@@ -370,20 +375,18 @@ def split_columns(x: Tensor, widths) -> tuple[Tensor, ...]:
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     """Batched embedding fetch. Duplicate indices accumulate on backward.
 
-    The backward sums the gathered gradient rows per (distinct gathered
-    row, column) cell with one ``np.bincount``, in gather order, and adds
-    the sums into those rows of the table's gradient. Into a zero
-    gradient this adds the same bits as ``np.add.at``.
+    The backward sums the gathered gradient rows per distinct gathered row
+    with ``_row_sums``, in gather order, and adds the sums into those rows
+    of the table's gradient. Into a zero gradient this adds the same bits
+    as ``np.add.at``.
     """
     idx = np.asarray(indices, dtype=np.intp)
     out, tape = _begin(table.values[idx], table)
     if tape:
         def backward():
             rows, slot = np.unique(idx.ravel(), return_inverse=True)
-            width = math.prod(table.shape[1:])
-            cells = (slot[:, None] * width + np.arange(width)).ravel()
-            sums = np.bincount(cells, out.grad.ravel(), minlength=len(rows) * width)
-            table.grad[rows] += sums.reshape(len(rows), *table.shape[1:])
+            table.grad[rows] += _row_sums(out.grad.reshape(len(slot), *table.shape[1:]),
+                                          slot, len(rows))
             if table.touched_rows is None:
                 table.touched_rows = np.zeros(table.shape[0], dtype=bool)
             table.touched_rows[idx] = True
@@ -410,39 +413,6 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def _runs_by_rank(row_span: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """The runs of equal entries of the sorted ``row_span`` (values below
-    ``n``), read rank by rank.
-
-    Returns the values that have a run, shortest run first; the rows of
-    the runs in rank-major order (the first row of every run, then the
-    second row of every run that has one, and so on, each rank in the
-    order of the first); and the bounds of each rank in that order, the
-    first rank's always given. The runs that reach rank k are the last
-    ones of those that reach rank k - 1.
-    """
-    counts = np.bincount(row_span, minlength=n)
-    order = counts.argsort(kind="stable")
-    sizes = counts[order]
-    ranks = np.arange(max(sizes[-1] if n else 0, 1))
-    # how many runs reach each rank: those longer than it
-    reach = (n - sizes.searchsorted(ranks, side="right")).tolist()
-    ids = order[n - reach[0]:]
-    rows = row_span.searchsorted(ids) + ranks[:, None]
-    perm = rows[ranks[:, None] < sizes[n - reach[0]:]]
-    return ids, perm, [0, *itertools.accumulate(reach)]
-
-
-def _sum_runs(x: np.ndarray, bounds: list) -> np.ndarray:
-    """Each run's sum over ``x``, whose rows are in the rank-major order of
-    ``_runs_by_rank`` with rank bounds ``bounds``; one row per run. Each
-    rank is added into the first in turn. ``x`` is overwritten."""
-    n_runs = bounds[1]
-    for lo, hi in zip(bounds[1:], bounds[2:]):
-        x[n_runs - (hi - lo):n_runs] += x[lo:hi]
-    return x[:n_runs]
-
-
 def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
                      null_rows: Tensor, null_mask: np.ndarray
                      ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
@@ -464,9 +434,10 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
     ``-inf`` where a span has no such row. The softmax and its backward
     reduce over its columns, which numpy adds row by row when there are
     two or more, and the returned null weights are a transposed view of
-    its first rows. The context's sums over the real rows go rank by rank
-    over ``_runs_by_rank``, built once for forward and backward. So no
-    span's sums depend on the other spans or on the longest run.
+    its first rows. The context adds to the null rows' product each span's
+    weighted real rows, summed in row order by one ``_row_sums`` scatter,
+    and the backward sums the query gradient the same way. So no span's
+    sums depend on the other spans or on the longest run.
     """
     row_span = np.asarray(row_span, dtype=np.intp)
     null_mask = np.asarray(null_mask, dtype=bool)
@@ -479,14 +450,14 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
     if len(row_span) and (row_span[0] < 0 or row_span[-1] >= n
                           or (row_span[1:] < row_span[:-1]).any()):
         raise ShapeError("memory_attention: row span ids must be sorted and in range")
-    ids, perm, bounds = _runs_by_rank(row_span, n)
     inv = 1.0 / math.sqrt(d_m)
     qv, mem, nul = q.values, memory.values, null_rows.values
     n_null = len(nul)
     q_row = qv[row_span]
     # each real row's cell: its rank in its run below the null rows
-    cell = (n_null + np.arange(len(row_span)) - row_span.searchsorted(row_span)) * n + row_span
-    p = np.full((n_null + len(bounds) - 1, n), -np.inf)
+    rank = np.arange(len(row_span)) - row_span.searchsorted(row_span)
+    cell = (n_null + rank) * n + row_span
+    p = np.full((n_null + rank.max(initial=0) + 1, n), -np.inf)
     np.copyto(p[:n_null], nul @ qv.T, where=null_mask.T)
     p.reshape(-1)[cell] = np.einsum("rd,rd->r", mem, q_row)
     p *= inv
@@ -498,8 +469,7 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
     p /= p.sum(axis=0)
     p_real, p_null = p.take(cell), p[:n_null]
     ctx = p_null.T @ nul
-    mem_by_rank = mem[perm]
-    ctx[ids] += _sum_runs(p_real[perm][:, None] * mem_by_rank, bounds)
+    ctx += _row_sums(p_real[:, None] * mem, row_span, n)
     out, tape = _begin(ctx, q, memory, null_rows)
     if tape:
         qv, mem, nul = qv.copy(), mem.copy(), nul.copy()
@@ -515,7 +485,7 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
             ds_real, ds_null = ds.take(cell), ds[:n_null]
             if q.tracked:
                 q.grad += ds_null.T @ nul
-                q.grad[ids] += _sum_runs(ds_real[perm][:, None] * mem_by_rank, bounds)
+                q.grad += _row_sums(ds_real[:, None] * mem, row_span, n)
             if memory.tracked:
                 g_row *= p_real[:, None]
                 g_row += ds_real[:, None] * q_row
@@ -590,6 +560,6 @@ def focal_loss_rows(probs: Tensor, targets: np.ndarray, alpha: Tensor,
             if probs.tracked:
                 probs.grad[rows, tgt] += g * dpt * clamp_open
             if alpha.tracked:
-                np.add.at(alpha.grad, tgt, g * (-pow_g * logpt))
+                alpha.grad += _row_sums(g * (-pow_g * logpt), tgt, alpha.shape[0])
         tape.record(backward)
     return out

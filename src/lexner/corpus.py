@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import itertools
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -406,9 +407,12 @@ def load_embeddings(path: str, table: SymbolTable, dim: int,
                                   f"{len(vals)} values, expected {dim}")
             if token in table:
                 try:
-                    matrix[table.id(token)] = [float(v) for v in vals]
+                    row = [float(v) for v in vals]
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: non-numeric row {token!r}") from None
+                if not all(map(math.isfinite, row)):
+                    raise ParseError(f"{path}:{lineno}: non-finite value in row {token!r}")
+                matrix[table.id(token)] = row
                 hits += 1
     countable = max(len(table) - reserved_rows, 1)
     rate = hits / countable

@@ -401,6 +401,8 @@ class TrainSettings:
         if not self.clip_norm >= 0:
             raise ConfigError(f"clip_norm must be >= 0 (0 disables clipping), "
                               f"got {self.clip_norm}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -429,6 +429,21 @@ class TestGradients:
                                            ad.exp(alog), gamma),
                 [logits, alog])
 
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    def test_focal_loss_alpha_grad_equals_add_at(self, gamma):
+        # forty rows over three classes: each class's terms added in row
+        # order, the bytes of np.add.at into a zero gradient
+        rng = np.random.default_rng(4)
+        probs = rng.dirichlet(np.ones(3), size=40)
+        targets = rng.integers(0, 3, size=40)
+        alpha = ad.parameter(rng.uniform(0.5, 2.0, size=3))
+        with ad.Tape() as tape:
+            tape.backward(ad.focal_loss_rows(ad.constant(probs), targets, alpha, gamma))
+        pt = probs[np.arange(40), targets]
+        want = np.zeros(3)
+        np.add.at(want, targets, -(1.0 - pt) ** gamma * np.log(pt))
+        assert alpha.grad.tobytes() == want.tobytes()
+
 
 def attention_reference(q, mem, nul, row_span, null_mask, probe):
     """``memory_attention`` span by span with ``ref.attend``: each span's
@@ -490,7 +505,8 @@ class TestMemoryAttention:
 
     def test_spans_score_the_same_in_a_larger_batch(self):
         # a span over more than 8 rows, numpy's pairwise block, among three
-        # spans and among four with a longer run: the same weights
+        # spans and among four with a longer run: the same weights and the
+        # same context bytes
         rng = np.random.default_rng(3)
         n_null, d = 6, 4
         row_span = np.repeat(np.arange(4), [9, 0, 2, 12])
@@ -498,11 +514,12 @@ class TestMemoryAttention:
         null_mask[1, 0] = True
         q, mem, nul = (rng.normal(size=s) for s in ((4, d), (23, d), (n_null, d)))
         runs = [ad.memory_attention(ad.constant(q[:n]), ad.constant(mem[:len(rows)]), rows,
-                                    ad.constant(nul), null_mask[:n])[1]
+                                    ad.constant(nul), null_mask[:n])
                 for n, rows in ((3, row_span[:11]), (4, row_span))]
-        (p_real, p_null), (all_real, all_null) = runs
+        (ctx, (p_real, p_null)), (all_ctx, (all_real, all_null)) = runs
         assert np.array_equal(p_real, all_real[:11])
         assert np.array_equal(p_null, all_null[:3])
+        assert ctx.values.tobytes() == all_ctx.values[:3].tobytes()
 
 
 class TestGatherRows:

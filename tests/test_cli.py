@@ -122,6 +122,28 @@ class TestTrain:
         assert "bademb.txt:2" in capsys.readouterr().err
         assert not (workdir / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--char-embeddings", "--lex-embeddings"])
+    def test_non_finite_embedding_exits_2(self, workdir, capsys, flag, value):
+        # the row of a symbol in the vocabulary: only those rows are read
+        if flag == "--char-embeddings":
+            word, dim = (workdir / "tiny.txt").read_text(encoding="utf-8")[0], 16
+        else:
+            word, dim = (workdir / "lex.txt").read_text(encoding="utf-8").split()[0], 24
+        values = ["0.1"] * dim
+        rows = [f"{word} {' '.join(values)}", f"{word} {' '.join(values[1:])} {value}"]
+        (workdir / "nanemb.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        args = train_args(workdir, train="tiny.txt", ckpt="x.ckpt", log="x.csv")
+        assert main(args + [flag, str(workdir / "nanemb.txt")]) == 2
+        assert "nanemb.txt:2" in capsys.readouterr().err
+        assert not (workdir / "x.ckpt").exists()
+
+    def test_negative_seed_exits_2(self, workdir, capsys):
+        args = train_args(workdir, ckpt="x.ckpt", log="x.csv", seed="-1")
+        assert main(args) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (workdir / "x.ckpt").exists()
+
     def test_corpus_not_utf8_exits_2(self, workdir, capsys):
         lines = (workdir / "tiny.txt").read_bytes().split(b"\n")
         lines[2] = b"\xff" + lines[2]
