@@ -1,8 +1,9 @@
 """Versioned binary checkpoints: config echo + vocab + named tensors.
 
 Layout: a magic line, a JSON header line (config, vocabulary symbol lists,
-tensor manifest), then the raw little-endian float64 bytes of each tensor
-in manifest order. The writer is fully deterministic, so identical models
+tensor manifest, extra), then the raw little-endian float64 bytes of each
+tensor in manifest order. The vocabulary alone sizes the embedding tables
+and the type outputs. The writer is fully deterministic, so identical models
 produce byte-identical files and round-trips are bit-exact. A file is
 written whole under a temporary name and then moved over the old one, so
 a failed save leaves the old checkpoint as it was.
@@ -18,9 +19,9 @@ import numpy as np
 
 from .autodiff import ConfigError, parameter
 from .corpus import SymbolTable, Vocab
-from .model import Model, ModelConfig, param_shapes, vocab_sizes
+from .model import Model, ModelConfig, param_shapes
 
-MAGIC = b"lexner-checkpoint v1\n"
+MAGIC = b"lexner-checkpoint v2\n"
 
 # fields that must agree between a checkpoint and a requested configuration
 STRUCTURAL = [f for f in ModelConfig.__dataclass_fields__]
@@ -56,8 +57,8 @@ def save(path: str, model: Model, extra: dict | None = None):
 
 def load(path: str) -> tuple[Model, dict]:
     """Read a checkpoint. Every defect of the file, from a bad header or a
-    tensor manifest that does not fit the stored config to a NaN or
-    infinite weight, is a ConfigError."""
+    tensor manifest that does not fit the stored config and vocabulary to a
+    NaN or infinite weight, is a ConfigError."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != MAGIC:
@@ -105,20 +106,16 @@ def load(path: str) -> tuple[Model, dict]:
 
 def _check_manifest(path: str, config: ModelConfig, vocab: Vocab,
                     manifest: list[tuple[str, tuple[int, ...]]]):
-    """The stored vocabulary must fit the stored config, and the tensors
-    must be those ``Model.build`` makes for that config, in that order."""
-    for name, size in vocab_sizes(vocab).items():
-        if getattr(config, name) != size:
-            raise ConfigError(f"{path}: config has {name}={getattr(config, name)} "
-                              f"but the vocabulary has {size} entries")
-    want = param_shapes(config)
+    """The tensors must be those ``Model.build`` makes for the stored config
+    and vocabulary, in that order."""
+    want = param_shapes(config, vocab)
     if manifest != list(want.items()):
         got = dict(manifest)
         missing = [n for n in want if n not in got]
         wrong = [f"{n} {s} (want {want.get(n)})" for n, s in manifest if want.get(n) != s]
-        raise ConfigError(f"{path}: tensor manifest does not fit the config: "
-                          f"missing {missing or '-'}, unexpected or mis-shaped "
-                          f"{wrong or '-'}")
+        raise ConfigError(f"{path}: tensor manifest does not fit the config and "
+                          f"vocabulary: missing {missing or '-'}, unexpected or "
+                          f"mis-shaped {wrong or '-'}")
 
 
 def check_structure(config: ModelConfig, loaded: ModelConfig,

@@ -6,7 +6,7 @@ from typing import get_type_hints
 
 from .autodiff import ConfigError
 from .corpus import FORMATS, open_text
-from .model import VOCAB_FIELDS, ModelConfig, TrainSettings
+from .model import ModelConfig, TrainSettings
 
 
 @dataclass
@@ -42,9 +42,8 @@ class RunConfig(TrainSettings, ModelConfig):
                                 for f in fields(TrainSettings)})
 
 
-# option name -> declared type; the vocabulary sizes come from the data
-OPTIONS = {name: kind for name, kind in get_type_hints(RunConfig).items()
-           if name not in VOCAB_FIELDS}
+# option name -> declared type
+OPTIONS = get_type_hints(RunConfig)
 
 
 def _coerce(name: str, raw: str):

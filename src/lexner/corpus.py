@@ -387,19 +387,21 @@ def load_embeddings(path: str, table: SymbolTable, dim: int,
                     report=sys.stderr) -> tuple[np.ndarray, float]:
     """Initialize an embedding matrix from the text format "token v1 ... vd".
 
-    An optional "count dim" header line is accepted. Rows for symbols not in
-    the file are drawn uniform(-0.1, 0.1) from ``rng``. The first
-    ``reserved_rows`` symbols (pad/unk) are excluded from the hit rate.
-    Returns the matrix and the hit rate; a one-line coverage report goes to
-    ``report``.
+    An optional "count dim" header line is accepted: a first line of two
+    integers whose second is ``dim``. With ``dim`` 1, where a row also has
+    two fields, its count must also equal the number of rows that follow;
+    any other first line is a row. Rows for symbols not in the file are
+    drawn uniform(-0.1, 0.1) from ``rng``. The first ``reserved_rows``
+    symbols (pad/unk) are excluded from the hit rate. Returns the matrix and
+    the hit rate; a one-line coverage report goes to ``report``.
     """
     matrix = rng.uniform(-0.1, 0.1, size=(len(table), dim))
     hits = 0
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        lines = list(fh) if dim == 1 else fh
+        for lineno, line in enumerate(lines, start=1):
             parts = line.split()
-            if not parts or lineno == 1 and len(parts) == 2 and all(
-                    p.lstrip("-").isdigit() for p in parts):
+            if not parts or lineno == 1 and _is_header(parts, dim, lines):
                 continue
             token, vals = parts[0], parts[1:]
             if len(vals) != dim:
@@ -420,3 +422,12 @@ def load_embeddings(path: str, table: SymbolTable, dim: int,
         print(f"embeddings {path}: {hits}/{countable} symbols covered "
               f"(hit rate {rate:.4f})", file=report)
     return matrix, rate
+
+
+def _is_header(parts: list[str], dim: int, lines) -> bool:
+    """Whether the fields ``parts`` of an embedding file's first line are its
+    "count dim" header; ``lines`` are all the file's lines when ``dim`` is 1."""
+    if len(parts) != 2 or not all(p.removeprefix("-").isdecimal() for p in parts) \
+            or int(parts[1]) != dim:
+        return False
+    return dim != 1 or int(parts[0]) == sum(1 for line in lines[1:] if line.split())

@@ -57,12 +57,6 @@ class ModelConfig:
     fofe_alpha: float = 0.5
     gamma: float = 2.0
     learn_alpha: bool = True
-    # vocabulary sizes, filled in when the model is built
-    n_chars: int = 0
-    n_seg: int = 4
-    n_pos: int = 0
-    n_types: int = 0
-    n_lex: int = 0
 
     def validate(self):
         if self.char_encoder not in ("baseline", "birnn"):
@@ -107,23 +101,16 @@ class ModelConfig:
         return lx.bucket_count(self.k_cut)
 
 
-# the ModelConfig fields a vocabulary fixes; they are not run options
-VOCAB_FIELDS = ("n_chars", "n_seg", "n_pos", "n_types", "n_lex")
-
-
-def vocab_sizes(vocab: Vocab) -> dict[str, int]:
-    """The ``ModelConfig`` vocabulary-size fields a vocabulary fixes."""
-    return {name: len(getattr(vocab, table))
-            for name, table in zip(VOCAB_FIELDS, Vocab.TABLES)}
-
-
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every parameter of a model, in creation order."""
+def param_shapes(config: ModelConfig, vocab: Vocab) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of a model, in creation order: the
+    embedding tables and the type outputs have a row per entry of their
+    ``vocab`` table, the rest is sized by ``config``."""
+    n_types = len(vocab.types)
     shapes = {
-        "emb_char": (config.n_chars, config.d_char),
-        "emb_seg": (config.n_seg, config.d_seg),
-        "emb_pos": (config.n_pos, config.d_pos),
-        "emb_lex": (config.n_lex, config.d_lex),
+        "emb_char": (len(vocab.chars), config.d_char),
+        "emb_seg": (len(vocab.segs), config.d_seg),
+        "emb_pos": (len(vocab.pos), config.d_pos),
+        "emb_lex": (len(vocab.lex), config.d_lex),
         "emb_mod": (config.n_mod, config.d_mod),
         "null_rows": (config.n_mod, config.d_m),
     }
@@ -148,9 +135,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"head_w{layer}"] = (config.head_hidden, d_in)
         shapes[f"head_b{layer}"] = (config.head_hidden,)
         d_in = config.head_hidden
-    shapes["head_out_w"] = (config.n_types, d_in)
-    shapes["head_out_b"] = (config.n_types,)
-    shapes["alpha_log"] = (config.n_types,)
+    shapes["head_out_w"] = (n_types, d_in)
+    shapes["head_out_b"] = (n_types,)
+    shapes["alpha_log"] = (n_types,)
     return shapes
 
 
@@ -170,12 +157,14 @@ class Model:
     def build(cls, config: ModelConfig, vocab: Vocab, rng: np.random.Generator,
               lex_embeddings: np.ndarray | None = None,
               char_embeddings: np.ndarray | None = None) -> "Model":
-        for name, size in vocab_sizes(vocab).items():
-            setattr(config, name, size)
+        """A model with seeded weights of the shapes ``param_shapes`` gives:
+        the tables are sized by ``vocab``, the rest by ``config``, which is
+        not changed, so one config may build models for many vocabularies.
+        Pretrained embedding tables, when given, are used as they are."""
         config.validate()
         presets = {"emb_char": char_embeddings, "emb_lex": lex_embeddings}
         p: dict[str, Tensor] = {}
-        for name, shape in param_shapes(config).items():
+        for name, shape in param_shapes(config, vocab).items():
             if presets.get(name) is not None:
                 if presets[name].shape != shape:
                     raise ConfigError(
@@ -190,14 +179,10 @@ class Model:
                 p[name] = ad.parameter(rng.uniform(-0.1, 0.1, shape))
         return cls(config, vocab, p)
 
-    def trainable(self, freeze_lex: bool = True) -> dict[str, Tensor]:
-        skip = {"emb_lex"} if freeze_lex else set()
-        return {k: v for k, v in self.params.items() if k not in skip}
-
     def alpha(self) -> Tensor:
         if self.config.learn_alpha:
             return ad.exp(self.params["alpha_log"])
-        return ad.constant(np.ones(self.config.n_types))
+        return ad.constant(np.ones(len(self.vocab.types)))
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.values.copy() for k, v in self.params.items()}
@@ -435,21 +420,18 @@ def train_model(model: Model, train_sents: list[Sentence],
     active_lex = lex if settings.use_lexicon else None
     train = prepare_corpus(model, train_sents, active_lex)
     dev = prepare_corpus(model, dev_sents, active_lex)
-    opt = Adam(model.trainable(settings.freeze_lex), lr=settings.lr,
-               weight_decay=settings.weight_decay,
-               sparse=SPARSE_TABLES)
-    # a table outside the optimiser (the frozen lexicon) is read untracked,
-    # so backward sends it no gradient and marks none of its rows
-    frozen = [p for name, p in model.params.items()
-              if name not in opt.params and p.tracked]
-    for p in frozen:
-        p.tracked = False
+    # a frozen lexicon is read untracked, so backward sends it no gradient
+    # and marks none of its rows, and the optimiser leaves it out
+    lex_table = model.params["emb_lex"]
+    lex_tracked = lex_table.tracked
+    lex_table.tracked = lex_tracked and not settings.freeze_lex
+    opt = Adam({name: p for name, p in model.params.items() if p.tracked},
+               lr=settings.lr, weight_decay=settings.weight_decay, sparse=SPARSE_TABLES)
     try:
         return _train_epochs(model, train, [s.entities for s in train_sents], dev,
                              [s.entities for s in dev_sents], opt, rng, settings, log_fn)
     finally:
-        for p in frozen:
-            p.tracked = True
+        lex_table.tracked = lex_tracked
 
 
 def _train_epochs(model, train, train_gold, dev, dev_gold, opt, rng, settings, log_fn):

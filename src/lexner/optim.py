@@ -18,8 +18,7 @@ class Adam:
     Decoupled weight decay multiplies parameters by (1 - lr * wd) before the
     moment update. Parameters named in ``sparse`` update only the rows
     recorded in their ``touched_rows``, including the moment buffers;
-    untouched rows stay bit-identical. The step counter is per parameter and
-    advances on every ``step`` call.
+    untouched rows stay bit-identical.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float,
@@ -31,16 +30,18 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.sparse = set(sparse) & set(self.params)
-        self.state = {
-            name: {"m": np.zeros_like(p.values), "v": np.zeros_like(p.values), "t": 0}
-            for name, p in self.params.items()
-        }
+        self.t = 0
+        self.state = {name: {"m": np.zeros_like(p.values), "v": np.zeros_like(p.values)}
+                      for name, p in self.params.items()}
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
 
     def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
             grad = p.grad
             if grad is None:
@@ -48,9 +49,6 @@ class Adam:
             if not np.isfinite(grad).all():
                 raise DivergenceError(f"non-finite gradient in parameter '{name}'")
             st = self.state[name]
-            st["t"] += 1
-            bc1 = 1.0 - self.beta1 ** st["t"]
-            bc2 = 1.0 - self.beta2 ** st["t"]
             if name not in self.sparse:
                 idx = slice(None)
             elif p.touched_rows is None:

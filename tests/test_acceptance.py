@@ -209,7 +209,7 @@ def test_5_focal_reduces_to_cross_entropy(capsys):
     cfg = ModelConfig(**{**OVERFIT_CONFIG, "gamma": 0.0, "learn_alpha": False})
     model = Model.build(cfg, vocab, np.random.default_rng(0))
     prepared = [_prepare(model, s, lex) for s in train]
-    opt = Adam(model.trainable(False), lr=1e-3, weight_decay=1e-7,
+    opt = Adam(model.params, lr=1e-3, weight_decay=1e-7,
                sparse=SPARSE_TABLES)
     worst = 0.0
     for b0 in range(0, len(prepared), 8):

@@ -209,6 +209,20 @@ class TestEval:
             assert main(cmd + ["--checkpoint", str(path)]) == 2
             assert "malformed checkpoint header" in capsys.readouterr().err
 
+    def test_v1_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        # format v1 also stored the vocabulary sizes in the config
+        _, header, body = (trained / "m.ckpt").read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        header["config"].update(zip(("n_chars", "n_seg", "n_pos", "n_types", "n_lex"),
+                                    (len(header["vocab"][t])
+                                     for t in ("chars", "segs", "pos", "types", "lex"))))
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"lexner-checkpoint v1\n" + json.dumps(header).encode()
+                         + b"\n" + body)
+        code = main(["eval", "--checkpoint", str(path), "--dev", str(trained / "dev.txt"),
+                     "--split", "dev"])
+        assert code == 2
+        assert "not a recognized checkpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
         ("config", "k_cut", 2.0), ("config", "head_layers", True),

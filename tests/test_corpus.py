@@ -296,6 +296,30 @@ class TestEmbeddings:
                                   np.random.default_rng(0), report=None)
         assert rate == 0.75
 
+    def test_one_value_rows_are_not_a_header(self, tmp_path):
+        # with dim 1, "7 3" is the symbol 7's row unless 7 rows follow it
+        f = tmp_path / "emb.txt"
+        f.write_text("7 3\n8 4\n")
+        mat, rate = load_embeddings(str(f), self.make_table(["7", "8"]), 1,
+                                    np.random.default_rng(0), report=None)
+        assert rate == 1.0
+        assert np.array_equal(mat, [[3], [4]])
+
+    def test_one_value_header_counts_the_rows(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_text("2 1\n2 5\n8 4\n")
+        mat, rate = load_embeddings(str(f), self.make_table(["2", "8"]), 1,
+                                    np.random.default_rng(0), report=None)
+        assert rate == 1.0
+        assert np.array_equal(mat, [[5], [4]])
+
+    def test_header_of_another_dim_is_a_row(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_text("2 5\na 1 2 3\nb 4 5 6\n")
+        with pytest.raises(ConfigError, match=r"emb.txt:1: .* has 1 values, expected 3"):
+            load_embeddings(str(f), self.make_table(["a", "b"]), 3,
+                            np.random.default_rng(0), report=None)
+
     def test_dim_mismatch(self, tmp_path):
         table = self.make_table(["a"])
         f = tmp_path / "emb.txt"

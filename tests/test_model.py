@@ -136,7 +136,7 @@ class TestClassify:
         sent, spans, layout, _ = _prepare(model, sents[0], lex)
         with Tape():
             probs, _ = model.score_spans(sent, layout, spans)
-        assert probs.shape == (len(spans), model.config.n_types)
+        assert probs.shape == (len(spans), len(model.vocab.types))
         assert np.allclose(probs.values.sum(axis=1), 1.0)
         assert np.all(probs.values > 0.0)
 
@@ -153,7 +153,7 @@ class TestClassify:
             probs, _ = model.score_spans(sent, layout, spans)
             want, _ = ref.score_spans(model, sent, ref.memory_layouts(
                 lex, sent.text, spans, cfg.k_cut, cfg.bucket_cap, lex_id), spans)
-        assert probs.shape == (2, model.config.n_types)
+        assert probs.shape == (2, len(model.vocab.types))
         assert np.allclose(probs.values, want.values, rtol=0, atol=1e-12)
 
 
@@ -667,7 +667,8 @@ class TestTraining:
     def test_single_sentence_overfit(self):
         model, sents, lex = tiny_world(learn_alpha=False, gamma=0.0)
         prepared = _prepare(model, sents[0], lex)
-        opt = Adam(model.trainable(), lr=1e-2, weight_decay=1e-7, sparse=SPARSE_TABLES)
+        opt = Adam({k: v for k, v in model.params.items() if k != "emb_lex"}, lr=1e-2,
+                   weight_decay=1e-7, sparse=SPARSE_TABLES)
         sent, spans, layout, targets = prepared
         loss_val = None
         for _ in range(200):
@@ -810,7 +811,7 @@ class TestCheckpoint:
         path = tmp_path / "init.ckpt"
         checkpoint.save(str(path), model)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "07683cfaba82028265a292ba0d93db3ba828a07aa4fce3b496a2ae9e65e8329d"
+            "751475033d6c19de395806adcab3f1015789f70cf1b2ca45ce93190b46387db3"
 
     def test_failed_save_keeps_old_file(self, tmp_path):
         model, _, _ = tiny_world()
@@ -842,6 +843,33 @@ class TestCheckpoint:
         p.write_bytes(b"not a checkpoint\n")
         with pytest.raises(ConfigError):
             checkpoint.load(str(p))
+
+    def test_v1_checkpoint_rejected(self, tmp_path):
+        # format v1 also stored the vocabulary sizes in the config
+        path, model, header, body = self.saved(tmp_path)
+        header["config"].update(zip(("n_chars", "n_seg", "n_pos", "n_types", "n_lex"),
+                                    (len(getattr(model.vocab, t)) for t in Vocab.TABLES)))
+        path.write_bytes(b"lexner-checkpoint v1\n" + json.dumps(header).encode()
+                         + b"\n" + body)
+        with pytest.raises(ConfigError, match="not a recognized checkpoint"):
+            checkpoint.load(str(path))
+
+    def test_one_config_builds_models_for_two_vocabularies(self, tmp_path):
+        # building a second model must leave the first one's config as it was,
+        # so that the first model still saves and loads
+        cfg = ModelConfig(**SMALL)
+        models = []
+        for train, _, lex_words in (make_corpus(1, 20, 0),
+                                    make_corpus(2, 40, 0, lexicon_size=700)):
+            models.append(Model.build(cfg, Vocab.build(train, lex_words),
+                                      np.random.default_rng(0)))
+        assert len(models[0].vocab.chars) != len(models[1].vocab.chars)
+        path = str(tmp_path / "first.ckpt")
+        checkpoint.save(path, models[0])
+        loaded, _ = checkpoint.load(path)
+        assert list(loaded.params) == list(models[0].params)
+        for k, v in models[0].params.items():
+            assert np.array_equal(loaded.params[k].values, v.values)
 
     def saved(self, tmp_path):
         """A saved tiny model: (path, model, header dict, tensor bytes)."""
@@ -877,7 +905,8 @@ class TestCheckpoint:
         path, _, header, body = self.saved(tmp_path)
         header["vocab"]["types"].append("EXTRA")
         self.write(path, header, body)
-        with pytest.raises(ConfigError, match="n_types"):
+        with pytest.raises(ConfigError, match="does not fit the config and vocabulary"
+                                              ".*head_out_w"):
             checkpoint.load(str(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -928,7 +957,7 @@ class TestCheckpoint:
         for over in ({}, {"char_encoder": "birnn", "char_layers": 2,
                           "fragment_encoder": "birnn", "head_layers": 2}):
             model, _, _ = tiny_world(**over)
-            assert param_shapes(model.config) == {
+            assert param_shapes(model.config, model.vocab) == {
                 k: v.values.shape for k, v in model.params.items()}
 
 
