@@ -438,6 +438,11 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
     weighted real rows, summed in row order by one ``_row_sums`` scatter,
     and the backward sums the query gradient the same way. So no span's
     sums depend on the other spans or on the longest run.
+
+    The query row of each real row, ``q[row_span]``, is gathered only
+    inside the products that read it, so neither the forward nor the tape
+    holds that rows x d_m matrix; the backward gathers it again from its
+    own copy of ``q``.
     """
     row_span = np.asarray(row_span, dtype=np.intp)
     null_mask = np.asarray(null_mask, dtype=bool)
@@ -453,13 +458,12 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
     inv = 1.0 / math.sqrt(d_m)
     qv, mem, nul = q.values, memory.values, null_rows.values
     n_null = len(nul)
-    q_row = qv[row_span]
     # each real row's cell: its rank in its run below the null rows
     rank = np.arange(len(row_span)) - row_span.searchsorted(row_span)
     cell = (n_null + rank) * n + row_span
     p = np.full((n_null + rank.max(initial=0) + 1, n), -np.inf)
     np.copyto(p[:n_null], nul @ qv.T, where=null_mask.T)
-    p.reshape(-1)[cell] = np.einsum("rd,rd->r", mem, q_row)
+    p.reshape(-1)[cell] = np.einsum("rd,rd->r", mem, qv[row_span])
     p *= inv
     top = p.max(axis=0, initial=-np.inf)
     if top.min(initial=0.0) == -np.inf:
@@ -488,7 +492,7 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
                 q.grad += _row_sums(ds_real[:, None] * mem, row_span, n)
             if memory.tracked:
                 g_row *= p_real[:, None]
-                g_row += ds_real[:, None] * q_row
+                g_row += ds_real[:, None] * qv[row_span]
                 memory.grad += g_row
             if null_rows.tracked:
                 null_rows.grad += p_null @ g + ds_null @ qv

@@ -2,11 +2,13 @@
 
 Layout: a magic line, a JSON header line (config, vocabulary symbol lists,
 tensor manifest, extra), then the raw little-endian float64 bytes of each
-tensor in manifest order. The vocabulary alone sizes the embedding tables
-and the type outputs. The writer is fully deterministic, so identical models
-produce byte-identical files and round-trips are bit-exact. A file is
-written whole under a temporary name and then moved over the old one, so
-a failed save leaves the old checkpoint as it was.
+tensor in manifest order, each written from and read into the array the
+model keeps, so neither side holds a second copy. The vocabulary alone
+sizes the embedding tables and the type outputs. The writer is fully
+deterministic, so identical models produce byte-identical files and
+round-trips are bit-exact. A file is written whole under a temporary name
+and then moved over the old one, so a failed save leaves the old
+checkpoint as it was.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .autodiff import ConfigError, parameter
+from .autodiff import ConfigError, Tensor
 from .corpus import SymbolTable, Vocab
 from .model import Model, ModelConfig, param_shapes
 
@@ -47,8 +49,8 @@ def save(path: str, model: Model, extra: dict | None = None):
             fh.write(MAGIC)
             fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
-            for k, v in model.params.items():
-                fh.write(np.ascontiguousarray(v.values, dtype="<f8").tobytes())
+            for v in model.params.values():
+                fh.write(np.ascontiguousarray(v.values, dtype="<f8"))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -91,14 +93,12 @@ def load(path: str) -> tuple[Model, dict]:
             raise ConfigError(f"{path}: malformed checkpoint header: {exc!r}") from None
         params = {}
         for name, shape in manifest:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            values = np.empty(shape, dtype="<f8")
+            if fh.readinto(values) != values.nbytes:
                 raise ConfigError(f"{path}: truncated tensor {name}")
-            values = np.frombuffer(raw, dtype="<f8").reshape(shape)
             if not np.isfinite(values).all():
                 raise ConfigError(f"{path}: tensor {name} holds a non-finite value")
-            params[name] = parameter(values)
+            params[name] = Tensor(values, tracked=True)
         if fh.read(1):
             raise ConfigError(f"{path}: trailing bytes after the last tensor")
     return Model(config, vocab, params), extra

@@ -7,6 +7,7 @@ schemes. A "character" throughout is one Unicode scalar value.
 """
 from __future__ import annotations
 
+import codecs
 import io
 import itertools
 import logging
@@ -42,10 +43,11 @@ class ParseError(ValueError):
 
 
 def open_text(path: str) -> io.StringIO:
-    """A UTF-8 text file as a stream of lines, with universal newlines; bytes
-    that are not UTF-8 are a ParseError naming their line."""
+    """A UTF-8 text file as a stream of lines, with universal newlines; one
+    leading byte-order mark is dropped, and bytes that are not UTF-8 are a
+    ParseError naming their line."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:

@@ -225,7 +225,15 @@ class Model:
         projections pooled: n rows projected instead of about m n spans.
         The span-local BiLSTM, not linear, encodes and then projects. The
         first layer is the pooled projection plus the context times the
-        layer's context columns, plus its bias."""
+        layer's context columns, plus its bias.
+
+        Without a tape each stage's arrays are dropped once the next stage
+        has read them: the character rows once pooled, the query part and
+        the memory once attended, the context and the fragment part once
+        the first layer has read them, and each head layer's input once the
+        next product is taken. So an untaped forward holds only what a
+        later stage still reads; under a tape the backward closures keep
+        what they need."""
         cfg = self.config
         p = self.params
         w = encoders.char_feature_vectors(
@@ -256,14 +264,19 @@ class Model:
         else:
             pooled = project(encoders.encode_fragments_birnn(
                 t, spans, cell("frag_f"), cell("frag_b"), batch.lengths))
+        del w, t
         frag_part, query = ad.split_columns(pooled, [w0.shape[0], cfg.d_m])
+        del pooled
         memory = ad.hconcat(ad.gather_rows(p["emb_lex"], layout.lex_ids),
                             ad.gather_rows(p["emb_mod"], layout.mode_ids))
         ctx, weights = ad.memory_attention(query, memory, layout.row_span,
                                            p["null_rows"], layout.null_mask)
+        del query, memory
         r = ad.linear(ctx, w_ctx, b0, add=frag_part)
+        del ctx, frag_part
         for w_l, b_l in rest:
-            r = ad.linear(ad.tanh(r), w_l, b_l)
+            r = ad.tanh(r)
+            r = ad.linear(r, w_l, b_l)
         return ad.softmax_rows(r), weights
 
 

@@ -52,6 +52,12 @@ class TestSchema:
         with pytest.raises(ConfigError):
             load_config(None, {"n_chars": 7})
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"\xef\xbb\xbf" + b"epochs = 4\n")
+        cfg, explicit = load_config(str(conf), {})
+        assert cfg.epochs == 4 and explicit == {"epochs"}
+
     def test_sub_configs_carry_the_values(self):
         cfg, explicit = load_config(None, {"d_char": 7, "lr": 0.5,
                                            "early_stop_f1": 0.9})

@@ -128,6 +128,15 @@ class TestReadCorpus:
         with pytest.raises(corpus.ParseError, match=r":3: not valid UTF-8"):
             read_corpus(str(p))
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        p = tmp_path / "corp.txt"
+        p.write_bytes(b"\xef\xbb\xbf" + "甲\tB\tNN\tB-PER\n乙\tE\tNN\tE-PER\n".encode())
+        sents = read_corpus(str(p))
+        assert sents[0].chars == ["甲", "乙"] and sents[0].entities == {(0, 1, "PER")}
+        p.write_bytes(b"\xef\xbb\xbf" + b"a\tS\tX\tO\n\n\xe7\x94\tS\tX\tO\n")
+        with pytest.raises(corpus.ParseError, match=r":3: not valid UTF-8"):
+            read_corpus(str(p))
+
     def test_crlf_and_cr_line_ends(self, tmp_path):
         path = self.write(tmp_path, "a\tS\tX\tO\r\n\r\nb\tS\tX\tO\rc\tS\tX\tO\r\n")
         assert [s.chars for s in read_corpus(path)] == [["a"], ["b", "c"]]
@@ -239,6 +248,12 @@ class TestReadRaw:
         path.write_bytes("希尔顿\r\nab\r\n".encode("utf-8"))
         assert [s.chars for s in corpus.read_raw(str(path))] == [list("希尔顿"), list("ab")]
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # a kept mark would be the first character and move every offset
+        path = tmp_path / "raw.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + "希尔顿\nab\n".encode())
+        assert [s.chars for s in corpus.read_raw(str(path))] == [list("希尔顿"), list("ab")]
+
     def test_truncation_warns(self, tmp_path, caplog):
         path = tmp_path / "raw.txt"
         path.write_text("x" * 400 + "\nshort\n", encoding="utf-8")
@@ -287,6 +302,14 @@ class TestEmbeddings:
                                     np.random.default_rng(0), report=None)
         assert rate == 0.0
         assert np.all(np.abs(mat) <= 0.1)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_bytes(b"\xef\xbb\xbf" + b"x 1 2\ny 3 4\n")
+        mat, rate = load_embeddings(str(f), self.make_table(["x", "y"]), 2,
+                                    np.random.default_rng(0), report=None)
+        assert rate == 1.0
+        assert np.array_equal(mat, [[1, 2], [3, 4]])
 
     def test_partial_coverage(self, tmp_path):
         table = self.make_table(["a", "b", "c", "d"])

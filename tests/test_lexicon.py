@@ -94,6 +94,13 @@ class TestLexicon:
         assert lex.freq("ab") == 5.0
         assert lex.freq("cd") == 0.0
 
+    def test_from_file_byte_order_mark_dropped(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_bytes(b"\xef\xbb\xbf" + b"ab 5\ncd\n")
+        lex = Lexicon.from_file(str(p))
+        assert lex.words == ["ab", "cd"] and "ab" in lex
+        assert lex.freq("ab") == 5.0
+
     @pytest.mark.parametrize("freq", ["abc", "nan", "inf", "-Infinity"])
     def test_from_file_bad_frequency_reports_line(self, tmp_path, freq):
         p = tmp_path / "lex.txt"

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -617,6 +618,34 @@ class TestTapeSize:
             assert len(counts) == 2 and counts[0] == counts[1], (over, counts)
 
 
+class TestScoringMemory:
+    def test_untaped_forward_holds_each_stage_only_while_read(self):
+        # one untaped forward at the paper-default widths of a chunk of 16
+        # long sentences, the shape eval and predict score; holding every
+        # stage until the forward returns takes about 11 KB a span
+        train, _, words = make_corpus(4, n_train=240, n_dev=0)
+        lex = Lexicon(words)
+        chars = [c for s in train for c in s.chars]
+        segs = [l for s in train for l in s.seg_labels]
+        pos = [p for s in train for p in s.pos_tags]
+        sents = [Sentence(chars[k:k + 200], segs[k:k + 200], pos[k:k + 200])
+                 for k in range(0, 16 * 200, 200)]
+        assert [len(s) for s in sents] == [200] * 16
+        model = Model.build(ModelConfig(), Vocab.build(sents, lex.words),
+                            np.random.default_rng(0))
+        batch = prepare_corpus(model, sents, lex)
+        want = model.score_batch(batch)[0].values
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            probs, _ = model.score_batch(batch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(probs.values, want)
+        assert peak / len(batch.spans) < 9000
+
+
 class TestFocalValues:
     def run(self, p_t, gamma, alpha=1.0):
         probs = Tensor(np.array([[p_t, 1.0 - p_t]]))
@@ -914,6 +943,14 @@ class TestCheckpoint:
         self.write(path, header, body + bytes(8))
         with pytest.raises(ConfigError, match="trailing"):
             checkpoint.load(str(path))
+
+    def test_truncated_tensor_rejected(self, tmp_path):
+        path, model, header, body = self.saved(tmp_path)
+        first, *_, last = model.params
+        for cut, name in ((8, first), (len(body) - 4, last)):
+            self.write(path, header, body[:cut])
+            with pytest.raises(ConfigError, match=f"truncated tensor {name}$"):
+                checkpoint.load(str(path))
 
     def test_malformed_json_header_rejected(self, tmp_path):
         path, _, header, body = self.saved(tmp_path)
