@@ -252,82 +252,130 @@ def span_sums(x: Tensor, starts: np.ndarray, lengths: np.ndarray,
     return out
 
 
-def lstm_sequence(x: Tensor, index: np.ndarray, wx: Tensor, wh: Tensor,
-                  b: Tensor) -> Tensor:
-    """Hidden states of B LSTM chains from zero state, one tape node.
+def bilstm_sequence(x: Tensor, index: np.ndarray, read: np.ndarray,
+                    fwd: tuple[Tensor, Tensor, Tensor],
+                    bwd: tuple[Tensor, Tensor, Tensor]) -> Tensor:
+    """One bidirectional LSTM layer: B chains from zero state in each of
+    two directions, run in one step loop, one tape node.
 
-    Step ``t`` of chain ``b`` reads row ``index[b, t]`` of ``x``; row
-    ``b T + t`` of the (B T) x h result is the state after that step. Gate
-    rows of ``wx``, ``wh`` and ``b`` are laid out as 4h rows in i, f, g, o
-    order, and a step computes ``(wx x + wh h) + b``. Each row of ``x`` is
-    projected once. A state depends only on the steps before it, so chains
-    of different lengths share one call: pad each at its tail and read no
+    Direction 0 runs the ``fwd`` cell and direction 1 the ``bwd`` cell,
+    each a ``(wx, wh, b)`` triple whose gate rows are laid out as 4h rows
+    in i, f, g, o order; a step computes ``(wx x + wh h) + b``. Step ``t``
+    of chain ``c`` of direction ``d`` reads row ``index[d, c, t]`` of ``x``,
+    and its state is that direction's state ``c T + t``. Row ``k`` of the
+    n x 2h result is the forward state ``read[0, k]`` beside the backward
+    state ``read[1, k]``. Each row of ``x`` is projected once per
+    direction. A state depends only on the steps before it, so chains of
+    different lengths share one call: pad each at its tail and read no
     padded state, which then gets zero gradient.
+
+    The directions step together over stacked (2, B, 4h) buffers. Each
+    direction's recurrent product reads the transposed view of its ``wh``,
+    and every sum is taken in the order of a step loop over one direction
+    alone, so each direction's states and gradients are the bytes of that
+    loop. The backward adds the backward direction's part of ``x``'s
+    gradient before the forward direction's.
     """
+    cells = (fwd, bwd)
     idx = np.asarray(index, dtype=np.intp)
-    four_h = b.shape[0] if b.values.ndim == 1 else -1
+    read = np.asarray(read, dtype=np.intp)
+    four_h = fwd[2].shape[0] if fwd[2].values.ndim == 1 else -1
     hid = four_h // 4
-    if (four_h % 4 or x.values.ndim != 2 or wx.shape != (four_h, x.shape[1])
-            or wh.shape != (four_h, hid) or idx.ndim != 2):
-        raise ShapeError(f"lstm_sequence: incompatible shapes x {x.shape}, index "
-                         f"{idx.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    d_in = x.shape[1] if x.values.ndim == 2 else -1
+    want = ((four_h, d_in), (four_h, hid), (four_h,))
+    if (four_h % 4 or d_in < 0 or idx.ndim != 3 or len(idx) != 2
+            or read.ndim != 2 or len(read) != 2
+            or any(t.shape != s for cell in cells for t, s in zip(cell, want))):
+        raise ShapeError(f"bilstm_sequence: incompatible shapes x {x.shape}, index "
+                         f"{idx.shape}, read {read.shape}, cells "
+                         f"{[[t.shape for t in cell] for cell in cells]}")
+    _, n_seq, steps = idx.shape
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeError("lstm_sequence: index out of range")
-    n_seq, steps = idx.shape
-    wh_t, bias = wh.values.T, b.values
-    # xs[t] is the input projection of step t; gates[t] holds the i, f, g,
-    # o gates of step t, hs[t + 1] and cs[t + 1] its states, and hs[0] and
-    # cs[0] the zero start
-    xs = (x.values @ wx.values.T)[idx.T]
-    gates = np.empty((steps, 4, n_seq, hid))
-    hs, cs = np.zeros((2, steps + 1, n_seq, hid))
-    tcs = np.empty((steps, n_seq, hid))
-    pre = np.empty((n_seq, four_h))
-    ig = np.empty((n_seq, hid))
-    for t in range(steps):
-        np.matmul(hs[t], wh_t, out=pre)
-        np.add(xs[t], pre, out=pre)
+        raise ShapeError("bilstm_sequence: index out of range")
+    if read.size and (read.min() < 0 or read.max() >= n_seq * steps):
+        raise ShapeError("bilstm_sequence: read out of range")
+    whs = np.stack([wh.values for _, wh, _ in cells])
+    wh_t = whs.transpose(0, 2, 1)
+    bias = np.stack([b.values for _, _, b in cells])[:, None]
+    # xs[t, d] is the input projection of step t of direction d; gates[t]
+    # holds the i, f, g, o gates of step t, hs[t + 1] and cs[t + 1] its
+    # states, and hs[0] and cs[0] the zero start, each (2, B, h)
+    xs = np.stack([(x.values @ wx.values.T)[ix.T] for (wx, _, _), ix in zip(cells, idx)],
+                  axis=1)
+    gates = np.empty((steps, 4, 2, n_seq, hid))
+    hs, cs = np.zeros((2, steps + 1, 2, n_seq, hid))
+    tcs = np.empty((steps, 2, n_seq, hid))
+    pre = np.empty((2, n_seq, four_h))
+    pre_gates = pre.reshape(2, n_seq, 4, hid).transpose(2, 0, 1, 3)
+    ig = np.empty((2, n_seq, hid))
+    for h_in, x_t, act, c_in, c, tc, h in zip(hs, xs, gates, cs, cs[1:], tcs, hs[1:]):
+        np.matmul(h_in, wh_t, out=pre)
+        np.add(x_t, pre, out=pre)
         pre += bias
-        i, f, g, o = act = gates[t]
         # 1 / (1 + exp(-pre)) on every gate, then tanh on g
-        np.negative(pre.reshape(n_seq, 4, hid).transpose(1, 0, 2), out=act)
+        np.negative(pre_gates, out=act)
         np.exp(act, out=act)
         act += 1.0
         np.divide(1.0, act, out=act)
-        np.tanh(pre[:, 2 * hid:3 * hid], out=g)
-        np.multiply(f, cs[t], out=cs[t + 1])
+        i, f, g, o = act
+        np.tanh(pre_gates[2], out=g)
+        np.multiply(f, c_in, out=c)
         np.multiply(i, g, out=ig)
-        cs[t + 1] += ig
-        np.tanh(cs[t + 1], out=tcs[t])
-        np.multiply(o, tcs[t], out=hs[t + 1])
-    out, tape = _begin(hs[1:].transpose(1, 0, 2).reshape(n_seq * steps, hid),
-                       x, wx, wh, b)
+        c += ig
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
+    chain, step = np.divmod(read, steps)
+    states = hs[step + 1, np.arange(2)[:, None], chain]
+    out, tape = _begin(states.transpose(1, 0, 2).reshape(-1, 2 * hid), x, *fwd, *bwd)
     if tape:
-        xv, wxv, whv = x.values.copy(), wx.values.copy(), wh.values.copy()
+        xv = x.values.copy()
+        wxv = [wx.values.copy() for wx, _, _ in cells]
         def backward():
-            g_out = out.grad.reshape(n_seq, steps, hid)
-            dpre = np.empty((steps, n_seq, four_h))
-            dh, dc = np.zeros((2, n_seq, hid))
+            # the gradient of each direction's states, rows c T + t: the
+            # read rows' gradients summed in read order
+            g_read = out.grad.reshape(-1, 2, hid).transpose(1, 0, 2).reshape(-1, hid)
+            rows = (read + np.array([[0], [n_seq * steps]])).ravel()
+            g_out = _row_sums(g_read, rows, 2 * n_seq * steps).reshape(2, n_seq, steps, hid)
+            dpre = np.empty((2, steps, n_seq, four_h))
+            slots = dpre.reshape(2, steps, n_seq, 4, hid)
+            dh, dc, u, v = np.zeros((4, 2, n_seq, hid))
             for t in range(steps - 1, -1, -1):
                 i, f, g, o = gates[t]
-                dh = dh + g_out[:, t]
-                dc = dc + dh * o * (1.0 - tcs[t] * tcs[t])
-                dpre[t] = np.concatenate([dc * g * i * (1.0 - i), dc * cs[t] * f * (1.0 - f),
-                                          dc * i * (1.0 - g * g), dh * tcs[t] * o * (1.0 - o)],
-                                         axis=1)
-                dh = dpre[t] @ whv
-                dc = dc * f
-            flat = dpre.reshape(steps * n_seq, four_h)
-            if wh.tracked:
-                wh.grad += flat.T @ hs[:-1].reshape(steps * n_seq, hid)
-            if b.tracked:
-                b.grad += flat.sum(axis=0)
-            if x.tracked or wx.tracked:
-                d_proj = _row_sums(flat, idx.T.ravel(), x.shape[0])
-                if wx.tracked:
-                    wx.grad += d_proj.T @ xv
-                if x.tracked:
-                    x.grad += d_proj @ wxv
+                tc = tcs[t]
+                di, df, dg, do = slots[:, t].transpose(2, 0, 1, 3)
+                # dh + g_out; dc + dh * o * (1 - tc * tc)
+                dh += g_out[:, :, t]
+                np.multiply(tc, tc, out=u)
+                np.subtract(1.0, u, out=u)
+                np.multiply(dh, o, out=v)
+                v *= u
+                dc += v
+                # dc * g * i * (1 - i), dc * c * f * (1 - f), dh * tc * o * (1 - o)
+                # and dc * i * (1 - g * g), each product left to right
+                for d_gate, a, b, gate in ((di, dc, g, i), (df, dc, cs[t], f), (do, dh, tc, o)):
+                    np.multiply(a, b, out=d_gate)
+                    d_gate *= gate
+                    np.subtract(1.0, gate, out=u)
+                    d_gate *= u
+                np.multiply(dc, i, out=dg)
+                np.multiply(g, g, out=u)
+                np.subtract(1.0, u, out=u)
+                dg *= u
+                np.matmul(dpre[:, t], whs, out=dh)
+                dc *= f
+            for d in (1, 0):
+                wx, wh, b = cells[d]
+                flat = dpre[d].reshape(steps * n_seq, four_h)
+                if wh.tracked:
+                    wh.grad += flat.T @ hs[:-1, d].reshape(steps * n_seq, hid)
+                if b.tracked:
+                    b.grad += flat.sum(axis=0)
+                if x.tracked or wx.tracked:
+                    d_proj = _row_sums(flat, idx[d].T.ravel(), x.shape[0])
+                    if wx.tracked:
+                        wx.grad += d_proj.T @ xv
+                    if x.tracked:
+                        x.grad += d_proj @ wxv[d]
         tape.record(backward)
     return out
 

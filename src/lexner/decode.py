@@ -7,18 +7,21 @@ probability. Nested mode skips the containment step so inner entities
 survive.
 
 Both steps are sweeps, so decoding s spans costs O(s log s) sorting plus
-clash tests bounded by the span lengths. Containment sorts the distinct
-extents by (start, -end) and keeps a running maximum of the ends swept so
-far. The greedy step marks the characters each kept span covers (flat), or
-indexes the kept spans by start and by end (nested), so testing a
-candidate reads only the positions inside it.
+clash tests bounded by the span lengths. Containment sorts the extents by
+(start, -end) and takes a running maximum of the ends swept so far, as
+array operations. The greedy step marks the characters each kept span
+covers (flat), or indexes the kept spans by start and by end (nested), so
+testing a candidate reads only the positions inside it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
+import numpy as np
 
-@dataclass
+
+@dataclass(slots=True)
 class ScoredSpan:
     start: int
     end: int          # inclusive
@@ -79,15 +82,27 @@ def resolve(spans: list[ScoredSpan], nested: bool = False) -> list[ScoredSpan]:
 
 
 def _drop_contained(spans: list[ScoredSpan]) -> list[ScoredSpan]:
-    """The spans whose extent lies inside no other, different extent."""
-    contained = set()
-    reach = -1      # furthest end among the extents swept so far
-    for start, end in sorted({(s.start, s.end) for s in spans},
-                             key=lambda e: (e[0], -e[1])):
-        if reach >= end:
-            contained.add((start, end))
-        reach = max(reach, end)
-    return [s for s in spans if (s.start, s.end) not in contained]
+    """The spans whose extent lies inside no other, different extent, in
+    their input order.
+
+    Sorted by start and then longer first, an extent lies inside another
+    exactly when an extent before its run of equal extents reaches as far
+    as its end: that one starts no later and, being different, is longer
+    where it starts at the same place."""
+    n = len(spans)
+    starts = np.fromiter((s.start for s in spans), np.intp, n)
+    ends = np.fromiter((s.end for s in spans), np.intp, n)
+    order = np.lexsort((-ends, starts))
+    start, end = starts[order], ends[order]
+    # the furthest end among the extents before each one, and where each
+    # run of equal extents begins
+    reach = np.maximum.accumulate(np.concatenate([[-1], end[:-1]]))
+    first = np.ones(n, dtype=bool)
+    first[1:] = (start[1:] != start[:-1]) | (end[1:] != end[:-1])
+    run_start = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+    keep = np.empty(n, dtype=bool)
+    keep[order] = reach[run_start] < end
+    return list(itertools.compress(spans, keep.tolist()))
 
 
 def decode_corpus(scored: list[list[ScoredSpan]], rho: float,

@@ -8,8 +8,8 @@ into the next. Every span of length at most ``m`` gets one vector:
 bag-of-words and forgetting encoding, linear in the character vectors, as
 weighted sums of runs of rows (of any projection of the character vectors,
 which the model pools in their place); the span-local BiLSTM as forward chains
-from every start and backward chains from every end, in two sequence ops,
-each span reading one state of each.
+from every start and backward chains from every end, in one bidirectional
+sequence op, each span reading one state of each.
 """
 from __future__ import annotations
 
@@ -71,8 +71,9 @@ def encode_characters(w: Tensor, layers: list[tuple[Cell, Cell]],
     ``lengths`` gives the row counts of the sentences stacked in ``w``.
     With no layers this is the baseline encoder: the embedding matrix
     unchanged. Otherwise it stacks bidirectional LSTM layers (forward cell,
-    backward cell per layer), each direction one chain per sentence, and
-    concatenates the two top-layer states per position.
+    backward cell per layer), one ``bilstm_sequence`` op per layer with
+    each direction one chain per sentence, each layer's row being the two
+    states of its position side by side.
     """
     if not layers:
         return w
@@ -87,14 +88,10 @@ def encode_characters(w: Tensor, layers: list[tuple[Cell, Cell]],
     # n_k - 1 - p of its leftward one
     sent = np.repeat(np.arange(len(lengths)), lengths)
     pos = np.arange(w.shape[0]) - first[sent]
-    f_rows = sent * len(steps) + pos
-    b_rows = sent * len(steps) + lengths[sent] - 1 - pos
+    index = np.stack([right, left])
+    read = sent * len(steps) + np.stack([pos, lengths[sent] - 1 - pos])
     for fwd, bwd in layers:
-        f = ad.lstm_sequence(w, right, *fwd)
-        b = ad.lstm_sequence(w, left, *bwd)
-        if len(lengths) > 1:   # a lone sentence's states are its rows already
-            f = ad.gather_rows(f, f_rows)
-        w = ad.hconcat(f, ad.gather_rows(b, b_rows))
+        w = ad.bilstm_sequence(w, index, read, fwd, bwd)
     return w
 
 
@@ -137,10 +134,11 @@ def encode_fragments_birnn(t: Tensor, spans: list[Span], fwd: Cell, bwd: Cell,
     """Final forward state ++ final backward state of a span-local BiLSTM.
 
     One batch of forward chains runs from every row and one of backward
-    chains from every row, each as long as the longest span; span (i, j)
-    reads step j - i of the chain from i and of the chain from j. A chain
-    that runs past its sentence's edge repeats the edge character, so it
-    reads no row of another sentence; no span reads those states.
+    chains from every row, in one ``bilstm_sequence`` op, each chain as
+    long as the longest span; span (i, j) reads step j - i of the chain
+    from i and of the chain from j. A chain that runs past its sentence's
+    edge repeats the edge character, so it reads no row of another
+    sentence; no span reads those states.
     ``lengths`` gives the row counts of the sentences stacked in ``t``.
     """
     n = t.shape[0]
@@ -150,7 +148,7 @@ def encode_fragments_birnn(t: Tensor, spans: list[Span], fwd: Cell, bwd: Cell,
     starts, ends = _span_bounds(spans)
     steps = int((ends - starts).max()) + 1
     origin, step = np.arange(n)[:, None], np.arange(steps)
-    f = ad.lstm_sequence(t, np.minimum(origin + step, last[:, None]), *fwd)
-    b = ad.lstm_sequence(t, np.maximum(origin - step, first[:, None]), *bwd)
-    return ad.hconcat(ad.gather_rows(f, starts * steps + ends - starts),
-                      ad.gather_rows(b, ends * steps + ends - starts))
+    index = np.stack([np.minimum(origin + step, last[:, None]),
+                      np.maximum(origin - step, first[:, None])])
+    return ad.bilstm_sequence(t, index, np.stack([starts, ends]) * steps + ends - starts,
+                              fwd, bwd)

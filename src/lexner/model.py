@@ -19,7 +19,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -319,9 +319,9 @@ class Batch:
         """The batch of the one sentence ``sent``, from what ``_prepare``
         returns for it: its spans as (i, j) pairs, their layout and, when
         known, their gold types."""
+        pairs = np.fromiter(chain.from_iterable(spans), np.intp, 2 * len(spans))
         return cls(sent.char_ids, sent.seg_ids, sent.pos_ids, np.array([len(sent)]),
-                   np.array(spans, dtype=np.intp).reshape(-1, 2), np.array([len(spans)]),
-                   layout, targets)
+                   pairs.reshape(-1, 2), np.array([len(spans)]), layout, targets)
 
     def gather(self, picks) -> "Batch":
         """The sentences ``picks`` of this batch, in that order, as one

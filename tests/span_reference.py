@@ -1,17 +1,19 @@
 """Per-span reference of ``Model.score_spans``, its memory layout and its
 per-sentence preparation.
 
-The model runs each LSTM as a batch of chains in one ``lstm_sequence`` op
-over a character matrix, with its weights as a ``(wx, wh, b)`` triple of
-parameters. This module keeps the per-step path it replaced: one LSTM step
-composed of per-op tape nodes (``reference_step``) and chains of those
-steps over a list of row vectors (``lstm_run``), with the elementwise and
-structural ops that only this path and the tests use (``add``, ``sub``,
-``mul``, ``sigmoid``, ``log``, ``sum_all``, ``stack_rows``), and weights
-drawn as ``Model.build`` draws them (``lstm_cell``). It also keeps the
-op's own earlier step loop (``lstm_sequence``), which gathered each step's
-input projection and allocated each step's gates and states; the op now
-writes into buffers it allocates once, and must give the same bytes.
+The model runs each BiLSTM layer as a batch of chains per direction in
+one ``bilstm_sequence`` op over a character matrix, with each direction's
+weights as a ``(wx, wh, b)`` triple of parameters. This module keeps the
+per-step path it replaced: one LSTM step composed of per-op tape nodes
+(``reference_step``) and chains of those steps over a list of row vectors
+(``lstm_run``), with the elementwise and structural ops that only this
+path and the tests use (``add``, ``sub``, ``mul``, ``sigmoid``, ``log``,
+``sum_all``, ``stack_rows``), and weights drawn as ``Model.build`` draws
+them (``lstm_cell``). It also keeps an earlier step loop of one direction
+(``lstm_sequence``), which gathered each step's input projection and
+allocated each step's gates and states; the op now runs both directions in
+one loop over buffers it allocates once, and each direction must give the
+bytes of this loop.
 
 The model scores all spans of a minibatch of sentences as the rows of
 matrices: one ``span_sums`` op per bag-of-words or forgetting encoding and
@@ -291,9 +293,10 @@ def lstm_run(xs: list[Tensor], cell, reverse: bool = False) -> list[Tensor]:
 
 def lstm_sequence(x: Tensor, index: np.ndarray, wx: Tensor, wh: Tensor,
                   b: Tensor) -> Tensor:
-    """``ad.lstm_sequence`` as a loop of steps that each gather their input
-    projections and allocate their gates and states: the same sums in the
-    same order, so the same bytes."""
+    """One direction of ``ad.bilstm_sequence``, every state returned (row
+    ``c T + t`` is step ``t`` of chain ``c``), as a loop of steps that each
+    gather their input projections and allocate their gates and states: the
+    same sums in the same order, so the same bytes."""
     idx = np.asarray(index, dtype=np.intp)
     four_h = b.shape[0] if b.values.ndim == 1 else -1
     hid = four_h // 4

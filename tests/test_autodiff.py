@@ -228,15 +228,18 @@ class TestGradients:
             wh = ad.parameter(rng.normal(size=(4 * n, n)))
             b_gate = ad.parameter(rng.normal(size=4 * n))
             a_const = ad.constant(rng.normal(size=(n, m)))
-            # two LSTM chains of 3 steps over rows of ``a``; the second is
-            # padded after its first step and its padded states are unread
+            # a BiLSTM layer of two chains of 3 steps per direction over
+            # rows of ``a``; the second chain is padded after its first
+            # step and its padded states are unread
             chains = rng.integers(0, n, size=(2, 3))
-            seq_probe = ad.constant(rng.normal(size=(4, n)))
+            seq_probe = rng.normal(size=(4, n))
 
             def lstm(x):
-                states = ad.lstm_sequence(x, chains, wx, wh, b_gate)
-                return ref.sum_all(ref.mul(ad.gather_rows(states, [0, 1, 2, 3]),
-                                           seq_probe))
+                states = ad.bilstm_sequence(x, np.stack([chains, back_chains]),
+                                            [[0, 1, 2, 3], [3, 0, 2, 1]],
+                                            (wx, wh, b_gate), back_cell)
+                return ref.sum_all(ref.mul(states, ad.constant(
+                    np.hstack([seq_probe, back_probe]))))
 
             # memory attention of 3 spans over 4 null rows: in ``no_real``
             # span 0 has no real row (none has one at every third seed), in
@@ -268,6 +271,10 @@ class TestGradients:
             # ``a`` split into blocks of 1 and m - 1 columns, each block
             # weighed by its own probe
             split_probe = [ad.constant(rng.normal(size=(n, k))) for k in (1, m - 1)]
+            # the BiLSTM's backward direction, drawn after the rest
+            back_cell = tuple(ad.parameter(rng.normal(size=t.shape)) for t in (wx, wh, b_gate))
+            back_chains = rng.integers(0, n, size=(2, 3))
+            back_probe = rng.normal(size=(4, n))
 
             def split(x):
                 parts = ad.split_columns(x, [1, m - 1])
@@ -325,12 +332,12 @@ class TestGradients:
                  [q_att, mem_b, nul]),
                 (lambda: attention(q_const, mem_a, no_real, no_real_mask),
                  [nul] + ([mem_a] if len(no_real) else [])),
-                (lambda: lstm(a), [a, wx, wh, b_gate]),
+                (lambda: lstm(a), [a, wx, wh, b_gate, *back_cell]),
                 (lambda: ref.sum_all(ad.tanh(ad.span_sums(a, run_start, run_len, 0.6))),
                  [a]),
                 (lambda: ref.sum_all(ad.tanh(ad.span_sums(a, run_start, run_len,
                                                           mean=True))), [a]),
-                (lambda: lstm(a_const), [wx, wh, b_gate]),
+                (lambda: lstm(a_const), [wx, wh, b_gate, *back_cell]),
             ]
             for build, params in cases:
                 check_grad(build, params)
@@ -339,17 +346,20 @@ class TestGradients:
             assert q_const.grad is None
         assert count >= 100
 
-    def test_lstm_sequence_backward_reads_operand_copies(self):
+    def test_bilstm_sequence_backward_reads_operand_copies(self):
         # operands changed in place after the forward leave the gradients
         # of the forward that was recorded
-        index = np.array([[0, 2, 1], [1, 1, 0]])
+        index = np.array([[[0, 2, 1], [1, 1, 0]], [[2, 0, 0], [1, 2, 1]]])
+        read = np.array([[0, 1, 2, 3, 4, 5], [5, 3, 4, 0, 2, 1]])
 
         def grads(mutate):
             rng = np.random.default_rng(5)
-            ops = [ad.parameter(rng.normal(size=s)) for s in ((3, 3), (8, 3), (8, 2), 8)]
-            probe = ad.constant(rng.normal(size=(6, 2)))
+            ops = [ad.parameter(rng.normal(size=s))
+                   for s in ((3, 3), (8, 3), (8, 2), 8, (8, 3), (8, 2), 8)]
+            probe = ad.constant(rng.normal(size=(6, 4)))
             with ad.Tape() as tape:
-                out = ref.sum_all(ref.mul(ad.lstm_sequence(ops[0], index, *ops[1:]), probe))
+                out = ref.sum_all(ref.mul(ad.bilstm_sequence(
+                    ops[0], index, read, ops[1:4], ops[4:]), probe))
                 if mutate:
                     for t in ops:
                         t.values += 1.0
@@ -359,25 +369,37 @@ class TestGradients:
         for a, b in zip(grads(False), grads(True)):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("lengths", [[7], [5, 1, 3]])
-    def test_lstm_sequence_bytes_equal_the_step_loop(self, lengths):
-        # the buffered forward does the step loop's sums in its order: equal
-        # bytes for states and gradients, with chains padded at their tails
+    @pytest.mark.parametrize("lengths, hid", [([7], 4), ([5, 1, 3], 4), ([9], 128)])
+    def test_bilstm_sequence_bytes_equal_the_step_loop(self, lengths, hid):
+        # each direction of the one-loop op does the step loop's sums of
+        # one direction alone in its order: the states and every gradient
+        # are the bytes of the reference loop run once per direction, its
+        # states gathered and set side by side, with chains padded at
+        # their tails and two states read twice; hidden size 128 is the
+        # character BiLSTM's default
         rng = np.random.default_rng(len(lengths))
         steps = max(lengths)
-        index = np.array([rng.integers(0, 6, size=n).tolist() + [0] * (steps - n)
-                          for n in lengths])
-        probe = rng.normal(size=(len(lengths), steps, 4))
-        probe[np.arange(steps) >= np.array(lengths)[:, None]] = 0.0
-        probe = probe.reshape(-1, 4)
-        shapes = ((6, 5), (16, 5), (16, 4), 16)
-        values = [rng.normal(size=s) for s in shapes]
+        index = np.array([[rng.integers(0, 6, size=n).tolist() + [0] * (steps - n)
+                           for n in lengths] for _ in range(2)])
+        rows = [c * steps + t for c, n in enumerate(lengths) for t in range(n)]
+        read = np.array([rows + rows[:2], rows[::-1] + rows[-2:]])
+        probe = ad.constant(rng.normal(size=(read.shape[1], 2 * hid)))
+        cell = ((4 * hid, 5), (4 * hid, hid), 4 * hid)
+        values = [rng.normal(size=s) for s in ((6, 5), *cell, *cell)]
+
+        def one_loop(x, fwd, bwd):
+            return ad.bilstm_sequence(x, index, read, fwd, bwd)
+
+        def per_direction(x, fwd, bwd):
+            return ad.hconcat(*[ad.gather_rows(ref.lstm_sequence(x, ix, *cell), r)
+                                for ix, cell, r in zip(index, (fwd, bwd), read)])
+
         runs = []
-        for op in (ad.lstm_sequence, ref.lstm_sequence):
+        for op in (one_loop, per_direction):
             ops = [ad.parameter(v) for v in values]
             with ad.Tape() as tape:
-                states = op(ops[0], index, *ops[1:])
-                tape.backward(ref.sum_all(ref.mul(states, ad.constant(probe))))
+                states = op(ops[0], ops[1:4], ops[4:])
+                tape.backward(ref.sum_all(ref.mul(states, probe)))
             runs.append([states.values.tobytes()] + [t.grad.tobytes() for t in ops])
         assert runs[0] == runs[1]
 

@@ -122,12 +122,37 @@ LONG_TIED = [span(0, 39, "PER", 0.5), span(0, 39, "ORG", 0.5),
              span(45, 45, "ORG", 0.5), span(46, 90, "LOC", 0.5)]
 
 
+def seeded_spans(seed: int, count: int) -> list[ScoredSpan]:
+    """``count`` spans of up to 10 characters over 200 positions: every
+    fifth repeats an earlier span's extent, and the probabilities come from
+    a grid of four, so that many tie."""
+    rng = np.random.default_rng(seed)
+    spans = []
+    for k in range(count):
+        if k % 5 == 4:
+            earlier = spans[int(rng.integers(0, k))]
+            start, end = earlier.start, earlier.end
+        else:
+            start = int(rng.integers(0, 200))
+            end = start + int(rng.integers(0, 10))
+        spans.append(span(start, end, ("PER", "ORG", "LOC")[k % 3],
+                          float(rng.choice([0.3, 0.5, 0.7, 0.9]))))
+    return spans
+
+
+# about as many spans as survive the threshold at rho 0 in a sentence of
+# 200 characters
+MANY_TIED = seeded_spans(339, 340)
+
+
 class TestResolveMatchesReference:
     @given(spans=span_lists(), nested=st.booleans())
     @example(spans=[], nested=False)
     @example(spans=[], nested=True)
     @example(spans=LONG_TIED, nested=False)
     @example(spans=LONG_TIED, nested=True)
+    @example(spans=MANY_TIED, nested=False)
+    @example(spans=MANY_TIED, nested=True)
     def test_same_kept_spans_in_same_order(self, spans, nested):
         ours, theirs = resolve(spans, nested), ref.resolve(spans, nested)
         assert [id(s) for s in ours] == [id(s) for s in theirs]

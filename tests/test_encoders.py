@@ -88,19 +88,28 @@ class TestLSTM:
     def test_zero_weights_zero_output(self):
         cell = (Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 2))), Tensor(np.zeros(8)))
         x = rand_matrix(np.random.default_rng(1), 4, 3)
+        steps = np.arange(4)[None]
         with Tape():
-            states = ad.lstm_sequence(x, np.arange(4)[None], *cell)
+            states = ad.bilstm_sequence(x, np.stack([steps, steps[:, ::-1]]),
+                                        np.stack([steps[0], steps[0]]), cell, cell)
+        assert states.shape == (4, 4)
         assert np.all(states.values == 0.0)
 
     def test_reverse_matches_reversed_input(self):
+        # each direction reads its chain's rows by index: over the reversed
+        # rows with the two indices swapped, both directions see the same
+        # inputs and give the same states
         rng = np.random.default_rng(2)
-        cell = lstm_cell(3, 4, rng)
+        fwd, bwd = lstm_cell(3, 4, rng), lstm_cell(3, 4, rng)
         x = rand_matrix(rng, 5, 3)
+        right = np.arange(5)[None]
+        left = right[:, ::-1]
+        read = np.stack([right[0], right[0]])
         with Tape():
-            rev_states = ad.lstm_sequence(x, np.arange(5)[None, ::-1], *cell)
-            fwd_on_reversed = ad.lstm_sequence(Tensor(x.values[::-1]), np.arange(5)[None],
-                                               *cell)
-        assert np.allclose(rev_states.values, fwd_on_reversed.values)
+            on_x = ad.bilstm_sequence(x, np.stack([right, left]), read, fwd, bwd)
+            on_reversed = ad.bilstm_sequence(Tensor(x.values[::-1]), np.stack([left, right]),
+                                             read, fwd, bwd)
+        assert np.allclose(on_x.values, on_reversed.values)
 
     def test_reference_step(self):
         # one step against a direct numpy transcription of the gate math
@@ -108,17 +117,23 @@ class TestLSTM:
         wx, wh, b = cell = lstm_cell(2, 3, rng)
         x = rng.normal(size=2)
         with Tape():
-            h = ad.lstm_sequence(Tensor(x[None]), np.zeros((1, 1), dtype=np.intp), *cell)
+            h = ad.bilstm_sequence(Tensor(x[None]), np.zeros((2, 1, 1), dtype=np.intp),
+                                   np.zeros((2, 1), dtype=np.intp), cell, cell)
         pre = wx.values @ x + b.values
         sig = lambda z: 1.0 / (1.0 + np.exp(-z))
         i, f, g, o = sig(pre[:3]), sig(pre[3:6]), np.tanh(pre[6:9]), sig(pre[9:])
-        assert np.allclose(h.values[0], o * np.tanh(i * g))
+        assert np.allclose(h.values[0, :3], o * np.tanh(i * g))
+        assert np.array_equal(h.values[0, 3:], h.values[0, :3])
 
     @given(st.data())
     def test_sequence_matches_per_step_reference(self, data):
-        # B tail-padded chains in one op against per-op reference chains
-        # that read the same rows: forward within 1e-12, every gradient
-        # within rtol 1e-10, padded states unread
+        # B tail-padded chains per direction in one op against per-op
+        # reference chains that read the same rows: forward within 1e-12,
+        # every gradient within rtol 1e-10, padded states unread. Each
+        # direction is checked alone, its states weighed by the probe and
+        # the other direction's by zero, so that the two directions' parts
+        # of x's gradient, each within rtol 1e-10, are not checked by a sum
+        # that may cancel
         n_seq = data.draw(st.integers(1, 4), label="chains")
         steps = data.draw(st.integers(1, 5), label="steps")
         lengths = data.draw(st.lists(st.integers(1, steps), min_size=n_seq,
@@ -127,46 +142,61 @@ class TestLSTM:
         d = data.draw(st.integers(1, 6), label="d")
         hid = data.draw(st.integers(1, 9), label="hidden")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-        index = rng.integers(0, n, size=(n_seq, steps))
-        cell = lstm_cell(d, hid, rng)
-        cell[2].values[:] = rng.normal(size=4 * hid)
+        index = rng.integers(0, n, size=(2, n_seq, steps))
+        cells = lstm_cell(d, hid, rng), lstm_cell(d, hid, rng)
+        for cell in cells:
+            cell[2].values[:] = rng.normal(size=4 * hid)
         x = ad.parameter(rng.normal(size=(n, d)))
-        params = [x, *cell]
+        params = [x, *cells[0], *cells[1]]
         read = [c * steps + t for c in range(n_seq) for t in range(lengths[c])]
-        probe = ad.constant(rng.normal(size=(len(read), hid)))
+        weights = rng.normal(size=(len(read), 2 * hid))
 
-        def run(batched):
+        def run(batched, probe):
             for p in params:
                 p.grad = None
             with Tape() as tape:
                 if batched:
-                    states = ad.gather_rows(ad.lstm_sequence(x, index, *cell), read)
+                    states = ad.bilstm_sequence(x, index, [read, read], *cells)
                 else:
-                    states = ref.stack_rows([
+                    states = ad.hconcat(*[ref.stack_rows([
                         h for c in range(n_seq) for h in ref.lstm_run(
-                            [ref.lookup(x, k) for k in index[c, :lengths[c]]], cell)])
+                            [ref.lookup(x, k) for k in ix[c, :lengths[c]]], cell)])
+                        for ix, cell in zip(index, cells)])
                 tape.backward(ref.sum_all(ref.mul(states, probe)))
             return states.values, [p.grad.copy() for p in params]
 
-        got, got_grads = run(True)
-        want, want_grads = run(False)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        for g, w in zip(got_grads, want_grads, strict=True):
-            np.testing.assert_allclose(g, w, rtol=1e-10)
+        for direction in (0, 1):
+            probe = ad.constant(weights * (np.arange(2 * hid) // hid == direction))
+            got, got_grads = run(True, probe)
+            want, want_grads = run(False, probe)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            for g, w in zip(got_grads, want_grads, strict=True):
+                np.testing.assert_allclose(g, w, rtol=1e-10)
 
     def test_rejects_bad_shapes(self):
-        cell = lstm_cell(3, 2, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        cells = lstm_cell(3, 2, rng), lstm_cell(3, 2, rng)
         x = Tensor(np.zeros((4, 3)))
+        read = np.zeros((2, 1), dtype=np.intp)
 
-        def run(x, index):
-            return ad.lstm_sequence(x, index, *cell)
+        def run(x, index, read=read, cells=cells):
+            return ad.bilstm_sequence(x, index, read, *cells)
 
         with pytest.raises(ad.ShapeError, match="incompatible"):
-            run(x, np.arange(4))
+            run(x, np.arange(4)[None])
         with pytest.raises(ad.ShapeError, match="incompatible"):
-            run(Tensor(np.zeros((4, 2))), np.arange(4)[None])
+            run(x, np.zeros((3, 1, 4), dtype=np.intp))
+        with pytest.raises(ad.ShapeError, match="incompatible"):
+            run(Tensor(np.zeros((4, 2))), np.zeros((2, 1, 4), dtype=np.intp))
+        with pytest.raises(ad.ShapeError, match="incompatible"):
+            run(x, np.zeros((2, 1, 4), dtype=np.intp),
+                cells=(cells[0], lstm_cell(3, 3, rng)))
+        with pytest.raises(ad.ShapeError, match="incompatible"):
+            run(x, np.zeros((2, 1, 4), dtype=np.intp), read=np.zeros(2, dtype=np.intp))
         with pytest.raises(ad.ShapeError, match="out of range"):
-            run(x, np.array([[0, 4]]))
+            run(x, np.array([[[0, 4]], [[0, 1]]]))
+        with pytest.raises(ad.ShapeError, match="out of range"):
+            run(x, np.zeros((2, 1, 4), dtype=np.intp), read=np.array([[0], [4]]))
 
 
 class TestEncodeCharacters:

@@ -16,7 +16,7 @@ from lexner.corpus import Sentence, Vocab
 from lexner.encoders import fragment_rows
 from lexner.lexicon import (EXACT, INFIX, PREFIX, SUFFIX, Lexicon, Match,
                             SentenceLayout, bucket_count)
-from lexner.model import (Model, ModelConfig, SPARSE_TABLES, TrainSettings, _prepare,
+from lexner.model import (Batch, Model, ModelConfig, SPARSE_TABLES, TrainSettings, _prepare,
                           _score, param_shapes, prepare_corpus, score_corpus, train_model)
 from lexner.optim import Adam, DivergenceError
 from lexner.synth import make_corpus
@@ -343,19 +343,19 @@ class TestBatchMatchesSentences:
     def run(model, prepared, corpus, batched, dropout):
         """Probabilities, attention, gradients, touched rows and the
         generator's state after one forward and backward, and the chain
-        indices of every LSTM sequence op."""
+        indices of each direction of every BiLSTM sequence op."""
         for t in model.params.values():
             t.grad = None
             t.zero_grad()
         rng = np.random.default_rng(3)
         k_cut = model.config.k_cut
-        chains, lstm_sequence = [], ad.lstm_sequence
+        chains, bilstm_sequence = [], ad.bilstm_sequence
 
-        def spy(x, index, *cell):
-            chains.append(np.asarray(index))
-            return lstm_sequence(x, index, *cell)
+        def spy(x, index, *rest):
+            chains.extend(np.asarray(index))
+            return bilstm_sequence(x, index, *rest)
 
-        with Tape() as tape, mock.patch.object(ad, "lstm_sequence", spy):
+        with Tape() as tape, mock.patch.object(ad, "bilstm_sequence", spy):
             alpha = model.alpha()
             if batched:
                 batch = corpus
@@ -510,6 +510,18 @@ class TestPreparedCorpus:
             assert batch.offsets.dtype == want.offsets.dtype
             assert np.array_equal(batch.offsets, want.offsets)
 
+    def test_batch_of_one_sentence(self):
+        # the batch of one sentence holds its spans as the (n, 2) intp array
+        # that prepare_corpus makes of it, and as an empty one without spans
+        model, sents, lex = tiny_world()
+        sent, spans, layout, targets = _prepare(model, sents[0], lex)
+        batch = Batch.of_sentence(sent, spans, layout, targets)
+        want = prepare_corpus(model, [sents[0]], lex)
+        self.assert_same(batch, want)
+        empty = Batch.of_sentence(sent, [], layout)
+        assert empty.spans.dtype == np.intp and empty.spans.shape == (0, 2)
+        assert empty.span_counts.tolist() == [0]
+
     def test_long_entities_are_not_targets(self):
         model, sents, lex = tiny_world(max_entity_len=2)
         corpus = prepare_corpus(model, sents, lex)
@@ -583,7 +595,7 @@ class TestTapeSize:
         chars = [c for s in train for c in s.chars]
         segs = [l for s in train for l in s.seg_labels]
         pos = [p for s in train for p in s.pos_tags]
-        for over, want in (({}, 29), ({"fragment_encoder": "birnn"}, 33)):
+        for over, want in (({}, 23), ({"fragment_encoder": "birnn"}, 23)):
             model = Model.build(ModelConfig(**over), vocab, np.random.default_rng(0))
             counts = []
             for n in (1, 9, 72):
@@ -644,6 +656,26 @@ class TestScoringMemory:
             tracemalloc.stop()
         assert np.array_equal(probs.values, want)
         assert peak / len(batch.spans) < 9000
+
+    def test_scored_spans_hold_few_bytes_each(self):
+        # score_corpus builds a ScoredSpan for every span: with slots and
+        # no per-instance dict, one span with its probability and its list
+        # slot holds about 114 B; with a dict it held about 162 B
+        train, _, words = make_corpus(2, n_train=60, n_dev=0)
+        lex = Lexicon(words)
+        model = Model.build(ModelConfig(**SMALL), Vocab.build(train, lex.words),
+                            np.random.default_rng(0))
+        corpus = prepare_corpus(model, train, lex)
+        want = score_corpus(model, corpus)   # also finds the corpus offsets once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scored = score_corpus(model, corpus)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert scored == want
+        assert held / len(corpus.spans) < 130
 
 
 class TestFocalValues:
