@@ -1,8 +1,13 @@
 """Tape-based reverse-mode automatic differentiation on dense float64 arrays.
 
 The tape is define-by-run: operations execute eagerly and, when a tape is
-active and any input is tracked, push a backward closure. Calling
-``Tape.backward`` replays the closures in reverse execution order.
+active and any input is tracked, push their output with a backward closure.
+Calling ``Tape.backward`` pops and runs the closures in reverse execution
+order, so each closure, and the activations only it holds, is freed as soon
+as it has run. A gradient buffer exists only from the first write into it:
+``Tensor.accumulate`` stores the first gradient an op sends and adds the
+later ones, and an op that writes part of a gradient zero-fills it first
+with ``Tensor.ensure_grad``.
 """
 from __future__ import annotations
 
@@ -30,6 +35,10 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """Dense float64 array with an optional same-shape gradient buffer.
 
+    ``grad`` is None until a backward writes into it. Parameters keep the
+    buffer across steps, and ``zero_grad`` zero-fills it; the gradient of
+    an op's output lives as long as the output does.
+
     ``touched_rows`` is None, or a boolean mask over the rows of a 2-D
     parameter that is True where ``gather_rows`` sent gradient during the
     current step; the sparse Adam mode consumes it.
@@ -52,6 +61,16 @@ class Tensor:
             self.grad = np.zeros_like(self.values)
         return self.grad
 
+    def accumulate(self, g) -> None:
+        """Add ``g``, broadcast to this tensor's shape, into its gradient.
+        The first write stores ``g + 0.0`` in a new buffer: the bits of
+        adding ``g`` into zeros (-0.0 becomes +0.0), and never a view of
+        ``g``, which may be a view of another gradient."""
+        if self.grad is None:
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+        else:
+            self.grad += g
+
     def zero_grad(self):
         if self.grad is not None:
             self.grad.fill(0.0)
@@ -70,10 +89,13 @@ def constant(values) -> Tensor:
 
 
 class Tape:
-    """Ordered record of backward closures for one forward pass."""
+    """Ordered record of (output, backward closure) pairs for one forward
+    pass. A tape is single-use: ``backward`` consumes its records, and a
+    second call raises. A tape left without a backward keeps them."""
 
     def __init__(self):
-        self._records: list = []
+        self._records: list[tuple[Tensor, object]] = []
+        self._spent = False
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -83,29 +105,36 @@ class Tape:
         _TAPE_STACK.pop()
         return False
 
-    def record(self, backward):
-        self._records.append(backward)
+    def record(self, out: Tensor, backward):
+        self._records.append((out, backward))
 
     def backward(self, out: Tensor):
+        """Seed ``out``'s gradient with 1 and run every recorded backward,
+        last first. Each record is popped before it runs, and an output no
+        later op sent gradient to gets zeros first, so the tracked inputs
+        behind it still end with a (zero) gradient."""
         if out.values.ndim != 0:
             raise ShapeError(f"backward requires a scalar output, got shape {out.shape}")
-        out.ensure_grad()
-        out.grad += 1.0
-        for fn in reversed(self._records):
+        if self._spent:
+            raise RuntimeError("this tape's backward has already run; a tape is single-use")
+        self._spent = True
+        out.accumulate(1.0)
+        records = self._records
+        while records:
+            node, fn = records.pop()
+            node.ensure_grad()
             fn()
 
 
 def _begin(out_values, *inputs) -> tuple[Tensor, Tape | None]:
-    """Create the output tensor and decide whether to record a backward."""
+    """Create the output tensor and decide whether to record a backward.
+    The output is tracked when a tape is active and an input is tracked; no
+    gradient buffer is made here, the backward makes it on first write."""
     out = Tensor(out_values)
     tape = active_tape()
     if tape is None or not any(t.tracked for t in inputs):
         return out, None
     out.tracked = True
-    out.ensure_grad()
-    for t in inputs:
-        if t.tracked:
-            t.ensure_grad()
     return out, tape
 
 
@@ -126,8 +155,8 @@ def scale(x: Tensor, c: float) -> Tensor:
     out, tape = _begin(x.values * c, x)
     if tape:
         def backward():
-            x.grad += out.grad * c
-        tape.record(backward)
+            x.accumulate(out.grad * c)
+        tape.record(out, backward)
     return out
 
 
@@ -136,8 +165,8 @@ def tanh(x: Tensor) -> Tensor:
     if tape:
         ov = out.values
         def backward():
-            x.grad += out.grad * (1.0 - ov * ov)
-        tape.record(backward)
+            x.accumulate(out.grad * (1.0 - ov * ov))
+        tape.record(out, backward)
     return out
 
 
@@ -146,8 +175,8 @@ def exp(x: Tensor) -> Tensor:
     if tape:
         ov = out.values
         def backward():
-            x.grad += out.grad * ov
-        tape.record(backward)
+            x.accumulate(out.grad * ov)
+        tape.record(out, backward)
     return out
 
 
@@ -177,14 +206,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
         xv, wv = x.values.copy(), w.values.copy()
         def backward():
             if x.tracked:
-                x.grad += out.grad @ wv
+                x.accumulate(out.grad @ wv)
             if w.tracked:
-                w.grad += out.grad.T @ xv
+                w.accumulate(out.grad.T @ xv)
             if b is not None and b.tracked:
-                b.grad += out.grad.sum(axis=0)
+                b.accumulate(out.grad.sum(axis=0))
             if add is not None and add.tracked:
-                add.grad += out.grad
-        tape.record(backward)
+                add.accumulate(out.grad)
+        tape.record(out, backward)
     return out
 
 
@@ -197,10 +226,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         av, bv = a.values.copy(), b.values.copy()
         def backward():
             if a.tracked:
-                a.grad += out.grad @ bv.T
+                a.accumulate(out.grad @ bv.T)
             if b.tracked:
-                b.grad += av.T @ out.grad
-        tape.record(backward)
+                b.accumulate(av.T @ out.grad)
+        tape.record(out, backward)
     return out
 
 
@@ -242,13 +271,14 @@ def span_sums(x: Tensor, starts: np.ndarray, lengths: np.ndarray,
     out, tape = _begin(sums, x)
     if tape:
         def backward():
+            grad = x.ensure_grad()
             d_acc = np.zeros((longest, n, d))
             d_acc.reshape(-1, d)[flat] = out.grad / lengths[:, None] if mean else out.grad
             for k in range(longest - 1, 0, -1):
                 d_acc[k - 1, :n - k] += decay * d_acc[k, :n - k]
-                x.grad[k:] += d_acc[k, :n - k]
-            x.grad += d_acc[0]
-        tape.record(backward)
+                grad[k:] += d_acc[k, :n - k]
+            grad += d_acc[0]
+        tape.record(out, backward)
     return out
 
 
@@ -367,16 +397,16 @@ def bilstm_sequence(x: Tensor, index: np.ndarray, read: np.ndarray,
                 wx, wh, b = cells[d]
                 flat = dpre[d].reshape(steps * n_seq, four_h)
                 if wh.tracked:
-                    wh.grad += flat.T @ hs[:-1, d].reshape(steps * n_seq, hid)
+                    wh.accumulate(flat.T @ hs[:-1, d].reshape(steps * n_seq, hid))
                 if b.tracked:
-                    b.grad += flat.sum(axis=0)
+                    b.accumulate(flat.sum(axis=0))
                 if x.tracked or wx.tracked:
                     d_proj = _row_sums(flat, idx[d].T.ravel(), x.shape[0])
                     if wx.tracked:
-                        wx.grad += d_proj.T @ xv
+                        wx.accumulate(d_proj.T @ xv)
                     if x.tracked:
-                        x.grad += d_proj @ wxv[d]
-        tape.record(backward)
+                        x.accumulate(d_proj @ wxv[d])
+        tape.record(out, backward)
     return out
 
 
@@ -396,9 +426,9 @@ def hconcat(*parts: Tensor) -> Tensor:
             for p in parts:
                 hi = lo + p.shape[1]
                 if p.tracked:
-                    p.grad += out.grad[:, lo:hi]
+                    p.accumulate(out.grad[:, lo:hi])
                 lo = hi
-        tape.record(backward)
+        tape.record(out, backward)
     return out
 
 
@@ -433,12 +463,12 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     if tape:
         def backward():
             rows, slot = np.unique(idx.ravel(), return_inverse=True)
-            table.grad[rows] += _row_sums(out.grad.reshape(len(slot), *table.shape[1:]),
-                                          slot, len(rows))
+            table.ensure_grad()[rows] += _row_sums(
+                out.grad.reshape(len(slot), *table.shape[1:]), slot, len(rows))
             if table.touched_rows is None:
                 table.touched_rows = np.zeros(table.shape[0], dtype=bool)
             table.touched_rows[idx] = True
-        tape.record(backward)
+        tape.record(out, backward)
     return out
 
 
@@ -456,8 +486,8 @@ def softmax_rows(x: Tensor) -> Tensor:
         p = out.values
         def backward():
             g = out.grad
-            x.grad += p * (g - (p * g).sum(axis=1, keepdims=True))
-        tape.record(backward)
+            x.accumulate(p * (g - (p * g).sum(axis=1, keepdims=True)))
+        tape.record(out, backward)
     return out
 
 
@@ -536,15 +566,15 @@ def memory_attention(q: Tensor, memory: Tensor, row_span: np.ndarray,
             ds *= inv
             ds_real, ds_null = ds.take(cell), ds[:n_null]
             if q.tracked:
-                q.grad += ds_null.T @ nul
-                q.grad += _row_sums(ds_real[:, None] * mem, row_span, n)
+                q.accumulate(ds_null.T @ nul)
+                q.accumulate(_row_sums(ds_real[:, None] * mem, row_span, n))
             if memory.tracked:
                 g_row *= p_real[:, None]
                 g_row += ds_real[:, None] * qv[row_span]
-                memory.grad += g_row
+                memory.accumulate(g_row)
             if null_rows.tracked:
-                null_rows.grad += p_null @ g + ds_null @ qv
-        tape.record(backward)
+                null_rows.accumulate(p_null @ g + ds_null @ qv)
+        tape.record(out, backward)
     return out, (p_real, p_null.T)
 
 
@@ -565,8 +595,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     out, tape = _begin(x.values * mask, x)
     if tape:
         def backward():
-            x.grad += out.grad * mask
-        tape.record(backward)
+            x.accumulate(out.grad * mask)
+        tape.record(out, backward)
     return out
 
 
@@ -610,8 +640,8 @@ def focal_loss_rows(probs: Tensor, targets: np.ndarray, alpha: Tensor,
                 dpt = -a_t / pt
             clamp_open = (pt_raw >= _PT_FLOOR) & (pt_raw <= 1.0)
             if probs.tracked:
-                probs.grad[rows, tgt] += g * dpt * clamp_open
+                probs.ensure_grad()[rows, tgt] += g * dpt * clamp_open
             if alpha.tracked:
-                alpha.grad += _row_sums(g * (-pow_g * logpt), tgt, alpha.shape[0])
-        tape.record(backward)
+                alpha.accumulate(_row_sums(g * (-pow_g * logpt), tgt, alpha.shape[0]))
+        tape.record(out, backward)
     return out

@@ -68,10 +68,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if tape:
         def backward():
             if a.tracked:
-                a.grad += out.grad
+                a.accumulate(out.grad)
             if b.tracked:
-                b.grad += out.grad
-        tape.record(backward)
+                b.accumulate(out.grad)
+        tape.record(out, backward)
     return out
 
 
@@ -82,10 +82,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if tape:
         def backward():
             if a.tracked:
-                a.grad += out.grad
+                a.accumulate(out.grad)
             if b.tracked:
-                b.grad -= out.grad
-        tape.record(backward)
+                b.accumulate(-out.grad)
+        tape.record(out, backward)
     return out
 
 
@@ -97,10 +97,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         av, bv = a.values.copy(), b.values.copy()
         def backward():
             if a.tracked:
-                a.grad += out.grad * bv
+                a.accumulate(out.grad * bv)
             if b.tracked:
-                b.grad += out.grad * av
-        tape.record(backward)
+                b.accumulate(out.grad * av)
+        tape.record(out, backward)
     return out
 
 
@@ -109,8 +109,8 @@ def sigmoid(x: Tensor) -> Tensor:
     if tape:
         ov = out.values
         def backward():
-            x.grad += out.grad * ov * (1.0 - ov)
-        tape.record(backward)
+            x.accumulate(out.grad * ov * (1.0 - ov))
+        tape.record(out, backward)
     return out
 
 
@@ -119,8 +119,8 @@ def log(x: Tensor) -> Tensor:
     if tape:
         xv = x.values.copy()
         def backward():
-            x.grad += out.grad / xv
-        tape.record(backward)
+            x.accumulate(out.grad / xv)
+        tape.record(out, backward)
     return out
 
 
@@ -128,8 +128,8 @@ def sum_all(x: Tensor) -> Tensor:
     out, tape = _begin(x.values.sum(), x)
     if tape:
         def backward():
-            x.grad += out.grad
-        tape.record(backward)
+            x.accumulate(out.grad)
+        tape.record(out, backward)
     return out
 
 
@@ -145,10 +145,10 @@ def matvec(a: Tensor, x: Tensor) -> Tensor:
         av, xv = a.values.copy(), x.values.copy()
         def backward():
             if a.tracked:
-                a.grad += np.outer(out.grad, xv)
+                a.accumulate(np.outer(out.grad, xv))
             if x.tracked:
-                x.grad += av.T @ out.grad
-        tape.record(backward)
+                x.accumulate(av.T @ out.grad)
+        tape.record(out, backward)
     return out
 
 
@@ -160,10 +160,10 @@ def vecmat(x: Tensor, a: Tensor) -> Tensor:
         av, xv = a.values.copy(), x.values.copy()
         def backward():
             if x.tracked:
-                x.grad += av @ out.grad
+                x.accumulate(av @ out.grad)
             if a.tracked:
-                a.grad += np.outer(xv, out.grad)
-        tape.record(backward)
+                a.accumulate(np.outer(xv, out.grad))
+        tape.record(out, backward)
     return out
 
 
@@ -177,9 +177,9 @@ def concat(parts: list[Tensor]) -> Tensor:
             for p in parts:
                 hi = lo + p.shape[0]
                 if p.tracked:
-                    p.grad += out.grad[lo:hi]
+                    p.accumulate(out.grad[lo:hi])
                 lo = hi
-        tape.record(backward)
+        tape.record(out, backward)
     return out
 
 
@@ -189,8 +189,8 @@ def vslice(x: Tensor, start: int, stop: int) -> Tensor:
     out, tape = _begin(x.values[start:stop].copy(), x)
     if tape:
         def backward():
-            x.grad[start:stop] += out.grad
-        tape.record(backward)
+            x.ensure_grad()[start:stop] += out.grad
+        tape.record(out, backward)
     return out
 
 
@@ -202,10 +202,10 @@ def vconcat(a: Tensor, b: Tensor) -> Tensor:
         split = a.shape[0]
         def backward():
             if a.tracked:
-                a.grad += out.grad[:split]
+                a.accumulate(out.grad[:split])
             if b.tracked:
-                b.grad += out.grad[split:]
-        tape.record(backward)
+                b.accumulate(out.grad[split:])
+        tape.record(out, backward)
     return out
 
 
@@ -218,8 +218,8 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
         def backward():
             for i, r in enumerate(rows):
                 if r.tracked:
-                    r.grad += out.grad[i]
-        tape.record(backward)
+                    r.accumulate(out.grad[i])
+        tape.record(out, backward)
     return out
 
 
@@ -228,11 +228,11 @@ def lookup(table: Tensor, index: int) -> Tensor:
     out, tape = _begin(table.values[index].copy(), table)
     if tape:
         def backward():
-            table.grad[index] += out.grad
+            table.ensure_grad()[index] += out.grad
             if table.touched_rows is None:
                 table.touched_rows = np.zeros(table.shape[0], dtype=bool)
             table.touched_rows[index] = True
-        tape.record(backward)
+        tape.record(out, backward)
     return out
 
 
@@ -246,8 +246,8 @@ def softmax(x: Tensor) -> Tensor:
         p = out.values
         def backward():
             g = out.grad
-            x.grad += p * (g - np.dot(p, g))
-        tape.record(backward)
+            x.accumulate(p * (g - np.dot(p, g)))
+        tape.record(out, backward)
     return out
 
 
@@ -341,17 +341,17 @@ def lstm_sequence(x: Tensor, index: np.ndarray, wx: Tensor, wh: Tensor,
                 dc = dc * f
             flat = dpre.reshape(steps * n_seq, four_h)
             if wh.tracked:
-                wh.grad += flat.T @ hs[:-1].reshape(steps * n_seq, hid)
+                wh.accumulate(flat.T @ hs[:-1].reshape(steps * n_seq, hid))
             if b.tracked:
-                b.grad += flat.sum(axis=0)
+                b.accumulate(flat.sum(axis=0))
             if x.tracked or wx.tracked:
                 d_proj = np.zeros_like(proj)
                 np.add.at(d_proj, idx.T.ravel(), flat)
                 if wx.tracked:
-                    wx.grad += d_proj.T @ xv
+                    wx.accumulate(d_proj.T @ xv)
                 if x.tracked:
-                    x.grad += d_proj @ wxv
-        tape.record(backward)
+                    x.accumulate(d_proj @ wxv)
+        tape.record(out, backward)
     return out
 
 

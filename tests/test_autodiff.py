@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -599,3 +600,74 @@ class TestDeterminism:
         b = run()
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
+
+
+class TestGradientLifetime:
+    """A gradient buffer exists from its first write; backward consumes the
+    tape, freeing each node once it has run."""
+
+    def test_first_write_leaves_no_negative_zero(self):
+        # a first write stores g + 0.0, as adding g into zeros would: a
+        # stored copy of g would keep the sign bit of -0.0
+        x = ad.parameter(3.0)
+        with ad.Tape() as tape:
+            out = ad.scale(x, -0.0)
+            tape.backward(out)
+        assert x.grad == 0.0 and not np.signbit(x.grad)
+
+    def test_hconcat_part_gradient_owns_its_memory(self):
+        a = ad.parameter([[1.0, 2.0]])
+        b = ad.parameter([[3.0]])
+        with ad.Tape() as tape:
+            joined = ad.hconcat(a, b)
+            out = ref.sum_all(ref.mul(joined, ad.constant([[1.0, 2.0, 3.0]])))
+            tape.backward(out)
+        assert np.array_equal(a.grad, [[1.0, 2.0]])
+        assert not np.shares_memory(a.grad, joined.grad)
+        assert not np.shares_memory(b.grad, joined.grad)
+
+    def test_parameter_behind_an_unused_output_gets_zeros(self):
+        w = ad.parameter([[1.0, -2.0]])
+        v = ad.parameter([4.0])
+        with ad.Tape() as tape:
+            ad.tanh(w)
+            out = ref.sum_all(ad.scale(v, 2.0))
+            tape.backward(out)
+        assert isinstance(w.grad, np.ndarray)
+        assert np.array_equal(w.grad, [[0.0, 0.0]])
+        assert np.array_equal(v.grad, [2.0])
+
+    def test_backward_frees_each_node_before_running_earlier_ones(self):
+        x = ad.parameter([1.0, 2.0])
+        with ad.Tape() as tape:
+            out = ref.sum_all(ad.tanh(x))
+        assert len(tape._records) == 2
+        later = weakref.ref(tape._records[1][1])
+        first, run_first = tape._records[0]
+        freed = []
+
+        def probe():
+            freed.append(later() is None)
+            run_first()
+        tape._records[0] = (first, probe)
+        tape.backward(out)
+        assert freed == [True]
+        assert tape._records == []
+        assert x.grad == pytest.approx(1.0 - np.tanh([1.0, 2.0]) ** 2)
+
+    def test_tape_is_single_use(self):
+        x = ad.parameter([1.0, 2.0])
+        with ad.Tape() as tape:
+            out = ref.sum_all(ad.tanh(x))
+            tape.backward(out)
+            grad = x.grad.copy()
+            with pytest.raises(RuntimeError, match="single-use"):
+                tape.backward(out)
+        assert np.array_equal(x.grad, grad)
+
+    def test_tape_without_backward_keeps_its_records(self):
+        x = ad.parameter([1.0])
+        with ad.Tape() as tape:
+            ref.sum_all(ad.tanh(x))
+        assert len(tape._records) == 2
+        assert x.grad is None
