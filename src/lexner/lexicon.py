@@ -14,8 +14,9 @@ in total. Mode ids are tied to bucket ids, so the mode embedding table has
 2K+4 rows. An empty bucket is represented by a learned null row.
 
 A list of sentences is matched once: every word occurring in them is
-found by one trie walk from each start position, and the rest runs as
-array operations over all sentences together. Occurrences ordered by start
+found by looking up, from each start position, the slice of each word
+length the lexicon holds in its word dict, and the rest runs as array
+operations over all sentences together. Occurrences ordered by start
 form one run per span of those starting inside it; a span is paired with
 the ones of its run that also end inside it, so the work grows with the
 (span, occurrence) pairs. The result is one ragged layout of all spans,
@@ -30,29 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ConfigError
-from .corpus import ParseError, open_text
+from .corpus import PAD, UNK, ParseError, open_text
 
 EXACT, PREFIX, SUFFIX, INFIX = "exact", "prefix", "suffix", "infix"
 MODES = (EXACT, PREFIX, SUFFIX, INFIX)   # in priority order
-
-
-class _TrieNode:
-    __slots__ = ("children", "word_id")
-
-    def __init__(self):
-        self.children: dict[str, _TrieNode] = {}
-        self.word_id: int | None = None
-
-
-class Trie:
-    def __init__(self):
-        self.root = _TrieNode()
-
-    def insert(self, word: str, word_id: int):
-        node = self.root
-        for ch in word:
-            node = node.children.setdefault(ch, _TrieNode())
-        node.word_id = word_id
 
 
 @dataclass(frozen=True)
@@ -64,7 +46,10 @@ class Match:
 
 
 class Lexicon:
-    """Immutable word list with a trie over its words."""
+    """Immutable word list. A word is found in a text by looking up the
+    text's slices in ``word_id``, one slice per word length it holds. The
+    vocabulary's reserved symbols cannot be words: their embedding rows are
+    not a word's, and a checkpoint's lexicon is rebuilt without them."""
 
     def __init__(self, words: list[str], freqs: dict[str, float] | None = None):
         seen: dict[str, int] = {}
@@ -73,12 +58,13 @@ class Lexicon:
                 seen[w] = len(seen)
         if not seen:
             raise ConfigError("lexicon word list is empty")
+        reserved = [w for w in (PAD, UNK) if w in seen]
+        if reserved:
+            raise ConfigError(f"lexicon words {reserved} are reserved vocabulary symbols")
         self.words: list[str] = list(seen)
         self.word_id: dict[str, int] = seen
         self.freqs = freqs or {}
-        self._fwd = Trie()
-        for w, i in seen.items():
-            self._fwd.insert(w, i)
+        self._lengths = sorted({len(w) for w in seen})
 
     def __len__(self):
         return len(self.words)
@@ -113,22 +99,21 @@ class Lexicon:
 
 def _occurrences(lex, texts, longest):
     """Start, length and word id of every word found in ``texts`` laid end
-    to end, ordered by start and then length: one trie walk from each
-    position, stopped at the end of its text and after ``longest``
-    characters. The walk runs once per character of the corpus, so it is
-    written out inline, one loop over the trie's children per position."""
-    root, found, offset = lex._fwd.root, [], 0
+    to end, ordered by start and then length: from each position, the slice
+    of each word length the lexicon holds is looked up in ``word_id``, up to
+    ``longest`` characters and the end of its text."""
+    lengths = [k for k in lex._lengths if k <= longest]
+    get, found, offset = lex.word_id.get, [], 0
     for piece in texts:
-        for a in range(len(piece)):
-            node, k = root, 0
-            for ch in piece[a:a + longest]:
-                node = node.children.get(ch)
-                if node is None:
+        n = len(piece)
+        for a in range(n):
+            for k in lengths:
+                if a + k > n:
                     break
-                k += 1
-                if node.word_id is not None:
-                    found.append((offset + a, k, node.word_id))
-        offset += len(piece)
+                wid = get(piece[a:a + k])
+                if wid is not None:
+                    found.append((offset + a, k, wid))
+        offset += n
     return np.array(found, dtype=np.intp).reshape(-1, 3).T
 
 

@@ -30,9 +30,9 @@ pools the projections.
 The model matches its sentences against the lexicon once and lays out
 the memory of all their spans in ``SentenceLayout.build_corpus``. This
 module keeps the per-span path that it replaced: each fragment matched on
-its own by four walks over a forward and a reverse trie (``Matcher``),
-bucketed into a ``MemoryLayout`` (``bucketize``), and the span layouts
-joined into one ``SentenceLayout`` (``sentence_layout``).
+its own by four walks over a forward and a reverse trie (``Trie``,
+``Matcher``), bucketed into a ``MemoryLayout`` (``bucketize``), and the
+span layouts joined into one ``SentenceLayout`` (``sentence_layout``).
 
 The model prepares a corpus once as one stacked batch and gathers each
 minibatch from it by offsets (``prepare_corpus``, ``Batch.gather``); one
@@ -53,7 +53,7 @@ import lexner.autodiff as ad
 from lexner.autodiff import ConfigError, ShapeError, Tensor, _begin
 from lexner.corpus import UNK
 from lexner.lexicon import (EXACT, INFIX, MODES, PREFIX, SUFFIX, Match,
-                            SentenceLayout, Trie, bucket_count, bucket_name)
+                            SentenceLayout, bucket_count, bucket_name)
 from lexner.model import Batch
 
 
@@ -472,6 +472,25 @@ def score_spans(model, sent, layouts, spans, dropout_rate=0.0, rng=None):
 
 # ---------------------------------------------------------------------------
 # per-span matching and memory layout
+
+
+class _TrieNode:
+    __slots__ = ("children", "word_id")
+
+    def __init__(self):
+        self.children: dict[str, _TrieNode] = {}
+        self.word_id: int | None = None
+
+
+class Trie:
+    def __init__(self):
+        self.root = _TrieNode()
+
+    def insert(self, word: str, word_id: int):
+        node = self.root
+        for ch in word:
+            node = node.children.setdefault(ch, _TrieNode())
+        node.word_id = word_id
 
 
 def walk_prefixes(trie: Trie, text: str, start: int = 0, stop: int | None = None):

@@ -112,6 +112,17 @@ class TestTrain:
         assert "badlex.txt:3" in err and f"'{freq}'" in err
         assert not (workdir / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("word", ["<pad>", "<unk>"])
+    def test_reserved_lexicon_word_exits_2(self, workdir, capsys, word):
+        lines = (workdir / "lex.txt").read_text(encoding="utf-8").splitlines()
+        lines[2] = f"{word} 3"
+        (workdir / "reservedlex.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = train_args(workdir, train="tiny.txt", ckpt="x.ckpt", log="x.csv")
+        args[args.index("--lexicon") + 1] = str(workdir / "reservedlex.txt")
+        assert main(args) == 2
+        assert word in capsys.readouterr().err
+        assert not (workdir / "x.ckpt").exists()
+
     def test_non_numeric_char_embedding_exits_2(self, workdir, capsys):
         char = (workdir / "tiny.txt").read_text(encoding="utf-8")[0]
         values = ["0.1"] * 16

@@ -55,8 +55,14 @@ def brute_force_matches(frag, words):
     return out
 
 
+# ASCII letters, a CJK character, one outside the Basic Multilingual Plane
+# and NUL
+OCCURRENCE_ALPHABET = "ab希\U00020000\x00"
+
+
 class TestOccurrences:
-    """``_occurrences``, the trie walk from every position of the texts."""
+    """``_occurrences``, the lookup of every word length the lexicon holds
+    from every position of the texts."""
 
     @staticmethod
     def found(words, texts, longest):
@@ -76,6 +82,26 @@ class TestOccurrences:
         assert self.found(["x"], ["abc"], 3) == []
         assert lexicon._occurrences(Lexicon(["x"]), [], 3).shape == (3, 0)
 
+    @given(words=st.lists(st.text(OCCURRENCE_ALPHABET, min_size=1, max_size=4),
+                          min_size=1, max_size=10),
+           texts=st.lists(st.text(OCCURRENCE_ALPHABET, max_size=12), max_size=4),
+           longest=st.integers(0, 6))
+    def test_equals_trie_walk(self, words, texts, longest):
+        # the reference walks a trie from every position of each text on its
+        # own, so no occurrence crosses from one text into the next
+        lex = Lexicon(words)
+        trie = ref.Trie()
+        for w, i in lex.word_id.items():
+            trie.insert(w, i)
+        expected, offset = [], 0
+        for piece in texts:
+            for a in range(len(piece)):
+                stop = min(a + longest, len(piece))
+                expected += [[offset + a, k, wid]
+                             for k, wid in ref.walk_prefixes(trie, piece, a, stop)]
+            offset += len(piece)
+        assert self.found(words, texts, longest) == expected
+
 
 class TestLexicon:
     def test_dedup(self):
@@ -85,6 +111,13 @@ class TestLexicon:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             Lexicon([])
+
+    @pytest.mark.parametrize("word", ["<pad>", "<unk>"])
+    def test_reserved_symbol_rejected(self, word):
+        # the vocabulary would give the word the <unk> row, and a checkpoint's
+        # lexicon is rebuilt without it, so evaluation would match differently
+        with pytest.raises(ConfigError, match=word):
+            Lexicon(["ab", word, "cd"])
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "lex.txt"
@@ -439,5 +472,22 @@ class TestPerformance:
         for f in frags:
             match_fragment(lex, f)
         elapsed = time.perf_counter() - t0
-        # trie walks depend on fragment length, not lexicon size
+        # matching depends on fragment length and the word lengths held, not
+        # on lexicon size
         assert elapsed < 1.0, elapsed
+
+    def test_large_lexicon_memory(self):
+        rng = np.random.default_rng(3)
+        alphabet = [chr(0x4E00 + i) for i in range(3000)]
+        words = set()
+        while len(words) < 20_000:
+            words.add("".join(alphabet[i] for i in rng.integers(0, 3000, rng.integers(2, 6))))
+        words = sorted(words)
+        tracemalloc.start()
+        try:
+            lex = Lexicon(words)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lex) == len(words)
+        assert held / len(words) <= 150, held / len(words)
